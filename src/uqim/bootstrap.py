@@ -14,6 +14,7 @@ one.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +30,12 @@ from .surrogate import (
     fit_residual_model,
     fit_residual_model_weighted,
 )
+
+
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,8 @@ def bootstrap_error_quantile(
     ``base_model`` supplies the residuals eps_i = Y_i - m_hat(X_i).  When
     ``extra_inputs`` (and ``weight``) are given the per-replicate fit uses
     the zero-anchored weighted variant.  Deterministic per seed, with or
-    without threads.
+    without threads.  The pool holds at most ``min(threads, cores, b_reps)``
+    workers, ``cores`` being the CPUs this process may run on.
     """
     n = experimental.n
     if not 1 <= n_learn < n:
@@ -100,8 +108,9 @@ def bootstrap_error_quantile(
         return float(np.partition(absvals, k - 1)[k - 1])
 
     seeds = spawn_seeds(seed, b_reps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, _available_cores(), b_reps)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             quantiles = np.fromiter(pool.map(one, seeds), dtype=float, count=b_reps)
     else:
         quantiles = np.fromiter(map(one, seeds), dtype=float, count=b_reps)

@@ -18,7 +18,6 @@ win over the config.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -33,9 +32,8 @@ from .confidence import ci_feasibility, density_band, quantile_ci
 from .data import (
     InputSample,
     RunConfig,
-    _format,
-    _read_rows,
-    parse_dataset,
+    _read_dataset,
+    _write_table,
     parse_inputs,
     write_dataset,
     write_inputs,
@@ -148,25 +146,18 @@ def _parse_ranges(text: str) -> list[tuple[float, float]]:
     return [_parse_span(part) for part in _names(text)]
 
 
-def _header(path) -> list[str]:
-    return _read_rows(path)[0]
-
-
 def _load_dataset(path, input_columns, output_column, kind):
-    header = _header(path)
-    out_col = output_column if output_column else header[-1]
-    cols = _names(input_columns) if input_columns else [c for c in header if c != out_col]
-    if not cols:
-        raise DataError(f"{path}: no input columns left besides {out_col!r}")
-    return parse_dataset(path, cols, out_col, kind=kind)
+    def pick(header):
+        out_col = output_column if output_column else header[-1]
+        if input_columns:
+            cols = _names(input_columns)
+        else:
+            cols = [c for c in header if c != out_col]
+        if not cols:
+            raise DataError(f"{path}: no input columns left besides {out_col!r}")
+        return cols + [out_col]
 
-
-def _write_table(path, names: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(names)
-        for row in zip(*columns):
-            out.writerow([_format(v) for v in row])
+    return _read_dataset(path, pick, kind)
 
 
 def _single_column(path) -> np.ndarray:

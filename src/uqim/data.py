@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DomainError, ValidationError
+from .errors import DataError, ValidationError
 
 DATASET_KINDS = ("experimental", "simulated")
 
@@ -111,96 +110,106 @@ class InputSample:
         return self.points.shape[1]
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
+    """Read the columns ``pick(header)`` names from a CSV file as an (n, k) array.
+
+    The file is tokenized once.  Rows whose cells are all blank are skipped
+    and the first remaining row is the header, its cells stripped.  Only the
+    picked cells are converted, in one call that follows ``float()`` rules.
+    """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-    return [c.strip() for c in rows[0]], rows[1:]
-
-
-def _cell(raw: str, row: int, col: str, path) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise DataError(
-            f"{path}: non-numeric value {raw.strip()!r} at row {row}, "
-            f"column {col!r}"
-        ) from None
-
-
-def _columns(path, wanted: list[str]) -> tuple[list[list[str]], list[int]]:
-    header, body = _read_rows(path)
-    missing = [c for c in wanted if c not in header]
-    if missing:
-        raise DataError(f"{path}: missing columns {missing} (header: {header})")
-    if not body:
+        rows = filter(lambda row: any(map(str.strip, row)), csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        header = [c.strip() for c in header]
+        names = list(pick(header))
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing} (header: {header})")
+        idx = [header.index(c) for c in names]
+        cells, n = [], 0
+        for n, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {n} has {len(row)} fields, expected {len(header)}"
+                )
+            cells.extend([row[j] for j in idx])
+    if not n:
         raise DataError(f"{path}: no data rows")
-    idx = [header.index(c) for c in wanted]
-    for i, row in enumerate(body, start=1):
-        if len(row) != len(header):
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        _raise_bad_cell(path, cells, names)
+        raise
+    return names, values.reshape(n, len(names))
+
+
+def _raise_bad_cell(path, cells: list[str], names: list[str]) -> None:
+    """Raise a DataError naming the first cell, row-major, that ``float()`` rejects."""
+    for i, raw in enumerate(cells):
+        try:
+            float(raw)
+        except ValueError:
             raise DataError(
-                f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
-            )
-    return body, idx
+                f"{path}: non-numeric value {raw.strip()!r} at row "
+                f"{i // len(names) + 1}, column {names[i % len(names)]!r}"
+            ) from None
 
 
-def parse_dataset(path, input_columns, output_column, kind="experimental"):
-    """Parse a CSV file with a header row into a :class:`PairedDataset`."""
-    input_columns = list(input_columns)
-    body, idx = _columns(path, input_columns + [output_column])
-    raw = np.empty((len(body), len(idx)))
-    names = input_columns + [output_column]
-    for i, row in enumerate(body, start=1):
-        for j, col in zip(idx, names):
-            raw[i - 1, names.index(col)] = _cell(row[j], i, col, path)
+def _read_dataset(path, pick, kind) -> PairedDataset:
+    """Read a :class:`PairedDataset`; ``pick(header)`` lists inputs, then output."""
+    names, raw = _read_table(path, pick)
     return PairedDataset(
         inputs=raw[:, :-1],
         outputs=raw[:, -1],
         kind=kind,
-        input_names=tuple(input_columns),
-        output_name=output_column,
+        input_names=tuple(names[:-1]),
+        output_name=names[-1],
     )
+
+
+def parse_dataset(path, input_columns, output_column, kind="experimental"):
+    """Parse a CSV file with a header row into a :class:`PairedDataset`."""
+    return _read_dataset(path, lambda header: [*input_columns, output_column], kind)
 
 
 def parse_inputs(path, columns=None) -> InputSample:
     """Parse a CSV of input points; ``columns=None`` takes every column."""
-    if columns is None:
-        header, body = _read_rows(path)
-        if not body:
-            raise DataError(f"{path}: no data rows")
-        columns = header
-    body, idx = _columns(path, list(columns))
-    pts = np.empty((len(body), len(idx)))
-    for i, row in enumerate(body, start=1):
-        for k, j in enumerate(idx):
-            pts[i - 1, k] = _cell(row[j], i, columns[k], path)
-    return InputSample(points=pts, names=tuple(columns))
+    names, pts = _read_table(path, lambda header: header if columns is None else columns)
+    return InputSample(points=pts, names=tuple(names))
 
 
-def _format(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips bitwise
-    return repr(float(x))
+_WRITE_CHUNK_ROWS = 65536
+
+
+def _write_table(path, names, columns) -> None:
+    """Write a header and the row-aligned ``columns`` (1-d arrays or 2-d blocks).
+
+    Values are written as ``repr`` of the Python float, the shortest string
+    that round-trips bitwise, with the csv module's CRLF line ends.  Rows go
+    out in fixed-size chunks, so the extra memory does not grow with n.
+    """
+    n = len(columns[0])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(names)
+        for a in range(0, n, _WRITE_CHUNK_ROWS):
+            block = np.column_stack([c[a : a + _WRITE_CHUNK_ROWS] for c in columns])
+            cells = [map(repr, col) for col in block.T.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_dataset(dataset: PairedDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(list(dataset.input_names) + [dataset.output_name])
-        for x, y in zip(dataset.inputs, dataset.outputs):
-            out.writerow([_format(v) for v in x] + [_format(y)])
+    names = list(dataset.input_names) + [dataset.output_name]
+    _write_table(path, names, [dataset.inputs, dataset.outputs])
 
 
 def write_inputs(sample: InputSample, path) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(list(sample.names))
-        for x in sample.points:
-            out.writerow([_format(v) for v in x])
+    _write_table(path, sample.names, [sample.points])
 
 
 _UINT64_MAX = 2**64 - 1
@@ -216,22 +225,18 @@ class RunConfig:
 
     seed: int = 0
     l_n: int | None = None
-    n1: int | None = None
-    n2: int | None = None
     threads: int | None = None
     out_dir: str | None = None
     methods: dict = field(default_factory=dict)
 
-    _SCALARS = ("seed", "l_n", "n1", "n2", "threads", "out_dir")
+    _SCALARS = ("seed", "l_n", "threads", "out_dir")
 
     def validate(self) -> None:
         problems = []
         if not isinstance(self.seed, int) or not 0 <= self.seed <= _UINT64_MAX:
             problems.append(f"seed: must be an integer in [0, 2^64-1], got {self.seed!r}")
-        for name in ("l_n", "n1", "n2"):
-            v = getattr(self, name)
-            if v is not None and (not isinstance(v, int) or v < 1):
-                problems.append(f"{name}: must be a positive integer, got {v!r}")
+        if self.l_n is not None and (not isinstance(self.l_n, int) or self.l_n < 1):
+            problems.append(f"l_n: must be a positive integer, got {self.l_n!r}")
         if self.threads is not None and (
             not isinstance(self.threads, int) or self.threads < 1
         ):
@@ -283,13 +288,3 @@ class RunConfig:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-
-def check_probability(name: str, value: float, open_ends=(True, True)) -> float:
-    """Validate a scalar lies in (0,1) (or the closed variants)."""
-    v = float(value)
-    lo_ok = v > 0.0 if open_ends[0] else v >= 0.0
-    hi_ok = v < 1.0 if open_ends[1] else v <= 1.0
-    if not (math.isfinite(v) and lo_ok and hi_ok):
-        bounds = f"{'(' if open_ends[0] else '['}0, 1{')' if open_ends[1] else ']'}"
-        raise DomainError(f"{name} must lie in {bounds}, got {value}")
-    return v

@@ -84,6 +84,17 @@ def _as_points(x, dim: int) -> np.ndarray:
     return a
 
 
+def _predict_in_chunks(basis, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``basis.design(x) @ coef`` over row chunks; caps design scratch at ~32 MB."""
+    x = _as_points(points, basis.dim)
+    coef = np.asarray(coef, dtype=float)
+    out = np.empty(x.shape[0])
+    step = max(1, 2**22 // max(basis.n_coef, 1))
+    for a in range(0, x.shape[0], step):
+        out[a : a + step] = basis.design(x[a : a + step]) @ coef
+    return out
+
+
 class SplineBasis:
     """Clamped cubic B-spline basis with linear extension off the knot span."""
 
@@ -185,14 +196,7 @@ class RbfBasis:
         out[:, 1:] = np.exp(-d2 / (2.0 * self.lengthscale**2))
         return out
 
-    def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-        x = _as_points(points, self.dim)
-        coef = np.asarray(coef, dtype=float)
-        out = np.empty(x.shape[0])
-        step = max(1, 2**22 // max(self.n_coef, 1))  # cap scratch at ~32 MB
-        for a in range(0, x.shape[0], step):
-            out[a : a + step] = self.design(x[a : a + step]) @ coef
-        return out
+    predict = _predict_in_chunks
 
     def roughness(self) -> np.ndarray:
         r = np.eye(self.n_coef)
@@ -233,14 +237,7 @@ class PolyBasis:
         x = _as_points(points, self.dim)
         return np.prod(x[:, None, :] ** self.powers[None, :, :], axis=2)
 
-    def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-        x = _as_points(points, self.dim)
-        coef = np.asarray(coef, dtype=float)
-        out = np.empty(x.shape[0])
-        step = max(1, 2**22 // max(self.n_coef, 1))
-        for a in range(0, x.shape[0], step):
-            out[a : a + step] = self.design(x[a : a + step]) @ coef
-        return out
+    predict = _predict_in_chunks
 
     def roughness(self) -> np.ndarray:
         r = np.eye(self.n_coef)

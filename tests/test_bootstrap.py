@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import foldnorm
 
+from uqim import bootstrap
 from uqim.bootstrap import BootstrapErrorReport, bootstrap_error_quantile
 from uqim.data import InputSample, PairedDataset
 from uqim.errors import DomainError
@@ -106,6 +107,45 @@ def test_threaded_matches_sequential():
     par = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=40, n_learn=12,
                                    alpha=0.9, seed=8, threads=4)
     assert np.array_equal(seq.quantiles, par.quantiles)
+
+
+def test_thread_pool_capped_at_cores_and_reps(monkeypatch):
+    # a stand-in pool records its size and maps in this thread: none start
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(bootstrap, "ThreadPoolExecutor", RecordingPool)
+    x = np.linspace(0.0, 1.0, 12)
+    exp = _exp(x, np.cos(3.0 * x))
+    fam = FunctionFamily("poly", 1)
+
+    def run(threads, b_reps):
+        return bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=b_reps,
+                                        n_learn=6, seed=3, threads=threads)
+
+    seq = run(1, 10)
+    monkeypatch.setattr(bootstrap.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert np.array_equal(run(10**6, 10).quantiles, seq.quantiles)
+    run(10**6, 2)
+    run(2, 10)
+    assert sizes == [3, 2, 2]
+    monkeypatch.setattr(bootstrap.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert np.array_equal(run(8, 10).quantiles, seq.quantiles)
+    assert sizes == [3, 2, 2]
 
 
 def test_validation():

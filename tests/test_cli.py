@@ -125,6 +125,18 @@ def test_config_errors_list_every_field(tmp_path):
     assert set(payload["fields"]) >= {"seed", "threads", "l_n"}
 
 
+def test_config_n1_n2_are_not_scalars(tmp_path):
+    # n1/n2 are no configuration fields: as flat keys they are method blocks
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"n1": 5, "n2": 7}))
+    rc, _, err = run_cli([
+        "ci-quantile", "--check-only", "--n", "100",
+        "--alpha", "0.95", "--delta", "0.05", "--config", cfg,
+    ])
+    assert rc == 1
+    assert json.loads(err)["fields"] == ["methods.n1", "methods.n2"]
+
+
 def test_config_supplies_defaults_flags_win(tmp_path, workspace):
     ws = workspace["dir"]
     cfg = tmp_path / "cfg.json"

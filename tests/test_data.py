@@ -7,13 +7,12 @@ from uqim.data import (
     InputSample,
     PairedDataset,
     RunConfig,
-    check_probability,
     parse_dataset,
     parse_inputs,
     write_dataset,
     write_inputs,
 )
-from uqim.errors import DataError, DomainError, ValidationError
+from uqim.errors import DataError, ValidationError
 from uqim.synthetic import FIELD_INPUT_NAMES, field_measurements
 
 
@@ -135,11 +134,3 @@ def test_run_config_lists_every_bad_field():
     assert "seed" in joined and "l_n" in joined and "threads" in joined
     assert len(err.value.fields) == 3
 
-
-def test_check_probability():
-    assert check_probability("alpha", 0.5) == 0.5
-    with pytest.raises(DomainError, match="alpha"):
-        check_probability("alpha", 0.0)
-    assert check_probability("delta", 1.0, open_ends=(True, False)) == 1.0
-    with pytest.raises(DomainError):
-        check_probability("delta", 1.5)

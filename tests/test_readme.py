@@ -1,0 +1,28 @@
+"""The README's command-line block runs as written, in order, in a fresh cwd."""
+
+import re
+import shlex
+from pathlib import Path
+
+from uqim.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """argv lists of the ``uqim`` lines in the README's ``sh`` blocks."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in re.sub(r"\\\n", " ", block).splitlines():
+            if line.startswith("uqim "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UQ_THREADS", raising=False)
+    commands = _readme_commands()
+    assert commands and commands[0][0] == "synth"
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
