@@ -85,12 +85,15 @@ def kde_cdf(model: KdeModel, y) -> np.ndarray:
     t = np.atleast_1d(y)
     v, h, n = model.values, model.bandwidth, model.n
     if model.kernel == "naive":
-        # sum of clip(t - v + h, 0, 2h) via sorted prefix sums
+        # sum of clip(t - v + h, 0, 2h) via sorted prefix sums; taken relative
+        # to v[0] so that a large common offset does not cancel
         full = np.searchsorted(v, t - h, side="right")
         part = np.searchsorted(v, t + h, side="left")
-        prefix = np.concatenate([[0.0], np.cumsum(v)])
-        mid = (part - full) * (t + h) - (prefix[part] - prefix[full])
+        prefix = np.zeros(n + 1)
+        np.cumsum(v - v[0], out=prefix[1:])
+        mid = (part - full) * (t + h - v[0]) - (prefix[part] - prefix[full])
         out = (2.0 * h * full + mid) / (2.0 * n * h)
+        np.clip(out, 0.0, 1.0, out=out)  # the prefix sums round
     elif model.kernel == "epanechnikov":
         out = np.empty(t.shape)
         for i, ti in enumerate(t):

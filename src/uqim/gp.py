@@ -13,6 +13,12 @@ truncated reciprocal priors p(t) = c/t on [eps, e^(1/c) eps] for sigma2 and
 each omega).  The error law used for quantiles is the fitted MVN with mean
 (beta, ..., beta) and covariance sigma2_hat * R + lam_hat * I.
 
+Likelihood, posterior and fit all use one core that factors Theta once and
+returns the log likelihood, log posterior and analytic gradient (Rasmussen &
+Williams 2006, eq. 5.9).  The MAP fit runs L-BFGS-B on that gradient in every
+beta mode; with beta profiled at beta* = u's / u'1 (u = Theta^-1 1, s = y - m)
+the gradient follows beta*, and restarts that fail read -inf.
+
 Cholesky factorizations follow a fixed jitter policy: on failure, add
 j * trace(Theta)/n to the diagonal for j = 1e-10, 1e-9, ..., 1e-6, then
 give up with a conditioning error.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -235,52 +242,6 @@ def _chol_jitter(theta: np.ndarray):
     )
 
 
-def _loglik_core(params: GpDiscrepancyParams, data: DiscrepancyData, d2=None):
-    if d2 is None:
-        d2 = _sqdists(data.inputs)
-    r = _correlation(d2, params.omegas)
-    theta = params.sigma2 * r + params.lam * np.eye(data.n)
-    resid = data.observed - data.model_outputs - params.beta
-    fac, jitter = _chol_jitter(theta)
-    alpha = cho_solve(fac, resid)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
-    ll = -0.5 * (float(resid @ alpha) + logdet + data.n * math.log(2.0 * math.pi))
-    return ll, r, fac, alpha, jitter
-
-
-def gp_loglikelihood(params: GpDiscrepancyParams, data: DiscrepancyData) -> float:
-    """Exact MVN log likelihood of the residuals under Theta."""
-    if data.dim != params.dim:
-        raise DomainError(
-            f"data dimension {data.dim} vs parameter dimension {params.dim}"
-        )
-    return _loglik_core(params, data)[0]
-
-
-def gp_loglikelihood_grad(
-    params: GpDiscrepancyParams, data: DiscrepancyData
-) -> tuple[float, dict]:
-    """Log likelihood and its analytic gradient.
-
-    Gradient keys: ``lam``, ``beta``, ``sigma2`` and ``omegas`` (a vector).
-    """
-    d2 = _sqdists(data.inputs)
-    ll, r, fac, alpha, _ = _loglik_core(params, data, d2)
-    theta_inv = cho_solve(fac, np.eye(data.n))
-    grad = {
-        "beta": float(np.sum(alpha)),
-        "lam": 0.5 * (float(alpha @ alpha) - float(np.trace(theta_inv))),
-        "sigma2": 0.5
-        * (float(alpha @ r @ alpha) - float(np.sum(theta_inv * r))),
-    }
-    gw = np.empty(params.dim)
-    for j in range(params.dim):
-        m = -params.sigma2 * r * d2[j]
-        gw[j] = 0.5 * (float(alpha @ m @ alpha) - float(np.sum(theta_inv * m)))
-    grad["omegas"] = gw
-    return ll, grad
-
-
 def _log_normal_pdf(x: float, mu: float, var: float) -> float:
     return -0.5 * (math.log(2.0 * math.pi * var) + (x - mu) ** 2 / var)
 
@@ -296,6 +257,110 @@ def _log_reciprocal_pdf(t: float, c: float, eps: float) -> float:
     return math.log(c) - lt
 
 
+def _profiled_beta(fac, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """beta* = u's / u'1 with u = Theta^-1 1, and the weights u / u'1."""
+    ones = np.ones(s.shape[0])
+    u = cho_solve(fac, ones)
+    u1 = float(u @ ones)
+    return float(u @ s) / u1, u / u1
+
+
+class _Eval(NamedTuple):
+    loglik: float
+    logpost: float  # nan without priors, -inf off their support
+    # d logpost (d loglik without priors) / d (lam, sigma2, omegas..., beta)
+    grad: np.ndarray
+    jitter: float
+    beta: float
+
+
+def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
+    """Everything the GP callers need from one Cholesky factor of Theta.
+
+    ``s`` is observed minus model output and ``d2`` is ``_sqdists`` of the
+    inputs.  ``beta=None`` profiles the mean out at its closed form.
+    """
+    if hyper is not None:
+        log_s2 = _log_reciprocal_pdf(sigma2, hyper.c_sigma2, hyper.eps_trunc)
+        log_w = sum(
+            _log_reciprocal_pdf(w, c, hyper.eps_trunc)
+            for w, c in zip(omegas, hyper.c_omegas)
+        )
+        if not math.isfinite(log_s2 + log_w):
+            return _Eval(math.nan, -math.inf, None, math.nan, beta)
+    n = s.shape[0]
+    r = _correlation(d2, omegas)
+    fac, jitter = _chol_jitter(sigma2 * r + lam * np.eye(n))
+    profiled = beta is None
+    if profiled:
+        beta, w = _profiled_beta(fac, s)
+    resid = s - beta
+    alpha = cho_solve(fac, resid)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
+    ll = -0.5 * (float(resid @ alpha) + logdet + n * math.log(2.0 * math.pi))
+    # d ll / d theta_k = (alpha' Theta_k alpha - tr(Theta^-1 Theta_k)) / 2 with
+    # Theta_k = I, R, -sigma2 R o D_j for lam, sigma2, omega_j; d ll / d beta = 1'alpha
+    theta_inv = cho_solve(fac, np.eye(n))
+    dthetas = [r] + [-sigma2 * r * d2j for d2j in d2]
+    a_dtheta = [alpha] + [alpha @ m for m in dthetas]
+    traces = [np.trace(theta_inv)] + [np.sum(theta_inv * m) for m in dthetas]
+    grad = np.array(
+        [0.5 * (float(a @ alpha) - float(t)) for a, t in zip(a_dtheta, traces)]
+        + [float(np.sum(alpha))]
+    )
+    logpost = math.nan
+    if hyper is not None:
+        logpost = (
+            ll
+            + _log_normal_pdf(lam, hyper.mu_lam, hyper.var_lam)
+            + _log_normal_pdf(beta, hyper.mu_beta, hyper.var_beta)
+            + log_s2
+            + log_w
+        )
+        grad += np.concatenate((
+            [-(lam - hyper.mu_lam) / hyper.var_lam, -1.0 / sigma2],
+            -1.0 / np.asarray(omegas, dtype=float),
+            [-(beta - hyper.mu_beta) / hyper.var_beta],
+        ))
+    if profiled:
+        # total derivative along beta*(theta): d beta* / d theta_k = -w' Theta_k alpha
+        grad[:-1] -= grad[-1] * np.array([float(a @ w) for a in a_dtheta])
+    return _Eval(ll, logpost, grad, jitter, beta)
+
+
+def _evaluate_at(
+    params: GpDiscrepancyParams, data: DiscrepancyData, hyper=None
+) -> _Eval:
+    if data.dim != params.dim:
+        raise DomainError(
+            f"data dimension {data.dim} vs parameter dimension {params.dim}"
+        )
+    return _evaluate(
+        params.lam, params.sigma2, params.omegas, params.beta,
+        _sqdists(data.inputs), data.observed - data.model_outputs, hyper,
+    )
+
+
+def gp_loglikelihood(params: GpDiscrepancyParams, data: DiscrepancyData) -> float:
+    """Exact MVN log likelihood of the residuals under Theta."""
+    return _evaluate_at(params, data).loglik
+
+
+def gp_loglikelihood_grad(
+    params: GpDiscrepancyParams, data: DiscrepancyData
+) -> tuple[float, dict]:
+    """Log likelihood and its analytic gradient.
+
+    Gradient keys: ``lam``, ``beta``, ``sigma2`` and ``omegas`` (a vector).
+    """
+    ev = _evaluate_at(params, data)
+    g = ev.grad
+    return ev.loglik, {
+        "beta": float(g[-1]), "lam": float(g[0]), "sigma2": float(g[1]),
+        "omegas": g[2:-1],
+    }
+
+
 def gp_log_posterior(
     params: GpDiscrepancyParams, hyper: GpHyperParams, data: DiscrepancyData
 ) -> float:
@@ -308,14 +373,7 @@ def gp_log_posterior(
         raise DomainError(
             f"{len(hyper.c_omegas)} omega priors for {params.dim} omegas"
         )
-    lp = _log_reciprocal_pdf(params.sigma2, hyper.c_sigma2, hyper.eps_trunc)
-    for w, c in zip(params.omegas, hyper.c_omegas):
-        lp += _log_reciprocal_pdf(w, c, hyper.eps_trunc)
-    if not np.isfinite(lp):
-        return -math.inf
-    lp += _log_normal_pdf(params.lam, hyper.mu_lam, hyper.var_lam)
-    lp += _log_normal_pdf(params.beta, hyper.mu_beta, hyper.var_beta)
-    return lp + gp_loglikelihood(params, data)
+    return _evaluate_at(params, data, hyper).logpost
 
 
 def gp_beta_empirical(data: DiscrepancyData) -> float:
@@ -329,10 +387,7 @@ def gp_beta_closed_form(data: DiscrepancyData, theta: np.ndarray) -> float:
     if theta.shape != (data.n, data.n):
         raise DomainError(f"Theta shape {theta.shape} for n = {data.n}")
     fac, _ = _chol_jitter(theta)
-    ones = np.ones(data.n)
-    s = data.observed - data.model_outputs
-    u = cho_solve(fac, ones)
-    return float(u @ s) / float(u @ ones)
+    return _profiled_beta(fac, data.observed - data.model_outputs)[0]
 
 
 @dataclass
@@ -360,14 +415,6 @@ def _pack_bounds(hyper: GpHyperParams, data: DiscrepancyData, beta_mode: str):
     return bounds
 
 
-def _unpack(z: np.ndarray, beta: float, dim: int, beta_mode: str):
-    lam, sigma2 = math.exp(z[0]), math.exp(z[1])
-    omegas = tuple(math.exp(v) for v in z[2 : 2 + dim])
-    if beta_mode == "free":
-        beta = float(z[2 + dim])
-    return GpDiscrepancyParams(lam=lam, beta=beta, sigma2=sigma2, omegas=omegas)
-
-
 def gp_fit_map(
     data: DiscrepancyData,
     hyper: GpHyperParams | None = None,
@@ -380,12 +427,16 @@ def gp_fit_map(
     """MAP fit by multi-start box-constrained local search.
 
     lam, sigma2 and the omegas are optimized in log space within their prior
-    supports.  ``beta_mode`` chooses how the constant mean is handled:
-    ``closed_form`` (profiled via the likelihood argmax), ``empirical``
-    (fixed at the mean discrepancy) or ``free`` (optimized jointly).  The
-    reported objective is always the full log posterior, so modes are
-    comparable.  Deterministic for a given seed; ``init`` overrides the
-    first restart's starting point.
+    supports by L-BFGS-B with the analytic gradient in every mode.
+    ``beta_mode`` chooses how the constant mean is handled: ``closed_form``
+    (profiled at the likelihood argmax beta* = u's / u'1, u = Theta^-1 1;
+    the gradient follows beta* with d beta*/d theta_k = -u' Theta_k alpha /
+    u'1), ``empirical`` (fixed at the mean discrepancy) or ``free``
+    (optimized jointly).  The reported objective is always the full log
+    posterior, so modes are comparable.  A restart that ends where Theta
+    cannot be factored is recorded in ``objectives`` as ``-inf``; if every
+    restart does, ``FitError`` is raised.  Deterministic for a given seed;
+    ``init`` overrides the first restart's starting point.
     """
     if beta_mode not in ("closed_form", "empirical", "free"):
         raise DomainError(f"unknown beta_mode {beta_mode!r}")
@@ -398,112 +449,58 @@ def gp_fit_map(
             f"{len(hyper.c_omegas)} omega priors for dimension {data.dim}"
         )
     d2 = _sqdists(data.inputs)
-    resid0 = data.observed - data.model_outputs
-    beta_emp = float(np.mean(resid0))
-    eye = np.eye(data.n)
+    s = data.observed - data.model_outputs
+    beta_fixed = float(np.mean(s)) if beta_mode == "empirical" else None
     bounds = _pack_bounds(hyper, data, beta_mode)
     ndim = len(bounds)
     bad = 1e300
 
+    def beta_of(z: np.ndarray):
+        return float(z[-1]) if beta_mode == "free" else beta_fixed
+
     def negative(z: np.ndarray):
         lam, sigma2 = math.exp(z[0]), math.exp(z[1])
         omegas = np.exp(z[2 : 2 + data.dim])
-        r = _correlation(d2, omegas)
-        theta = sigma2 * r + lam * eye
         try:
-            fac, _ = _chol_jitter(theta)
+            ev = _evaluate(lam, sigma2, omegas, beta_of(z), d2, s, hyper)
         except ConditioningError:
-            return (bad, np.zeros(ndim)) if beta_mode != "closed_form" else bad
-        if beta_mode == "closed_form":
-            u = cho_solve(fac, np.ones(data.n))
-            beta = float(u @ resid0) / float(u @ np.ones(data.n))
-        elif beta_mode == "empirical":
-            beta = beta_emp
-        else:
-            beta = float(z[2 + data.dim])
-        resid = resid0 - beta
-        alpha = cho_solve(fac, resid)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
-        ll = -0.5 * (
-            float(resid @ alpha) + logdet + data.n * math.log(2.0 * math.pi)
-        )
-        post = (
-            ll
-            + _log_normal_pdf(lam, hyper.mu_lam, hyper.var_lam)
-            + _log_normal_pdf(beta, hyper.mu_beta, hyper.var_beta)
-            + (math.log(hyper.c_sigma2) - math.log(sigma2))
-            + sum(math.log(c) - math.log(w) for c, w in zip(hyper.c_omegas, omegas))
-        )
-        if beta_mode == "closed_form":
-            return -post
-        # analytic gradient in z space
-        theta_inv = cho_solve(fac, eye)
-        g = np.empty(ndim)
-        g_lam = 0.5 * (float(alpha @ alpha) - float(np.trace(theta_inv)))
-        g_lam += -(lam - hyper.mu_lam) / hyper.var_lam
-        g[0] = g_lam * lam  # chain rule through the log parameterization
-        g_s2 = 0.5 * (float(alpha @ r @ alpha) - float(np.sum(theta_inv * r)))
-        g_s2 += -1.0 / sigma2
-        g[1] = g_s2 * sigma2
-        for j in range(data.dim):
-            m = -sigma2 * r * d2[j]
-            gw = 0.5 * (float(alpha @ m @ alpha) - float(np.sum(theta_inv * m)))
-            gw += -1.0 / omegas[j]
-            g[2 + j] = gw * omegas[j]
-        if beta_mode == "free":
-            g[2 + data.dim] = float(np.sum(alpha)) - (beta - hyper.mu_beta) / hyper.var_beta
-        return -post, -g
+            return bad, np.zeros(ndim)
+        # chain rule through the log parameterization (beta is not logged)
+        scale = np.concatenate(([lam, sigma2], omegas, [1.0]))
+        return -ev.logpost, -(ev.grad * scale)[:ndim]
 
     rng = make_rng(seed)
-    starts = []
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    for k in range(restarts):
-        starts.append(lo + rng.random(ndim) * (hi - lo))
+    starts = [lo + rng.random(ndim) * (hi - lo) for _ in range(restarts)]
     if init is not None:
-        z0 = np.empty(ndim)
-        z0[0] = math.log(max(init.lam, 1e-300))
-        z0[1] = math.log(max(init.sigma2, 1e-300))
-        z0[2 : 2 + data.dim] = [math.log(max(w, 1e-300)) for w in init.omegas]
-        if beta_mode == "free":
-            z0[2 + data.dim] = init.beta
-        starts[0] = np.clip(z0, lo, hi)
+        z0 = [math.log(max(v, 1e-300)) for v in (init.lam, init.sigma2, *init.omegas)]
+        starts[0] = np.clip(np.array(z0 + [init.beta])[:ndim], lo, hi)
 
-    results = []
-    for z0 in starts:
-        if beta_mode == "closed_form":
-            res = minimize(
-                negative, z0, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": maxiter},
-            )
-        else:
-            res = minimize(
-                negative, z0, method="L-BFGS-B", jac=True, bounds=bounds,
-                options={"maxiter": maxiter},
-            )
-        results.append(res)
-    objs = [-float(r.fun) for r in results]
+    results = [
+        minimize(
+            negative, z0, method="L-BFGS-B", jac=True, bounds=bounds,
+            options={"maxiter": maxiter},
+        )
+        for z0 in starts
+    ]
+    objs = [-math.inf if r.fun >= bad else -float(r.fun) for r in results]
     best = int(np.argmax(objs))
     if not np.isfinite(objs[best]):
         raise FitError("every restart failed to produce a finite posterior")
     zb = results[best].x
-    params = _unpack(zb, beta_emp, data.dim, beta_mode)
-    if beta_mode == "closed_form":
-        theta = gp_cov_matrix(data.inputs, params)
-        params = GpDiscrepancyParams(
-            lam=params.lam,
-            beta=gp_beta_closed_form(data, theta),
-            sigma2=params.sigma2,
-            omegas=params.omegas,
-        )
-    _, _, _, _, jitter = _loglik_core(params, data, d2)
+    lam, sigma2 = math.exp(zb[0]), math.exp(zb[1])
+    omegas = tuple(math.exp(v) for v in zb[2 : 2 + data.dim])
+    ev = _evaluate(lam, sigma2, omegas, beta_of(zb), d2, s, hyper)
     return GpFitResult(
-        params=params,
-        objective=gp_log_posterior(params, hyper, data),
+        params=GpDiscrepancyParams(
+            lam=lam, beta=ev.beta, sigma2=sigma2, omegas=omegas
+        ),
+        objective=ev.logpost,
         beta_mode=beta_mode,
         restarts=restarts,
         objectives=objs,
-        jitter=jitter,
+        jitter=ev.jitter,
         hyper=hyper,
     )
 

@@ -120,35 +120,22 @@ class SplineBasis:
     def _bases(self) -> BSpline:
         return BSpline(self.knots, np.eye(self.n_coef), _DEGREE, extrapolate=False)
 
-    def design(self, points: np.ndarray) -> np.ndarray:
+    def _extended(self, spline: BSpline, points: np.ndarray) -> np.ndarray:
+        """``spline`` on the knot span, continued linearly beyond either end."""
         x = _as_points(points, 1).ravel()
-        xc = np.clip(x, self._lo, self._hi)
-        bs = self._bases()
-        out = np.asarray(bs(xc))
-        left = x < self._lo
-        right = x > self._hi
-        if left.any() or right.any():
-            d = bs.derivative()
-            if left.any():
-                out[left] += np.outer(x[left] - self._lo, d(self._lo))
-            if right.any():
-                out[right] += np.outer(x[right] - self._hi, d(self._hi))
+        out = np.asarray(spline(np.clip(x, self._lo, self._hi)))
+        for off, end in ((x < self._lo, self._lo), (x > self._hi, self._hi)):
+            if off.any():
+                out[off] += np.multiply.outer(x[off] - end, spline.derivative()(end))
         return out
+
+    def design(self, points: np.ndarray) -> np.ndarray:
+        return self._extended(self._bases(), points)
 
     def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
         # fold coefficients into one spline; O(m) memory for large m
-        x = _as_points(points, 1).ravel()
         f = BSpline(self.knots, np.asarray(coef, dtype=float), _DEGREE, extrapolate=False)
-        y = np.asarray(f(np.clip(x, self._lo, self._hi)))
-        left = x < self._lo
-        right = x > self._hi
-        if left.any() or right.any():
-            df = f.derivative()
-            if left.any():
-                y[left] += df(self._lo) * (x[left] - self._lo)
-            if right.any():
-                y[right] += df(self._hi) * (x[right] - self._hi)
-        return y
+        return self._extended(f, points)
 
     def roughness(self) -> np.ndarray:
         d2 = np.diff(np.eye(self.n_coef), n=2, axis=0)

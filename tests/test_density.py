@@ -78,6 +78,16 @@ def test_kde_cdf_oracle():
         assert abs(kde_cdf(model, y) - want) <= 1e-12
 
 
+def test_naive_cdf_monotone_far_from_zero():
+    # prefix sums of raw values cancel at a large common offset
+    rng = make_rng(44)
+    model = KdeModel(values=1e6 + rng.standard_normal(100_000), bandwidth=1e-3)
+    t = np.linspace(model.values[0] - 0.01, model.values[-1] + 0.01, 400_001)
+    cdf = kde_cdf(model, t)
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+
+
 def test_normalization():
     rng = np.random.default_rng(3)
     v = rng.normal(size=64)

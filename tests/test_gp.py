@@ -6,8 +6,9 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.stats import foldnorm, multivariate_normal
 
+import uqim.gp as gp_mod
 from uqim.data import PairedDataset
-from uqim.errors import ConditioningError, DataError, DomainError
+from uqim.errors import ConditioningError, DataError, DomainError, FitError
 from uqim.gp import (
     DiscrepancyData,
     GpDiscrepancyParams,
@@ -367,6 +368,69 @@ def test_fit_map_validation():
         gp_fit_map(data, restarts=0)
     with pytest.raises(DomainError):
         gp_fit_map(data, hyper=_flat_hyper(dim=3))
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+def test_closed_form_gradient_matches_finite_differences(monkeypatch, dim):
+    # the objective closed_form hands to the optimizer, in log-parameter space
+    rng = make_rng(50 + dim)
+    x = rng.random((15, dim))
+    m = np.sin(x.sum(axis=1))
+    data = DiscrepancyData(
+        inputs=x, model_outputs=m, observed=m + 0.3 + 0.1 * rng.standard_normal(15)
+    )
+    # a tight beta prior makes the d beta*/d theta term count
+    hyper = GpHyperParams(
+        mu_lam=0.0, var_lam=1.0, mu_beta=0.0, var_beta=0.01,
+        c_sigma2=1.0 / 60.0, c_omegas=(1.0 / 60.0,) * dim, eps_trunc=1e-12,
+    )
+    seen = []
+    real_minimize = gp_mod.minimize
+
+    def spy(fun, x0, **kw):
+        seen.append(fun)
+        return real_minimize(fun, x0, **kw)
+
+    monkeypatch.setattr(gp_mod, "minimize", spy)
+    gp_fit_map(data, hyper=hyper, beta_mode="closed_form", restarts=1, maxiter=1)
+    negative = seen[0]
+    h = 1e-5
+    for lam, s2, w in [(0.01, 0.5, 2.0), (0.05, 0.1, 8.0), (0.002, 1.0, 0.5)]:
+        z = np.log([lam, s2] + [w * (1.0 + 0.3 * j) for j in range(dim)])
+        _, grad = negative(z)
+        for k in range(z.size):
+            step = np.zeros(z.size)
+            step[k] = h
+            fd = (negative(z + step)[0] - negative(z - step)[0]) / (2.0 * h)
+            assert abs(grad[k] - fd) <= 1e-5 * max(abs(grad[k]), 1.0)
+
+
+@pytest.mark.parametrize("beta_mode", ["closed_form", "empirical", "free"])
+def test_fit_map_failed_restart_reads_minus_inf(monkeypatch, beta_mode):
+    data = _toy_data(make_rng(42), 8)
+    real_chol = gp_mod._chol_jitter
+    calls = []
+
+    def fails_first(theta):
+        calls.append(theta)
+        if len(calls) == 1:
+            raise ConditioningError("forced")
+        return real_chol(theta)
+
+    monkeypatch.setattr(gp_mod, "_chol_jitter", fails_first)
+    fit = gp_fit_map(data, beta_mode=beta_mode, restarts=3, seed=0)
+    assert fit.objectives[0] == -math.inf
+    assert np.all(np.isfinite(fit.objectives[1:]))
+    assert fit.objective == max(fit.objectives)
+
+
+def test_fit_map_every_restart_failed(monkeypatch):
+    def always_fails(theta):
+        raise ConditioningError("forced")
+
+    monkeypatch.setattr(gp_mod, "_chol_jitter", always_fails)
+    with pytest.raises(FitError, match="every restart"):
+        gp_fit_map(_toy_data(make_rng(43), 8), restarts=3, seed=0)
 
 
 def test_fit_map_recovers_noise_level():
