@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .data import PairedDataset
 from .density import KdeModel, kde_cdf, kde_evaluate, mc_quantile
@@ -111,6 +110,8 @@ def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> Ep
     hi = cand[i + 1] if i + 1 < cand.size else cand[-1]
     best_eps, best_val = float(cand[i]), float(vals[i])
     if hi > lo:
+        from scipy.optimize import minimize_scalar
+
         res = minimize_scalar(
             lambda e: float(objective(e)),
             bounds=(lo, hi),

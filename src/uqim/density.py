@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, InsufficientDataError, ZeroSpreadError
 
@@ -102,6 +101,8 @@ def kde_cdf(model: KdeModel, y) -> np.ndarray:
             u = np.clip((ti - v[a:b]) / h, -1.0, 1.0)
             out[i] = (a + np.sum(0.75 * (u - u**3 / 3.0) + 0.5)) / n
     else:
+        from scipy.special import ndtr
+
         out = np.empty(t.shape)
         step = max(1, 2**22 // max(n, 1))
         for a in range(0, t.size, step):

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from .data import PairedDataset
 from .density import _order_index
@@ -226,6 +224,8 @@ def gp_cov_matrix(x: np.ndarray, params: GpDiscrepancyParams) -> np.ndarray:
 
 def _chol_jitter(theta: np.ndarray):
     """Cholesky with the escalating jitter policy; returns (factor, jitter)."""
+    from scipy.linalg import cho_factor
+
     base = float(np.trace(theta)) / theta.shape[0]
     for mult in _JITTER_STEPS:
         jitter = mult * base
@@ -259,6 +259,8 @@ def _log_reciprocal_pdf(t: float, c: float, eps: float) -> float:
 
 def _profiled_beta(fac, s: np.ndarray) -> tuple[float, np.ndarray]:
     """beta* = u's / u'1 with u = Theta^-1 1, and the weights u / u'1."""
+    from scipy.linalg import cho_solve
+
     ones = np.ones(s.shape[0])
     u = cho_solve(fac, ones)
     u1 = float(u @ ones)
@@ -280,6 +282,8 @@ def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
     ``s`` is observed minus model output and ``d2`` is ``_sqdists`` of the
     inputs.  ``beta=None`` profiles the mean out at its closed form.
     """
+    from scipy.linalg import cho_solve
+
     if hyper is not None:
         log_s2 = _log_reciprocal_pdf(sigma2, hyper.c_sigma2, hyper.eps_trunc)
         log_w = sum(
@@ -438,6 +442,8 @@ def gp_fit_map(
     restart does, ``FitError`` is raised.  Deterministic for a given seed;
     ``init`` overrides the first restart's starting point.
     """
+    from scipy.optimize import minimize
+
     if beta_mode not in ("closed_form", "empirical", "free"):
         raise DomainError(f"unknown beta_mode {beta_mode!r}")
     if restarts < 1:

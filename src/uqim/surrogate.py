@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .data import InputSample, PairedDataset
 from .errors import (
@@ -95,6 +94,50 @@ def _predict_in_chunks(basis, coef: np.ndarray, points: np.ndarray) -> np.ndarra
     return out
 
 
+def _bspline(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """sum_i c_i B_{i,k}(x) at points x in [t[k], t[n]] (n = len(t) - k - 1).
+
+    Cox-de Boor recursion (de Boor, A Practical Guide to Splines, 1978) in the
+    operation order of scipy's ``BSpline`` evaluation, so the values are
+    bit-identical to it: x falls in the interval t[l] <= x < t[l+1] (the last
+    one closed), the k+1 non-zero B_{l-k..l,k}(x) are built up from degree 0,
+    and c_i B_i are added to zero in order of i.  ``c`` is (n,) or (n, p).  The
+    knots must pass ``_check_knots``, which keeps every denominator positive.
+    """
+    n = t.size - k - 1
+    ell = np.minimum(np.searchsorted(t, x, side="right"), n) - 1
+    b = [np.ones_like(x)]
+    for j in range(1, k + 1):
+        prev, b = b, [np.zeros_like(x)]
+        for m in range(1, j + 1):
+            xb, xa = t[ell + m], t[ell + m - j]
+            w = prev[m - 1] / (xb - xa)
+            b[m - 1] += w * (xb - x)
+            b.append(w * (x - xa))
+    out = np.zeros(x.shape + c.shape[1:])
+    for a, ba in enumerate(b):
+        out += c[ell - k + a] * (ba if c.ndim == 1 else ba[:, None])
+    return out
+
+
+def _check_knots(t: np.ndarray) -> None:
+    """Raise ``DataError`` unless ``t`` is a clamped cubic knot vector."""
+    k = _DEGREE
+    if t.ndim != 1 or t.size < 2 * (k + 1):
+        raise DataError(f"spline knots must be a list of at least {2 * (k + 1)} numbers")
+    if not np.all(np.isfinite(t)):
+        raise DataError("spline knots must be finite")
+    if np.any(np.diff(t) < 0):
+        raise DataError("spline knots must be nondecreasing")
+    # t[i] < t[i+k] for 0 < i < len - k - 1: neither end knot repeats more than
+    # k+1 times and no interior knot more than k times
+    if t[0] != t[k] or t[-k - 1] != t[-1] or np.any(t[k + 1 : -1] <= t[1 : -k - 1]):
+        raise DataError(
+            f"spline knots must be clamped: each end knot {k + 1} times, "
+            f"interior knots at most {k} times"
+        )
+
+
 class SplineBasis:
     """Clamped cubic B-spline basis with linear extension off the knot span."""
 
@@ -102,6 +145,7 @@ class SplineBasis:
 
     def __init__(self, knots: np.ndarray):
         self.knots = np.asarray(knots, dtype=float)
+        _check_knots(self.knots)
         self.n_coef = len(self.knots) - _DEGREE - 1
         self.dim = 1
         self._lo = self.knots[_DEGREE]
@@ -117,25 +161,32 @@ class SplineBasis:
         knots = np.concatenate([[lo] * _DEGREE, inner, [hi] * _DEGREE])
         return cls(knots)
 
-    def _bases(self) -> BSpline:
-        return BSpline(self.knots, np.eye(self.n_coef), _DEGREE, extrapolate=False)
-
-    def _extended(self, spline: BSpline, points: np.ndarray) -> np.ndarray:
-        """``spline`` on the knot span, continued linearly beyond either end."""
+    def _extended(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """The spline with coefficients ``coef`` on the knot span, continued
+        linearly beyond either end with the slope it has there."""
+        t, k = self.knots, _DEGREE
         x = _as_points(points, 1).ravel()
-        out = np.asarray(spline(np.clip(x, self._lo, self._hi)))
+        out = np.empty(x.shape + coef.shape[1:])
+        # chunks of 2**16 values keep each temporary of the recursion at 512 KB
+        step = max(1, 2**16 // (coef.shape[1] if coef.ndim > 1 else 1))
+        for a in range(0, x.shape[0], step):
+            part = np.clip(x[a : a + step], self._lo, self._hi)
+            out[a : a + step] = _bspline(t, coef, k, part)
+        # the derivative is the degree k-1 spline on t[1:-1] with these
+        # coefficients (scipy's splder)
+        dt = t[k + 1 : -1] - t[1 : -k - 1]
+        dcoef = (coef[1:] - coef[:-1]) * k / (dt if coef.ndim == 1 else dt[:, None])
         for off, end in ((x < self._lo, self._lo), (x > self._hi, self._hi)):
             if off.any():
-                out[off] += np.multiply.outer(x[off] - end, spline.derivative()(end))
+                slope = _bspline(t[1:-1], dcoef, k - 1, np.array([end]))[0]
+                out[off] += np.multiply.outer(x[off] - end, slope)
         return out
 
     def design(self, points: np.ndarray) -> np.ndarray:
-        return self._extended(self._bases(), points)
+        return self._extended(np.eye(self.n_coef), points)
 
     def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-        # fold coefficients into one spline; O(m) memory for large m
-        f = BSpline(self.knots, np.asarray(coef, dtype=float), _DEGREE, extrapolate=False)
-        return self._extended(f, points)
+        return self._extended(np.asarray(coef, dtype=float), points)
 
     def roughness(self) -> np.ndarray:
         d2 = np.diff(np.eye(self.n_coef), n=2, axis=0)
@@ -176,8 +227,13 @@ class RbfBasis:
 
     def design(self, points: np.ndarray) -> np.ndarray:
         x = _as_points(points, self.dim)
-        diff = x[:, None, :] - self.centers[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
+        # summed dimension by dimension without building an (m, c, d) array;
+        # below 8 dimensions this is np.sum's order over that trailing axis,
+        # from 8 on np.sum keeps 8 partial sums and may differ in the last bit
+        d2 = np.zeros((x.shape[0], self.n_coef - 1))
+        for j in range(self.dim):
+            diff = x[:, j, None] - self.centers[None, :, j]
+            d2 += diff * diff
         out = np.empty((x.shape[0], self.n_coef))
         out[:, 0] = 1.0
         out[:, 1:] = np.exp(-d2 / (2.0 * self.lengthscale**2))
@@ -222,7 +278,14 @@ class PolyBasis:
 
     def design(self, points: np.ndarray) -> np.ndarray:
         x = _as_points(points, self.dim)
-        return np.prod(x[:, None, :] ** self.powers[None, :, :], axis=2)
+        # one power table per dimension, multiplied in order of j as np.prod
+        # over a trailing (m, n_coef, d) axis does; the array exponent keeps
+        # pow() (x * x can differ from pow(x, 2) in the last bit)
+        exps = np.arange(self.degree + 1)
+        out = np.ones((x.shape[0], self.n_coef))
+        for j in range(self.dim):
+            out *= (x[:, j, None] ** exps)[:, self.powers[:, j]]
+        return out
 
     predict = _predict_in_chunks
 
@@ -590,10 +653,17 @@ def model_from_dict(obj: dict):
     if kind != "surrogate":
         raise DataError(f"unknown model type {kind!r}")
     fam = obj["family"]
+    basis = basis_from_dict(obj["basis"])
+    coef = np.asarray(obj["coef"], dtype=float)
+    if coef.shape != (basis.n_coef,):
+        raise DataError(
+            f"{coef.size} coefficients for a {basis.kind} basis "
+            f"of {basis.n_coef} functions"
+        )
     return SurrogateModel(
         family=FunctionFamily(fam["kind"], fam["size"], fam["penalty"]),
-        basis=basis_from_dict(obj["basis"]),
-        coef=np.asarray(obj["coef"], dtype=float),
+        basis=basis,
+        coef=coef,
         train_size=int(obj.get("train_size", 0)),
         cv_score=obj.get("cv_score"),
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import PairedDataset
 from .density import mc_quantile
@@ -147,9 +146,13 @@ def make_mafds_like(
         return truth(x) + bias(x)
 
     def quantile_fn(alpha):
+        from scipy.special import ndtri
+
         return amp * np.sqrt(max(mean + sd * ndtri(alpha), 0.0))
 
     def cdf_fn(y):
+        from scipy.special import ndtr
+
         y = np.asarray(y, dtype=float)
         return np.where(y < 0.0, 0.0, ndtr(((y / amp) ** 2 - mean) / sd))
 

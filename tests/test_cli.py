@@ -106,6 +106,22 @@ def test_missing_file_names_path(tmp_path):
     assert payload["error"] != ""
 
 
+def test_bad_model_file_is_a_data_error(workspace, tmp_path):
+    ws = workspace["dir"]
+    obj = json.loads((ws / "model.json").read_text())
+    knots = obj["basis"]["knots"]
+    knots[4], knots[5] = knots[5], knots[4]
+    (tmp_path / "model.json").write_text(json.dumps(obj))
+    rc, _, err = run_cli([
+        "quantile", "--model", tmp_path / "model.json",
+        "--inputs", ws / "inputs.csv", "--alpha", "0.95",
+    ])
+    assert rc == 1
+    assert json.loads(err) == {
+        "error": "DataError", "message": "spline knots must be nondecreasing",
+    }
+
+
 def test_unknown_subcommand_exits_nonzero():
     with redirect_stderr(io.StringIO()):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.stats import foldnorm, multivariate_normal
@@ -385,13 +386,14 @@ def test_closed_form_gradient_matches_finite_differences(monkeypatch, dim):
         c_sigma2=1.0 / 60.0, c_omegas=(1.0 / 60.0,) * dim, eps_trunc=1e-12,
     )
     seen = []
-    real_minimize = gp_mod.minimize
+    real_minimize = scipy.optimize.minimize
 
     def spy(fun, x0, **kw):
         seen.append(fun)
         return real_minimize(fun, x0, **kw)
 
-    monkeypatch.setattr(gp_mod, "minimize", spy)
+    # gp_fit_map imports minimize from scipy.optimize when it is called
+    monkeypatch.setattr(scipy.optimize, "minimize", spy)
     gp_fit_map(data, hyper=hyper, beta_mode="closed_form", restarts=1, maxiter=1)
     negative = seen[0]
     h = 1e-5

@@ -1,14 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from uqim.data import InputSample, PairedDataset
 from uqim.errors import (
+    DataError,
     DomainError,
     InsufficientDataError,
     RankDeficiencyError,
 )
 from uqim.surrogate import (
     FunctionFamily,
+    PolyBasis,
+    RbfBasis,
+    SplineBasis,
     SurrogateModel,
     compute_residuals,
     fit_penalized_ls,
@@ -369,3 +375,130 @@ def test_model_round_trip(tmp_path):
         save_model(model, path)
         disk = load_model(path)
         assert np.array_equal(disk(t), model(t))
+
+
+# ---------------------------------------------------------------------------
+# basis evaluation against reference formulas
+
+
+def _scipy_extended(knots, c, x):
+    """The spline through scipy.interpolate.BSpline, continued linearly."""
+    from scipy.interpolate import BSpline
+
+    lo, hi = knots[3], knots[-4]
+    spline = BSpline(knots, c, 3, extrapolate=False)
+    out = np.asarray(spline(np.clip(x, lo, hi)))
+    for off, end in ((x < lo, lo), (x > hi, hi)):
+        if off.any():
+            out[off] += np.multiply.outer(x[off] - end, spline.derivative()(end))
+    return out
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("segments", [1, 3, 8, 20])
+def test_spline_matches_scipy_bspline(segments):
+    rng = np.random.default_rng(segments)
+    sample = np.r_[-0.7, 1.3, rng.uniform(-0.7, 1.3, 30)]
+    basis = SplineBasis.from_data(sample, segments)
+    lo, hi = basis.knots[3], basis.knots[-4]
+    x = np.r_[
+        basis.knots, lo, hi, -0.0, 0.0,
+        np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+        np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf),
+        rng.uniform(lo - 2.0, hi + 2.0, 400), lo - 1e6, hi + 1e6,
+    ]
+    eye = np.eye(basis.n_coef)
+    assert _bitwise_equal(basis.design(x), _scipy_extended(basis.knots, eye, x))
+    # at the left end every term of the second sum is -0.0, which the sum from
+    # +0.0 turns into +0.0
+    negative = np.r_[-0.0, -np.abs(rng.normal(size=basis.n_coef - 1))]
+    for coef in (rng.normal(size=basis.n_coef), negative):
+        ref = _scipy_extended(basis.knots, coef, x)
+        assert _bitwise_equal(basis.predict(coef, x), ref)
+
+
+def test_spline_matches_scipy_on_uneven_knots():
+    # interior knots repeated up to three times, the most a clamped cubic allows
+    knots = np.array([-1.0] * 4 + [-0.5, -0.5, 0.0, 0.25, 0.25, 0.25, 0.9] + [2.0] * 4)
+    basis = SplineBasis(knots)
+    x = np.r_[knots, np.linspace(-3.0, 4.0, 301)]
+    coef = np.random.default_rng(3).normal(size=basis.n_coef)
+    eye = np.eye(basis.n_coef)
+    assert _bitwise_equal(basis.design(x), _scipy_extended(knots, eye, x))
+    assert _bitwise_equal(basis.predict(coef, x), _scipy_extended(knots, coef, x))
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+def test_rbf_and_poly_design_match_broadcast_formula(dim):
+    rng = np.random.default_rng(20 + dim)
+    scales = 10.0 ** np.arange(-2, dim - 2)
+    x = rng.normal(size=(300, dim)) * scales
+    x[:3] = -0.0
+    rbf = RbfBasis.from_data(rng.normal(size=(60, dim)) * scales, 15)
+    diff = x[:, None, :] - rbf.centers[None, :, :]
+    bumps = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * rbf.lengthscale**2))
+    assert _bitwise_equal(rbf.design(x), np.column_stack([np.ones(len(x)), bumps]))
+    for degree in range(4):
+        poly = PolyBasis(degree, dim)
+        ref = np.prod(x[:, None, :] ** poly.powers[None, :, :], axis=2)
+        assert _bitwise_equal(poly.design(x), ref)
+
+
+# ---------------------------------------------------------------------------
+# model files are validated on load
+
+
+def _spline_dict():
+    x = np.linspace(0.0, 1.0, 20)
+    model = fit_penalized_ls(FunctionFamily("spline1d", 6, 1e-6), _data(x, x**2))
+    return model_to_dict(model)
+
+
+def _spoil_knots(fn):
+    def spoil(obj):
+        knots = obj["basis"]["knots"]
+        obj["basis"]["knots"] = fn(knots)
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _spoil_knots(lambda t: t[:4] + [float("nan")] + t[5:]),
+        _spoil_knots(lambda t: t[:-1] + [float("inf")]),
+        _spoil_knots(lambda t: t[:4] + [t[5], t[4]] + t[6:]),  # swapped
+        _spoil_knots(lambda t: t[:3] + t[-4:]),  # 7 knots
+        _spoil_knots(lambda t: [t[0] - 1.0] + t[1:]),  # left end not repeated
+        _spoil_knots(lambda t: t[:-1] + [t[-1] + 1.0]),  # right end not repeated
+        _spoil_knots(lambda t: t[:6] + [t[5]] * 3 + t[6:]),  # interior knot 4 times
+        _spoil_knots(lambda t: [t[0]] + t),  # end knot 5 times
+    ],
+    ids=["nan", "inf", "swapped", "too_few", "left_open", "right_open",
+         "interior_4x", "end_5x"],
+)
+def test_load_model_rejects_bad_spline_knots(tmp_path, spoil):
+    obj = _spline_dict()
+    spoil(obj)
+    obj["coef"] = [0.0] * (len(obj["basis"]["knots"]) - 4)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match="knots"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind,size", [("spline1d", 6), ("rbf", 5), ("poly", 2)])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_load_model_rejects_coefficient_count(tmp_path, kind, size, extra):
+    x = np.linspace(0.0, 1.0, 20)
+    model = fit_penalized_ls(FunctionFamily(kind, size, 1e-6), _data(x, x**2))
+    obj = model_to_dict(model)
+    coef = obj["coef"]
+    obj["coef"] = coef + [1.0] if extra > 0 else coef[:-1]
+    path = tmp_path / "m.json"
+    improved = {"type": "improved", "base": obj, "residual": obj, "weight": None}
+    path.write_text(json.dumps(improved))
+    with pytest.raises(DataError, match="coefficients"):
+        load_model(path)
