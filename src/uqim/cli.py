@@ -678,11 +678,7 @@ _HANDLERS = {
 }
 
 
-def _add_data_flags(p, exp=True, sim=False):
-    if exp:
-        p.add_argument("--exp", help="experimental dataset CSV")
-    if sim:
-        p.add_argument("--sim", help="simulated dataset CSV")
+def _add_data_flags(p):
     p.add_argument("--input-columns", help="comma-separated input column names")
     p.add_argument("--output-column", help="output column name (default: last)")
 
@@ -717,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-surrogate", parents=[common],
                        help="penalized LS surrogate, optionally improved")
     p.add_argument("--sim", required=True, help="simulated dataset CSV")
-    _add_data_flags(p, exp=True, sim=False)
+    p.add_argument("--exp", help="experimental dataset CSV")
+    _add_data_flags(p)
     p.add_argument("--family", choices=["spline1d", "rbf", "poly"])
     p.add_argument("--size", type=int)
     p.add_argument("--penalty", type=float, help="fixed penalty (default: GCV)")
@@ -754,15 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="area between experimental and simulated ECDFs")
     p.add_argument("--exp", required=True)
     p.add_argument("--sim", required=True)
-    p.add_argument("--input-columns")
-    p.add_argument("--output-column")
+    _add_data_flags(p)
     p.add_argument("--grid-steps", type=int)
 
     p = sub.add_parser("gp-error", parents=[common],
                        help="GP discrepancy MAP fit and error quantile")
     p.add_argument("--exp", required=True)
-    p.add_argument("--input-columns")
-    p.add_argument("--output-column")
+    _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--beta-mode", choices=["closed_form", "empirical", "free"])
     p.add_argument("--restarts", type=int)
@@ -773,8 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bootstrap-error", parents=[common],
                        help="bootstrap the residual-model error quantile")
     p.add_argument("--exp", required=True)
-    p.add_argument("--input-columns")
-    p.add_argument("--output-column")
+    _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--family", choices=["spline1d", "rbf", "poly"])
     p.add_argument("--size", type=int)
@@ -789,8 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ci-quantile", parents=[common],
                        help="finite-sample quantile confidence interval")
     p.add_argument("--exp")
-    p.add_argument("--input-columns")
-    p.add_argument("--output-column")
+    _add_data_flags(p)
     p.add_argument("--model")
     p.add_argument("--inputs")
     p.add_argument("--alpha", type=float, required=True)
@@ -805,8 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density-band", parents=[common],
                        help="simultaneous confidence band for the output density")
     p.add_argument("--exp", required=True)
-    p.add_argument("--input-columns")
-    p.add_argument("--output-column")
+    _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--inputs", required=True)
     p.add_argument("--kappa", type=float, required=True)

@@ -16,10 +16,11 @@ with J expanded (upper) or shrunk (lower) by beta_hat.
 
 The sup over intervals is approximated over a finite candidate family whose
 endpoints are the sample values, the sample values +/- beta_hat and the
-evaluation grid; a separable prefix/suffix-maximum decomposition makes the
-whole band cost O((N + G) log N) per bandwidth.  Boundary conventions are
-conservative: expanded intervals count their endpoints, shrunk intervals do
-not.
+evaluation grid.  The sup splits into prefix maxima and window maxima over
+the candidates: sorting and searching them cost O(N log N) per bandwidth,
+and the window maxima for G grid points O(N + G^2) time and O(G) memory.
+Boundary conventions are conservative: expanded intervals count their
+endpoints, shrunk intervals do not.
 """
 
 from __future__ import annotations
@@ -338,72 +339,76 @@ def quantile_ci(
 # density band
 
 
-def _ecdf_right(sorted_vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_vals, t, side="right") / sorted_vals.size
+def _window_max(s, lo, hi):
+    """max(s[lo[q]:hi[q]]) for every window q; -inf where it is empty.
+
+    The distinct window ends cut ``s`` into at most 2G blocks, reduced once
+    by ``np.maximum.reduceat``; a second reduceat over the block maxima,
+    at the interleaved (first, stop) block of each window, takes the window
+    maxima.  G windows cost O(N + G^2) time and O(G) extra memory.
+    """
+    ends = np.unique(np.concatenate([lo, hi]))
+    ends = ends[ends < s.size]
+    # a trailing -inf block keeps the stop index of a window at s's end in range
+    blocks = np.append(np.maximum.reduceat(s, ends), -np.inf)
+    first, stop = np.searchsorted(ends, lo), np.searchsorted(ends, hi)
+    # odd slots reduce the gaps between windows and are dropped
+    got = np.maximum.reduceat(blocks, np.column_stack([first, stop]).ravel())[::2]
+    return np.where(first < stop, got, -np.inf)
 
 
-def _ecdf_left(sorted_vals: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sorted_vals, t, side="left") / sorted_vals.size
-
-
-def _sup_separable(cand, u, w, y_grid, length):
+def _sup_separable(u, w, before, k_y, r_y, k_split):
     """For each y: sup{u[k] + w[j] : cand[j] <= y <= cand[k],
-    cand[k] - cand[j] > length}."""
-    w_pref = np.maximum.accumulate(w)
-    u_suf = np.maximum.accumulate(u[::-1])[::-1]
-    # last j with cand[j] < cand[k] - length, else -1
-    i_bk = np.searchsorted(cand, cand - length, side="left") - 1
-    s = np.where(i_bk >= 0, u + w_pref[np.clip(i_bk, 0, None)], -np.inf)
-    out = np.empty(len(y_grid))
-    for q, y in enumerate(y_grid):
-        j_y = np.searchsorted(cand, y, side="right") - 1
-        k_y = np.searchsorted(cand, y, side="left")
-        k_split = np.searchsorted(cand, y + length, side="right")
-        val = -np.inf
-        if j_y >= 0 and k_split < cand.size:
-            val = w_pref[j_y] + u_suf[k_split]
-        if k_y < k_split:
-            win = s[k_y:k_split]
-            if win.size:
-                val = max(val, float(np.max(win)))
-        out[q] = val
-    return out
+    cand[k] - cand[j] > length}.
 
-
-def _sup_short_intervals(cand, cdf, y_grid, kappa, beta):
-    """Lower-direction pairs with kappa < b - a <= 2 beta (empty inner
-    interval): sup of cdf[b] - cdf[a]; best a is the smallest allowed."""
-    out = np.full(len(y_grid), -np.inf)
-    if 2.0 * beta <= kappa:
-        return out
-    a_idx = np.searchsorted(cand, cand - 2.0 * beta, side="left")
-    a_cap = np.searchsorted(cand, cand - kappa, side="left") - 1
-    valid = a_idx <= a_cap
-    a_idx_c = np.clip(a_idx, 0, cand.size - 1)
-    s = np.where(valid, cdf - cdf[a_idx_c], -np.inf)
-    a_val = np.where(valid, cand[a_idx_c], np.inf)
-    for q, y in enumerate(y_grid):
-        k_y = np.searchsorted(cand, y, side="left")
-        k_hi = np.searchsorted(cand, y + 2.0 * beta, side="right")
-        if k_y >= k_hi:
-            continue
-        mask = a_val[k_y:k_hi] <= y
-        if mask.any():
-            out[q] = float(np.max(np.where(mask, s[k_y:k_hi], -np.inf)))
-    return out
+    ``before[k]`` counts the j with cand[j] < cand[k] - length; ``k_y``,
+    ``r_y`` and ``k_split`` count the candidates < y, <= y and
+    <= y + length.
+    """
+    pref = np.empty(w.size + 1)  # pref[i] = max(w[:i]), -inf for i = 0
+    pref[0] = -np.inf
+    np.maximum.accumulate(w, out=pref[1:])
+    # k beyond y + length pairs with every j <= y, nearer k only with the
+    # j before cand[k] - length
+    far = pref[r_y] + _window_max(u, k_split, np.full(k_split.shape, u.size))
+    near = pref[before]
+    near += u
+    return np.maximum(far, _window_max(near, k_y, k_split))
 
 
 def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
-    """(sup_upper, sup_lower) arrays over the evaluation points."""
+    """(sup_upper, sup_lower) arrays over the evaluation points.
+
+    With F the KDE cdf and mu the empirical measure, an interval [a, b]
+    scores e_hi[b] + e_lo[a] upward and, once b - a > 2 beta, e_lo[b] +
+    e_hi[a] downward, where e_hi = mu(-inf, t + beta] - F(t) and
+    e_lo = F(t) - mu(-inf, t - beta).
+    """
+    n = sorted_outputs.size
     cdf = kde_cdf(kde, cand)
-    up_u = _ecdf_right(sorted_outputs, cand + beta) - cdf
-    up_w = cdf - _ecdf_left(sorted_outputs, cand - beta)
-    sup_up = _sup_separable(cand, up_u, up_w, y_grid, kappa)
-    lo_u = cdf - _ecdf_left(sorted_outputs, cand - beta)
-    lo_w = _ecdf_right(sorted_outputs, cand + beta) - cdf
-    sup_lo = _sup_separable(cand, lo_u, lo_w, y_grid, max(kappa, 2.0 * beta))
-    short = _sup_short_intervals(cand, cdf, y_grid, kappa, beta)
-    return sup_up, np.maximum(sup_lo, short)
+    e_hi = np.searchsorted(sorted_outputs, cand + beta, side="right") / n
+    e_hi -= cdf
+    e_lo = np.searchsorted(sorted_outputs, cand - beta, side="left") / n
+    np.subtract(cdf, e_lo, out=e_lo)
+    k_y = np.searchsorted(cand, y_grid, side="left")
+    r_y = np.searchsorted(cand, y_grid, side="right")
+    past_kappa = np.searchsorted(cand, cand - kappa, side="left")
+    k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
+    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
+    if 2.0 * beta <= kappa:
+        return sup_up, _sup_separable(e_lo, e_hi, past_kappa, k_y, r_y, k_kappa)
+    past_2b = np.searchsorted(cand, cand - 2.0 * beta, side="left")
+    k_2b = np.searchsorted(cand, y_grid + 2.0 * beta, side="right")
+    sup_lo = _sup_separable(e_lo, e_hi, past_2b, k_y, r_y, k_2b)
+    # kappa < b - a <= 2 beta leaves the shrunk interval empty: the score is
+    # F(b) - F(a), best at the smallest allowed a = cand[past_2b[b]], which
+    # must lie below cand[b] - kappa and at most y; past_2b is nondecreasing,
+    # so the last condition holds on a prefix of b
+    short = cdf[past_2b]
+    np.subtract(cdf, short, out=short)
+    short[past_2b >= past_kappa] = -np.inf
+    k_end = np.searchsorted(past_2b, r_y, side="left")
+    return sup_up, np.maximum(sup_lo, _window_max(short, k_y, np.minimum(k_2b, k_end)))
 
 
 def sup_interval_mismatch(

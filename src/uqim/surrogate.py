@@ -681,5 +681,7 @@ def load_model(path):
             return model_from_dict(json.load(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError) as exc:
+    # wrong JSON types and bad values (JSONDecodeError and DomainError are
+    # ValueErrors)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc

@@ -122,6 +122,20 @@ def test_bad_model_file_is_a_data_error(workspace, tmp_path):
     }
 
 
+def test_model_file_of_wrong_type_is_a_data_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[]\n")
+    rc, _, err = run_cli(["quantile", "--model", path, "--inputs", path,
+                          "--alpha", "0.95"])
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "DataError",
+        "message": f"{path}: malformed model file "
+                   "('list' object has no attribute 'get')",
+    }
+
+
 def test_unknown_subcommand_exits_nonzero():
     with redirect_stderr(io.StringIO()):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,8 @@ import pytest
 
 from uqim.confidence import (
     DensityBand,
+    _band_sups,
+    _window_max,
     EpsGamma,
     QuantileCi,
     ci_feasibility,
@@ -333,10 +335,11 @@ def test_band_feasibility_and_validation():
 # interval-mismatch supremum
 
 
-def _brute_sup(direction, y, kappa, beta, kde, outputs):
-    """Exhaustive enumeration over all candidate endpoint pairs."""
+def _brute_sup(direction, y, kappa, beta, kde, outputs, extra=()):
+    """Exhaustive enumeration over all candidate endpoint pairs; ``extra``
+    adds endpoints (the evaluation grid) to the candidates."""
     vals = np.sort(np.asarray(outputs, dtype=float))
-    cand = np.unique(np.concatenate([vals, vals - beta, vals + beta, [y]]))
+    cand = np.unique(np.concatenate([vals, vals - beta, vals + beta, [y], extra]))
     n = vals.size
     best = -np.inf
     for i, a in enumerate(cand):
@@ -384,6 +387,40 @@ def test_sup_mismatch_exhaustive_oracle():
                 assert got == pytest.approx(want, abs=1e-10), (
                     trial, direction, y, kappa, beta, h,
                 )
+
+
+@pytest.mark.parametrize("case", ["beta_zero", "short_beta", "long_beta"])
+def test_band_sups_grid_exhaustive_oracle(case):
+    """Every grid point at once, with the grid among the candidates."""
+    rng = np.random.default_rng(26)
+    kappa = 0.3
+    beta = {"beta_zero": 0.0, "short_beta": 0.12, "long_beta": 2.0}[case]
+    for _ in range(2):
+        outputs = np.sort(rng.normal(size=5))
+        kde = KdeModel(values=outputs, bandwidth=0.2, kernel="naive")
+        grid = np.linspace(outputs[0] - 0.5, outputs[-1] + 0.5, 21)
+        cand = np.unique(
+            np.concatenate([outputs, outputs - beta, outputs + beta, grid])
+        )
+        sups = _band_sups(kde, outputs, cand, grid, kappa, beta)
+        for direction, got in zip(("upper", "lower"), sups):
+            want = [
+                _brute_sup(direction, float(y), kappa, beta, kde, outputs, grid)
+                for y in grid
+            ]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_window_max_matches_loop():
+    rng = np.random.default_rng(27)
+    s = rng.normal(size=40)
+    for count in [1, 2, 3, 4, 8, 60]:
+        lo = rng.integers(0, 41, size=count)
+        hi = rng.integers(0, 41, size=count)
+        # full span, last element alone, empty at the end
+        lo[:3], hi[:3] = [0, 39, 40][:count], [40, 40, 40][:count]
+        want = [max(s[a:b], default=-np.inf) for a, b in zip(lo, hi)]
+        assert np.array_equal(_window_max(s, lo, hi), want)
 
 
 def test_sup_mismatch_nonnegative_for_matching_density():

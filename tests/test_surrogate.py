@@ -502,3 +502,36 @@ def test_load_model_rejects_coefficient_count(tmp_path, kind, size, extra):
     path.write_text(json.dumps(improved))
     with pytest.raises(DataError, match="coefficients"):
         load_model(path)
+
+
+def _set(keys, value):
+    def spoil(obj):
+        inner = obj
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value
+        return obj
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _set(["basis", "knots", 4], "x"),
+        _set(["coef", 0], "x"),
+        _set(["family", "size"], "x"),
+        _set(["family", "size"], 6.5),
+        _set(["family"], None),
+        lambda obj: [obj],
+    ],
+    ids=["text_knot", "text_coef", "text_size", "fractional_size", "null_family",
+         "top_level_list"],
+)
+def test_load_model_rejects_malformed_fields(tmp_path, spoil):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spoil(_spline_dict())))
+    with pytest.raises(DataError) as exc:
+        load_model(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: malformed model file (")
+    assert "\n" not in message
