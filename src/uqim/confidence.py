@@ -358,18 +358,16 @@ def _window_max(s, lo, hi):
 
 
 def _sup_separable(u, w, before, k_y, r_y, k_split):
-    """For each y: sup{u[k] + w[j] : cand[j] <= y <= cand[k],
-    cand[k] - cand[j] > length}.
+    """For each y: sup{u[k] + w[j] : cand[j] <= y <= cand[k], j < before[k]}.
 
-    ``before[k]`` counts the j with cand[j] < cand[k] - length; ``k_y``,
-    ``r_y`` and ``k_split`` count the candidates < y, <= y and
-    <= y + length.
+    ``before`` is nondecreasing.  ``k_y`` and ``r_y`` count the candidates
+    < y and <= y; ``k_split`` splits the k into those with before[k] <= r_y
+    and those from which on before[k] >= r_y.
     """
     pref = np.empty(w.size + 1)  # pref[i] = max(w[:i]), -inf for i = 0
     pref[0] = -np.inf
     np.maximum.accumulate(w, out=pref[1:])
-    # k beyond y + length pairs with every j <= y, nearer k only with the
-    # j before cand[k] - length
+    # k from k_split on pairs with every j <= y, nearer k with every j < before[k]
     far = pref[r_y] + _window_max(u, k_split, np.full(k_split.shape, u.size))
     near = pref[before]
     near += u
@@ -380,9 +378,11 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     """(sup_upper, sup_lower) arrays over the evaluation points.
 
     With F the KDE cdf and mu the empirical measure, an interval [a, b]
-    scores e_hi[b] + e_lo[a] upward and, once b - a > 2 beta, e_lo[b] +
-    e_hi[a] downward, where e_hi = mu(-inf, t + beta] - F(t) and
-    e_lo = F(t) - mu(-inf, t - beta).
+    scores e_hi[b] + e_lo[a] upward, where e_hi = mu(-inf, t + beta] - F(t)
+    and e_lo = F(t) - mu(-inf, t - beta).  Downward it scores e_lo[b] +
+    e_hi[a] when its shrunk interval (a + beta, b - beta), with both ends
+    rounded as computed, is nonempty, and F(b) - F(a) when it is empty, so
+    no interval counts a negative number of samples.
     """
     n = sorted_outputs.size
     cdf = kde_cdf(kde, cand)
@@ -395,20 +395,26 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     past_kappa = np.searchsorted(cand, cand - kappa, side="left")
     k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
     sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
-    if 2.0 * beta <= kappa:
+    # once kappa exceeds 2 beta by more than the rounding of the interval
+    # ends, every interval longer than kappa has a nonempty shrunk interval
+    ends = max(abs(cand[0]), abs(cand[-1])) + max(kappa, beta)
+    if kappa - 2.0 * beta > 2.0 * np.spacing(ends):
         return sup_up, _sup_separable(e_lo, e_hi, past_kappa, k_y, r_y, k_kappa)
-    past_2b = np.searchsorted(cand, cand - 2.0 * beta, side="left")
-    k_2b = np.searchsorted(cand, y_grid + 2.0 * beta, side="right")
-    sup_lo = _sup_separable(e_lo, e_hi, past_2b, k_y, r_y, k_2b)
-    # kappa < b - a <= 2 beta leaves the shrunk interval empty: the score is
-    # F(b) - F(a), best at the smallest allowed a = cand[past_2b[b]], which
-    # must lie below cand[b] - kappa and at most y; past_2b is nondecreasing,
-    # so the last condition holds on a prefix of b
-    short = cdf[past_2b]
+    # the a < before[b] are exactly the partners of b with b - a > kappa and
+    # a nonempty shrunk interval, its ends rounded as in e_hi and e_lo;
+    # before is nondecreasing
+    before = np.searchsorted(cand + beta, cand - beta, side="left")
+    np.minimum(before, past_kappa, out=before)
+    # the b below k_long[q] have only partners a <= y[q], the b from it on
+    # every a <= y[q]
+    k_long = np.searchsorted(before, r_y, side="left")
+    sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
+    # an empty shrunk interval with b - a > kappa scores F(b) - F(a), best at
+    # the smallest such a = cand[before[b]], which must be <= y: b < k_long
+    short = cdf[before]
     np.subtract(cdf, short, out=short)
-    short[past_2b >= past_kappa] = -np.inf
-    k_end = np.searchsorted(past_2b, r_y, side="left")
-    return sup_up, np.maximum(sup_lo, _window_max(short, k_y, np.minimum(k_2b, k_end)))
+    short[before == past_kappa] = -np.inf
+    return sup_up, np.maximum(sup_lo, _window_max(short, k_y, k_long))
 
 
 def sup_interval_mismatch(

@@ -1,15 +1,18 @@
 """Dataset containers, CSV ingestion and run configuration.
 
 Containers are frozen dataclasses holding read-only numpy arrays, so they can
-be shared freely across threads.  CSV parsing reports the exact row and
-column of the first offending cell; data rows are numbered from 1 (the
-header is row 0).
+be shared freely across threads.  A CSV table is read in two steps: numpy's
+C parser (``np.loadtxt``) converts a well-formed numeric body in one call,
+and only a file it rejects is tokenized again with ``csv.reader``, which
+decides acceptance and reports the exact row and column of the first
+offending cell; data rows are numbered from 1 (the header is row 0).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,17 +116,24 @@ class InputSample:
 def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
     """Read the columns ``pick(header)`` names from a CSV file as an (n, k) array.
 
-    The file is tokenized once.  Rows whose cells are all blank are skipped
-    and the first remaining row is the header, its cells stripped.  Only the
-    picked cells are converted, in one call that follows ``float()`` rules.
+    Rows whose cells are all blank are skipped and the first remaining row is
+    the header, its cells stripped.  The body is then read in one of two steps:
+
+    1. numpy's C parser (``np.loadtxt``) converts every column.  It accepts
+       only what ``float()`` accepts, with equal values, and takes the file
+       when each row has exactly the header's width.
+    2. Any file it rejects (blank filler rows, text columns, ragged rows,
+       spellings such as ``1_000`` or non-ASCII digits, or a bad cell) is
+       tokenized again with ``csv.reader``.  Only the picked cells are
+       converted, in one call that follows ``float()`` rules, and the exact
+       ``DataError`` for a ragged row or the first bad cell comes from here.
     """
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        rows = filter(lambda row: any(map(str.strip, row)), csv.reader(fh))
-        header = next(rows, None)
+        header = next(_nonblank_rows(fh), None)
         if header is None:
             raise DataError(f"{path}: file is empty")
         header = [c.strip() for c in header]
@@ -132,6 +142,19 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
         if missing:
             raise DataError(f"{path}: missing columns {missing} (header: {header})")
         idx = [header.index(c) for c in names]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contains no data"
+                values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                    ndmin=2, dtype=float)
+        except ValueError:
+            values = None
+        if values is not None and values.shape[0] and values.shape[1] == len(header):
+            # take keeps C order like the reshape below; values[:, idx] would not
+            return names, values.take(idx, axis=1)
+        fh.seek(0)
+        rows = _nonblank_rows(fh)
+        next(rows)
         cells, n = [], 0
         for n, row in enumerate(rows, start=1):
             if len(row) != len(header):
@@ -147,6 +170,11 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
         _raise_bad_cell(path, cells, names)
         raise
     return names, values.reshape(n, len(names))
+
+
+def _nonblank_rows(fh):
+    """``csv.reader`` rows of ``fh`` with the all-blank rows left out."""
+    return filter(lambda row: any(map(str.strip, row)), csv.reader(fh))
 
 
 def _raise_bad_cell(path, cells: list[str], names: list[str]) -> None:

@@ -359,7 +359,8 @@ def _brute_sup(direction, y, kappa, beta, kde, outputs, extra=()):
                 ) / n
                 best = max(best, mu - integral)
             else:
-                if length > 2.0 * beta:
+                # the shrunk interval (a + beta, b - beta), ends as computed
+                if a + beta < b - beta:
                     mu = (
                         np.searchsorted(vals, b - beta, side="left")
                         - np.searchsorted(vals, a + beta, side="right")
@@ -389,15 +390,23 @@ def test_sup_mismatch_exhaustive_oracle():
                 )
 
 
-@pytest.mark.parametrize("case", ["beta_zero", "short_beta", "long_beta"])
+@pytest.mark.parametrize(
+    "case", ["beta_zero", "short_beta", "long_beta", "tie_0.30", "tie_0.33"]
+)
 def test_band_sups_grid_exhaustive_oracle(case):
-    """Every grid point at once, with the grid among the candidates."""
+    """Every grid point at once, with the grid among the candidates.
+
+    The ``tie`` cases have lower-direction intervals [v - beta, v + beta]
+    whose shrunk interval is empty but, as rounded, can count -1 samples.
+    """
     rng = np.random.default_rng(26)
     kappa = 0.3
-    beta = {"beta_zero": 0.0, "short_beta": 0.12, "long_beta": 2.0}[case]
+    beta, h = {"beta_zero": (0.0, 0.2), "short_beta": (0.12, 0.2),
+               "long_beta": (2.0, 0.2), "tie_0.30": (0.3, 0.1),
+               "tie_0.33": (0.33, 0.1)}[case]
     for _ in range(2):
         outputs = np.sort(rng.normal(size=5))
-        kde = KdeModel(values=outputs, bandwidth=0.2, kernel="naive")
+        kde = KdeModel(values=outputs, bandwidth=h, kernel="naive")
         grid = np.linspace(outputs[0] - 0.5, outputs[-1] + 0.5, 21)
         cand = np.unique(
             np.concatenate([outputs, outputs - beta, outputs + beta, grid])

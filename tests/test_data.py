@@ -89,6 +89,61 @@ def test_inputs_round_trip(tmp_path):
     assert np.array_equal(sub.points, sample.points[:, [2, 0]])
 
 
+# Files that numpy's C parser rejects or reads at the wrong width, and CR-only
+# line ends: the reader must handle them exactly as the per-cell float()
+# rules do.  Values are float() of the cell text; a string is the DataError
+# message after "<path>: ".
+READER_SPEC = {
+    "underscore_digits": ("a,b\n1_000,2\n3,4_0\n", ["a", "b"],
+                          [[float("1_000"), 2.0], [3.0, float("4_0")]]),
+    "arabic_indic_digits": ("a,b\n\u0661\u0662,1\n", ["a", "b"],
+                            [[float("\u0661\u0662"), 1.0]]),
+    "whitespace_rows": ("a,b\n1,2\n   \n\t\n3,4\n", ["a", "b"],
+                        [[1.0, 2.0], [3.0, 4.0]]),
+    "comma_rows": ("a,b\n1,2\n,\n , \n3,4\n", ["a", "b"],
+                   [[1.0, 2.0], [3.0, 4.0]]),
+    "cr_line_ends": ("a,b\r1,2\r3,4\r", ["a", "b"], [[1.0, 2.0], [3.0, 4.0]]),
+    "quoted_text_column": ('a,label,b\n1,"a,b",2\n3,"say ""hi""",4\n', ["b", "a"],
+                           [[2.0, 1.0], [4.0, 3.0]]),
+    "text_column_selected": ('a,label\n1,"a,b"\n', None,
+                             "non-numeric value 'a,b' at row 1, column 'label'"),
+    "blank_body": ("a,b\n\n , \n", None, "no data rows"),
+    "one_row_wider": ("a,b\n1,2\n3,4,5\n6,7\n", None,
+                      "row 2 has 3 fields, expected 2"),
+    "one_row_narrower": ("a,b\n1,2\n3\n6,7\n", None,
+                         "row 2 has 1 fields, expected 2"),
+    "every_row_wider": ("a,b\n1,2,3\n4,5,6\n", None,
+                        "row 1 has 3 fields, expected 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_SPEC))
+def test_reader_spec_files_the_c_parser_rejects(tmp_path, case):
+    text, columns, want = READER_SPEC[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    if isinstance(want, str):
+        with pytest.raises(DataError) as err:
+            parse_inputs(path, columns)
+        assert str(err.value) == f"{path}: {want}"
+        return
+    back = parse_inputs(path, columns)
+    assert back.names == tuple(columns)
+    assert np.array_equal(back.points, want)
+    ds = parse_dataset(path, columns[:-1], columns[-1])
+    assert np.array_equal(ds.inputs, np.array(want)[:, :-1])
+    assert np.array_equal(ds.outputs, np.array(want)[:, -1])
+
+
+def test_parsed_arrays_are_c_contiguous(tmp_path):
+    """Memory order decides the summation order of reductions downstream."""
+    path = tmp_path / "cols.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5,6\n7,8,9\n")
+    for columns in (None, ["y", "a"]):
+        assert parse_inputs(path, columns).points.flags.c_contiguous
+    assert parse_dataset(path, ["b", "a"], "y").inputs.flags.c_contiguous
+
+
 def test_dataset_validation():
     with pytest.raises(DataError, match="row mismatch"):
         PairedDataset(inputs=[[1.0], [2.0]], outputs=[1.0], kind="experimental")
