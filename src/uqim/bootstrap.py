@@ -7,35 +7,29 @@ value on the remaining n - n_l resampled points and records
     q_b = min { y : (1/(n - n_l)) sum 1{|m_eps_b(X_i)| <= y} >= alpha },
 
 the plug-in order statistic.  The report carries every replicate value plus
-their exact sample median.  Each replicate owns a spawned RNG stream and a
-fixed output slot, so the threaded path is bit-identical to the sequential
-one.
+their exact sample median.  Each replicate owns a spawned RNG stream and
+calls the surrogate's least-squares core directly, one after another.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PairedDataset
 from .density import _order_index
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .randgen import make_rng, spawn_seeds
 from .surrogate import (
     FunctionFamily,
+    _check_weight,
+    _extra_points,
+    _fit_design,
+    _WeightedPieces,
+    build_basis,
     compute_residuals,
-    fit_residual_model,
-    fit_residual_model_weighted,
 )
-
-
-def _available_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -72,10 +66,10 @@ def bootstrap_error_quantile(
     """Bootstrap the residual-model error quantile.
 
     ``base_model`` supplies the residuals eps_i = Y_i - m_hat(X_i).  When
-    ``extra_inputs`` (and ``weight``) are given the per-replicate fit uses
-    the zero-anchored weighted variant.  Deterministic per seed, with or
-    without threads.  The pool holds at most ``min(threads, cores, b_reps)``
-    workers, ``cores`` being the CPUs this process may run on.
+    ``extra_inputs`` (and ``weight``, default 1) are given the per-replicate
+    fit uses the zero-anchored weighted variant.  Deterministic per seed.
+    ``threads`` is accepted for compatibility and ignored: the replicates
+    run in one thread.  A replicate whose fit fails raises its error.
     """
     n = experimental.n
     if not 1 <= n_learn < n:
@@ -87,33 +81,28 @@ def bootstrap_error_quantile(
     if weight is not None and extra_inputs is None:
         raise DomainError("weight given without extra_inputs")
     residuals = compute_residuals(base_model, experimental)
+    if not np.all(np.isfinite(residuals)):
+        raise DataError("base model gives non-finite residuals")
     x = experimental.inputs
-    n_eval = n - n_learn
-    k = _order_index(n_eval, alpha)
+    extra = None
+    if extra_inputs is not None:
+        w = _check_weight(1.0 if weight is None else weight)
+        extra = _extra_points(extra_inputs, experimental.dim)
+    k = _order_index(n - n_learn, alpha)
 
-    def one(rep_seed) -> float:
+    quantiles = np.empty(b_reps)
+    for r, rep_seed in enumerate(spawn_seeds(seed, b_reps)):
         idx = make_rng(rep_seed).integers(0, n, size=n)
-        xi, ei = x[idx], residuals[idx]
-        learn = PairedDataset(
-            inputs=xi[:n_learn], outputs=ei[:n_learn], kind="experimental"
-        )
-        if extra_inputs is None:
-            model = fit_residual_model(family, learn, ei[:n_learn])
+        learn, rest = idx[:n_learn], idx[n_learn:]
+        xl, el = x[learn], residuals[learn]
+        if extra is None:
+            basis = build_basis(family, xl)
+            coef = _fit_design(basis.design(xl), el, family.penalty, basis.roughness())
         else:
-            model = fit_residual_model_weighted(
-                family, learn, ei[:n_learn], extra_inputs,
-                1.0 if weight is None else weight,
-            )
-        absvals = np.abs(model(xi[n_learn:]))
-        return float(np.partition(absvals, k - 1)[k - 1])
-
-    seeds = spawn_seeds(seed, b_reps)
-    workers = min(threads, _available_cores(), b_reps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            quantiles = np.fromiter(pool.map(one, seeds), dtype=float, count=b_reps)
-    else:
-        quantiles = np.fromiter(map(one, seeds), dtype=float, count=b_reps)
+            fit = _WeightedPieces.on_data(family, xl, el, extra)
+            basis, coef = fit.basis, fit.solve(w, family.penalty)
+        pred = basis.predict(coef, x[rest])
+        quantiles[r] = np.partition(np.abs(pred), k - 1)[k - 1]
     return BootstrapErrorReport(
         quantiles=quantiles,
         median=float(np.median(quantiles)),

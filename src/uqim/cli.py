@@ -10,7 +10,7 @@ Failures print a one-line JSON error object to stderr and exit 1.  Relative
 artifact paths are resolved under ``--out-dir``.
 
 A ``--config`` JSON file (see :class:`uqim.data.RunConfig`) supplies
-defaults for seed/threads/out-dir, ``l_n`` for the bootstrap learn size,
+defaults for seed/out-dir, ``l_n`` for the bootstrap learn size,
 and per-subcommand defaults through its ``methods`` block; explicit flags
 win over the config.
 """
@@ -174,7 +174,6 @@ def _single_column(path) -> np.ndarray:
 @dataclass
 class _Ctx:
     seed: int
-    threads: int
     out_dir: str
     dry_run: bool
 
@@ -447,7 +446,6 @@ def _cmd_bootstrap_error(args, ctx: _Ctx):
         seed=ctx.seed,
         extra_inputs=extra,
         weight=weight,
-        threads=ctx.threads,
     )
     out = ctx.path(args.output)
     _write_table(out, ["quantile"], [report.quantiles])
@@ -460,7 +458,6 @@ def _cmd_bootstrap_error(args, ctx: _Ctx):
         "n_learn": n_learn,
         "alpha": alpha,
         "weight": weight,
-        "threads": ctx.threads,
     }
     results = {
         "median": report.median,
@@ -691,8 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: UQ_THREADS or 1)")
     common.add_argument("--out-dir", default=None, help="directory for artifacts")
     common.add_argument("--config", default=None, help="RunConfig JSON file")
     common.add_argument("--report", default=None, help="also write the report here")
@@ -827,20 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_ctx(args) -> _Ctx:
     config = RunConfig.from_json(args.config) if args.config else RunConfig()
     seed = args.seed if args.seed is not None else config.seed
-    if args.threads is not None:
-        threads = args.threads
-    elif os.environ.get("UQ_THREADS"):
-        try:
-            threads = int(os.environ["UQ_THREADS"])
-        except ValueError:
-            raise ValidationError(
-                "invalid environment", [f"UQ_THREADS: not an integer: "
-                                        f"{os.environ['UQ_THREADS']!r}"]
-            ) from None
-    else:
-        threads = config.threads if config.threads is not None else 1
-    if threads < 1:
-        raise ValidationError("invalid settings", [f"threads: must be >= 1, got {threads}"])
     out_dir = args.out_dir or config.out_dir or "."
     # per-method defaults from the config, flags win
     for key, value in config.methods.get(args.command, {}).items():
@@ -849,11 +830,10 @@ def _resolve_ctx(args) -> _Ctx:
             setattr(args, dest, value)
     if args.command == "bootstrap-error" and args.n_learn is None and config.l_n:
         args.n_learn = config.l_n
-    return _Ctx(seed=int(seed), threads=int(threads), out_dir=out_dir,
-                dry_run=bool(args.dry_run))
+    return _Ctx(seed=int(seed), out_dir=out_dir, dry_run=bool(args.dry_run))
 
 
-_PRIVATE_ARGS = ("command", "config", "report", "dry_run", "seed", "threads", "out_dir")
+_PRIVATE_ARGS = ("command", "config", "report", "dry_run", "seed", "out_dir")
 
 
 def main(argv=None) -> int:

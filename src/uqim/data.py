@@ -253,11 +253,10 @@ class RunConfig:
 
     seed: int = 0
     l_n: int | None = None
-    threads: int | None = None
     out_dir: str | None = None
     methods: dict = field(default_factory=dict)
 
-    _SCALARS = ("seed", "l_n", "threads", "out_dir")
+    _SCALARS = ("seed", "l_n", "out_dir")
 
     def validate(self) -> None:
         problems = []
@@ -265,10 +264,6 @@ class RunConfig:
             problems.append(f"seed: must be an integer in [0, 2^64-1], got {self.seed!r}")
         if self.l_n is not None and (not isinstance(self.l_n, int) or self.l_n < 1):
             problems.append(f"l_n: must be a positive integer, got {self.l_n!r}")
-        if self.threads is not None and (
-            not isinstance(self.threads, int) or self.threads < 1
-        ):
-            problems.append(f"threads: must be a positive integer, got {self.threads!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             problems.append(f"out_dir: must be a string, got {self.out_dir!r}")
         if not isinstance(self.methods, dict):

@@ -38,6 +38,7 @@ from .errors import (
     InsufficientDataError,
     RankDeficiencyError,
 )
+from .randgen import make_rng
 
 FAMILY_KINDS = ("spline1d", "rbf", "poly")
 
@@ -369,18 +370,23 @@ def _solve_normal(gram, rhs, penalty, rough, stacked_design=None):
         raise ConditioningError(f"normal equations unsolvable: {exc}") from exc
 
 
+def _fit_design(b, y, penalty, rough) -> np.ndarray:
+    """Coefficients of the penalized least-squares fit of ``y`` on design ``b``."""
+    if penalty == 0.0 and b.shape[0] < b.shape[1]:
+        raise InsufficientDataError(
+            f"{b.shape[0]} rows cannot determine {b.shape[1]} coefficients "
+            "without a positive penalty"
+        )
+    n = b.shape[0]
+    return _solve_normal(b.T @ b / n, b.T @ y / n, penalty, rough, b)
+
+
 def fit_penalized_ls(family: FunctionFamily, data: PairedDataset) -> SurrogateModel:
     """Fit the family to (inputs, outputs) by penalized least squares."""
     basis = build_basis(family, data.inputs)
-    if family.penalty == 0.0 and data.n < basis.n_coef:
-        raise InsufficientDataError(
-            f"{data.n} rows cannot determine {basis.n_coef} coefficients "
-            "without a positive penalty"
-        )
-    b = basis.design(data.inputs)
-    gram = b.T @ b / data.n
-    rhs = b.T @ data.outputs / data.n
-    coef = _solve_normal(gram, rhs, family.penalty, basis.roughness(), b)
+    coef = _fit_design(
+        basis.design(data.inputs), data.outputs, family.penalty, basis.roughness()
+    )
     return SurrogateModel(family=family, basis=basis, coef=coef, train_size=data.n)
 
 
@@ -465,15 +471,46 @@ def fit_residual_model(
         raise DataError(
             f"{residuals.shape[0]} residuals for {experimental.n} rows"
         )
-    data = PairedDataset(
-        inputs=experimental.inputs, outputs=residuals, kind="experimental"
-    )
-    return fit_penalized_ls(family, data)
+    return fit_penalized_ls(family, replace(experimental, outputs=residuals))
 
 
 def _extra_points(extra_inputs, dim: int) -> np.ndarray:
     pts = extra_inputs.points if isinstance(extra_inputs, InputSample) else extra_inputs
-    return _as_points(pts, dim)
+    extra = _as_points(pts, dim)
+    if extra.shape[0] < 1:
+        raise DataError("weighted fit needs at least one extra input point")
+    return extra
+
+
+def _check_weight(weight) -> float:
+    w = float(weight)
+    if not 0.0 <= w <= 1.0:
+        raise DomainError(f"weight must lie in [0, 1], got {weight}")
+    return w
+
+
+class _WeightedPieces:
+    """The zero-anchored residual fit on one basis, reduced to what every
+    (weight, penalty) pair shares: the designs b1 of the experimental rows
+    and b2 of the extra inputs, b1^T b1, b2^T b2 and b1^T eps."""
+
+    def __init__(self, basis, b1, b2, eps):
+        self.basis, self.b1, self.b2, self.rough = basis, b1, b2, basis.roughness()
+        self.g1, self.g2, self.r1 = b1.T @ b1, b2.T @ b2, b1.T @ eps
+
+    @classmethod
+    def on_data(cls, family: FunctionFamily, inputs, eps, extra) -> "_WeightedPieces":
+        basis = build_basis(family, np.vstack([inputs, extra]))
+        return cls(basis, basis.design(inputs), basis.design(extra), eps)
+
+    def solve(self, w: float, penalty: float) -> np.ndarray:
+        n, n1 = self.b1.shape[0], self.b2.shape[0]
+        gram = (w / n) * self.g1 + ((1.0 - w) / n1) * self.g2
+        stacked = None
+        if penalty == 0.0:
+            s, s1 = np.sqrt(w / n), np.sqrt((1.0 - w) / n1)
+            stacked = np.vstack([s * self.b1, s1 * self.b2])
+        return _solve_normal(gram, (w / n) * self.r1, penalty, self.rough, stacked)
 
 
 def fit_residual_model_weighted(
@@ -488,25 +525,14 @@ def fit_residual_model_weighted(
     Minimizes  (w/n) sum |f(X_i) - eps_i|^2
              + ((1-w)/N1) sum |f(Xtilde_j)|^2  + pen * c^T R c.
     """
-    w = float(weight)
-    if not 0.0 <= w <= 1.0:
-        raise DomainError(f"weight must lie in [0, 1], got {weight}")
+    w = _check_weight(weight)
     residuals = np.asarray(residuals, dtype=float).ravel()
     if residuals.shape[0] != experimental.n:
         raise DataError(f"{residuals.shape[0]} residuals for {experimental.n} rows")
     extra = _extra_points(extra_inputs, experimental.dim)
-    if extra.shape[0] < 1:
-        raise DataError("weighted fit needs at least one extra input point")
-    allpts = np.vstack([experimental.inputs, extra])
-    basis = build_basis(family, allpts)
-    b1 = basis.design(experimental.inputs)
-    b2 = basis.design(extra)
-    n, n1 = experimental.n, extra.shape[0]
-    gram = (w / n) * (b1.T @ b1) + ((1.0 - w) / n1) * (b2.T @ b2)
-    rhs = (w / n) * (b1.T @ residuals)
-    stacked = np.vstack([np.sqrt(w / n) * b1, np.sqrt((1.0 - w) / n1) * b2])
-    coef = _solve_normal(gram, rhs, family.penalty, basis.roughness(), stacked)
-    return SurrogateModel(family=family, basis=basis, coef=coef, train_size=n)
+    fit = _WeightedPieces.on_data(family, experimental.inputs, residuals, extra)
+    coef = fit.solve(w, family.penalty)
+    return SurrogateModel(family, fit.basis, coef, train_size=experimental.n)
 
 
 DEFAULT_W_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
@@ -549,63 +575,56 @@ def select_weight_and_penalty(
     the extra inputs always participate in the anchoring term.  Ties prefer
     the smaller weight, then the smaller penalty.
     """
-    residuals = np.asarray(residuals, dtype=float).ravel()
+    eps = np.asarray(residuals, dtype=float).ravel()
     n = experimental.n
-    if residuals.shape[0] != n:
-        raise DataError(f"{residuals.shape[0]} residuals for {n} rows")
+    if eps.shape[0] != n:
+        raise DataError(f"{eps.shape[0]} residuals for {n} rows")
     if folds < 2:
         raise DomainError(f"folds must be >= 2, got {folds}")
     if n < folds:
         raise InsufficientDataError(f"{n} experimental rows cannot fill {folds} folds")
     if w_grid is None:
         w_grid = DEFAULT_W_GRID
-    w_grid = sorted(float(w) for w in w_grid)
-    for w in w_grid:
-        if not 0.0 <= w <= 1.0:
-            raise DomainError(f"weight grid entry {w} outside [0, 1]")
+    w_grid = sorted(_check_weight(w) for w in w_grid)
     if penalty_grid is None:
         penalty_grid = default_penalty_grid(family, experimental, extra_inputs)
     penalty_grid = sorted(float(p) for p in penalty_grid)
 
-    from .randgen import make_rng
-
     perm = make_rng(seed).permutation(n)
-    parts = np.array_split(perm, folds)
+    x = experimental.inputs
     extra = _extra_points(extra_inputs, experimental.dim)
 
-    best = None
-    table = []
-    for w in w_grid:
-        for pen in penalty_grid:
-            fam = family.with_penalty(pen)
-            sse, held = 0.0, 0
-            ok = True
-            for hold in parts:
-                train = np.setdiff1d(perm, hold, assume_unique=True)
-                sub = PairedDataset(
-                    inputs=experimental.inputs[train],
-                    outputs=experimental.outputs[train],
-                    kind="experimental",
-                )
+    # one basis and one set of Gram pieces per fold serve all the cells; a
+    # cell's squared errors add up in fold order, and it fails (None, scored
+    # inf) at its first fold that cannot be fitted
+    cells = [(w, pen) for w in w_grid for pen in penalty_grid]
+    sse = [0.0] * len(cells)
+    for hold in np.array_split(perm, folds):
+        train = np.setdiff1d(perm, hold, assume_unique=True)
+        try:
+            fit = _WeightedPieces.on_data(family, x[train], eps[train], extra)
+        except DataError:
+            sse = [None] * len(cells)
+            break
+        # spline prediction is no design product; rbf and poly reuse one design
+        xh, eh, basis = x[hold], eps[hold], fit.basis
+        bh = None if isinstance(basis, SplineBasis) else basis.design(xh)
+        for i, (w, pen) in enumerate(cells):
+            if sse[i] is not None:
                 try:
-                    m = fit_residual_model_weighted(
-                        fam, sub, residuals[train], extra, w
-                    )
-                except (RankDeficiencyError, ConditioningError, DataError):
-                    ok = False
-                    break
-                err = m(experimental.inputs[hold]) - residuals[hold]
-                sse += float(err @ err)
-                held += hold.size
-            score = sse / held if ok else np.inf
-            table.append((w, pen, score))
-            if best is None or score < best[0]:
-                best = (score, w, pen)
-    score, w, pen = best
+                    coef = fit.solve(w, pen)
+                except (RankDeficiencyError, ConditioningError):
+                    sse[i] = None
+                    continue
+                err = (basis.predict(coef, xh) if bh is None else bh @ coef) - eh
+                sse[i] += float(err @ err)
+
+    table = [(*cell, np.inf if t is None else t / n) for cell, t in zip(cells, sse)]
+    w, pen, score = min(table, key=lambda row: row[2])  # first minimum wins ties
     if not np.isfinite(score):
         raise ConditioningError("every (weight, penalty) combination failed")
     model = fit_residual_model_weighted(
-        family.with_penalty(pen), experimental, residuals, extra, w
+        family.with_penalty(pen), experimental, eps, extra, w
     )
     model.cv_score = score
     return WeightSelection(weight=w, penalty=pen, cv_risk=score, model=model, table=table)

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 from scipy.stats import foldnorm
 
-from uqim import bootstrap
 from uqim.bootstrap import BootstrapErrorReport, bootstrap_error_quantile
 from uqim.data import InputSample, PairedDataset
-from uqim.errors import DomainError
-from uqim.surrogate import FunctionFamily
-from uqim.synthetic import make_mafds_like
+from uqim.errors import DataError, DomainError, RankDeficiencyError
+from uqim.randgen import make_rng, spawn_seeds
+from uqim.surrogate import (
+    FunctionFamily,
+    compute_residuals,
+    fit_residual_model,
+    fit_residual_model_weighted,
+)
+from uqim.synthetic import make_hidim_like, make_mafds_like
 
 
 class _Const:
@@ -97,55 +102,75 @@ def test_deterministic_per_seed():
     assert not np.array_equal(a.quantiles, c.quantiles)
 
 
-def test_threaded_matches_sequential():
+def _replicates_oracle(exp, base, family, b_reps, n_learn, alpha, seed,
+                       extra=None, weight=None):
+    """Each replicate as a user would run it: resample, fit, predict."""
+    eps = compute_residuals(base, exp)
+    out = []
+    for rep_seed in spawn_seeds(seed, b_reps):
+        idx = make_rng(rep_seed).integers(0, exp.n, size=exp.n)
+        learn = PairedDataset(inputs=exp.inputs[idx[:n_learn]],
+                              outputs=eps[idx[:n_learn]], kind="experimental")
+        if extra is None:
+            model = fit_residual_model(family, learn, learn.outputs)
+        else:
+            model = fit_residual_model_weighted(family, learn, learn.outputs,
+                                                extra, weight)
+        absvals = np.sort(np.abs(model(exp.inputs[idx[n_learn:]])))
+        m = absvals.size
+        out.append(absvals[np.argmax(np.arange(1, m + 1) / m >= alpha)])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("family, weighted", [
+    (FunctionFamily("poly", 1), False),
+    (FunctionFamily("poly", 2, penalty=1e-6), False),
+    (FunctionFamily("poly", 1), True),
+    (FunctionFamily("spline1d", 4, penalty=1e-4), False),
+    (FunctionFamily("spline1d", 4, penalty=1e-4), True),
+    (FunctionFamily("rbf", 6, penalty=1e-3), False),
+    (FunctionFamily("rbf", 6, penalty=1e-3), True),
+])
+def test_replicates_match_oracle(family, weighted):
     rng = np.random.default_rng(7)
     x = rng.random(30)
     exp = _exp(x, np.sin(5.0 * x) + 0.1 * rng.normal(size=30))
-    fam = FunctionFamily("poly", 2, penalty=1e-6)
-    seq = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=40, n_learn=12,
-                                   alpha=0.9, seed=8, threads=1)
-    par = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=40, n_learn=12,
-                                   alpha=0.9, seed=8, threads=4)
-    assert np.array_equal(seq.quantiles, par.quantiles)
+    kw = {"extra_inputs": rng.random(40)[:, None], "weight": 0.6} if weighted else {}
+    report = bootstrap_error_quantile(exp, _Const(0.0), family, b_reps=40,
+                                      n_learn=12, alpha=0.9, seed=8, **kw)
+    oracle = _replicates_oracle(exp, _Const(0.0), family, 40, 12, 0.9, 8,
+                                kw.get("extra_inputs"), kw.get("weight"))
+    assert np.array_equal(report.quantiles, oracle)
 
 
-def test_thread_pool_capped_at_cores_and_reps(monkeypatch):
-    # a stand-in pool records its size and maps in this thread: none start
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(bootstrap, "ThreadPoolExecutor", RecordingPool)
-    x = np.linspace(0.0, 1.0, 12)
-    exp = _exp(x, np.cos(3.0 * x))
+def test_replicates_match_oracle_5d():
+    system = make_hidim_like(bias_kind="linear")
+    exp = system.draw_experiment(50, seed=3)
     fam = FunctionFamily("poly", 1)
+    report = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=30,
+                                      n_learn=25, alpha=0.95, seed=11)
+    oracle = _replicates_oracle(exp, _Const(0.0), fam, 30, 25, 0.95, 11)
+    assert np.array_equal(report.quantiles, oracle)
 
-    def run(threads, b_reps):
-        return bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=b_reps,
-                                        n_learn=6, seed=3, threads=threads)
 
-    seq = run(1, 10)
-    monkeypatch.setattr(bootstrap.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    assert np.array_equal(run(10**6, 10).quantiles, seq.quantiles)
-    run(10**6, 2)
-    run(2, 10)
-    assert sizes == [3, 2, 2]
-    monkeypatch.setattr(bootstrap.os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    assert np.array_equal(run(8, 10).quantiles, seq.quantiles)
-    assert sizes == [3, 2, 2]
+def test_rank_deficient_replicate_raises():
+    # two distinct inputs cannot fix a quadratic without a penalty: every
+    # learn set is rank-deficient, and the bootstrap must say so
+    x = np.tile([0.0, 1.0], 10)
+    exp = _exp(x, x)
+    fam = FunctionFamily("poly", 2)
+    with pytest.raises(RankDeficiencyError):
+        bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=5, n_learn=8)
+    with pytest.raises(RankDeficiencyError):
+        bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=5, n_learn=8,
+                                 extra_inputs=np.array([[0.0], [1.0]]), weight=0.5)
+
+
+def test_non_finite_residuals_rejected():
+    x = np.linspace(0.0, 1.0, 10)
+    with pytest.raises(DataError, match="non-finite"):
+        bootstrap_error_quantile(_exp(x, x), _Const(np.inf), FunctionFamily("poly", 1),
+                                 b_reps=5, n_learn=4)
 
 
 def test_validation():

@@ -145,14 +145,14 @@ def test_unknown_subcommand_exits_nonzero():
 
 def test_config_errors_list_every_field(tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"seed": -1, "threads": 0, "l_n": 0}))
+    cfg.write_text(json.dumps({"seed": -1, "out_dir": 5, "l_n": 0}))
     rc, _, err = run_cli([
         "ci-quantile", "--check-only", "--n", "10",
         "--alpha", "0.95", "--delta", "0.05", "--config", cfg,
     ])
     assert rc == 1
     payload = json.loads(err)
-    assert set(payload["fields"]) >= {"seed", "threads", "l_n"}
+    assert set(payload["fields"]) >= {"seed", "out_dir", "l_n"}
 
 
 def test_config_n1_n2_are_not_scalars(tmp_path):
@@ -252,41 +252,57 @@ def test_dry_run_skips_computation(tmp_path):
 
 def test_dry_run_still_validates_config(tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"threads": -2}))
+    cfg.write_text(json.dumps({"out_dir": ["runs"]}))
     rc, _, err = run_cli([
         "synth", "--dry-run", "--config", cfg, "--out-dir", tmp_path,
     ])
     assert rc == 1
-    assert "threads" in json.loads(err)["fields"]
+    assert "out_dir" in json.loads(err)["fields"]
 
 
 # ---------------------------------------------------------------------------
-# threads resolution
+# no thread knob
 
 
-def test_uq_threads_env_fallback(tmp_path, monkeypatch, workspace):
+def test_threads_flag_is_a_usage_error(tmp_path):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["synth", "--dry-run", "--threads", "2", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in err.getvalue()
+
+
+def test_bootstrap_error_report(tmp_path, workspace):
     ws = workspace["dir"]
-    monkeypatch.setenv("UQ_THREADS", "3")
     rc, rep, _ = run_cli([
         "bootstrap-error", "--exp", ws / "exp.csv", "--model", ws / "model.json",
         "--family", "poly", "--size", "1", "--b-reps", "3", "--n-learn", "10",
         "--out-dir", tmp_path,
     ])
     assert rc == 0
-    assert rep["settings"]["threads"] == 3
-    assert len(rep["results"]["quantiles"]) == 3
+    assert rep["settings"] == {
+        "exp": str(ws / "exp.csv"), "model": str(ws / "model.json"),
+        "family": "poly", "size": 1, "b_reps": 3, "n_learn": 10,
+        "alpha": 0.95, "weight": None,
+    }
+    res = rep["results"]
+    assert len(res["quantiles"]) == res["b_reps"] == 3
+    assert res["median"] == float(np.median(res["quantiles"]))
+    saved = np.loadtxt(tmp_path / "bootstrap_quantiles.csv", delimiter=",", skiprows=1)
+    assert saved.tolist() == res["quantiles"]
 
 
-def test_uq_threads_bad_value(monkeypatch, tmp_path):
-    monkeypatch.setenv("UQ_THREADS", "lots")
-    rc, _, err = run_cli(["synth", "--dry-run", "--out-dir", tmp_path])
+def test_threads_config_key_is_a_validation_error(tmp_path):
+    # an unknown flat key is a method block, and a number is no block
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    rc, _, err = run_cli(["synth", "--dry-run", "--config", cfg, "--out-dir", tmp_path])
     assert rc == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
     payload = json.loads(err)
-    assert any("UQ_THREADS" in f for f in payload["fields"])
-    # an explicit flag wins before the env var is ever parsed
-    rc, _, _ = run_cli(["synth", "--dry-run", "--threads", "2",
-                        "--out-dir", tmp_path])
-    assert rc == 0
+    assert payload["error"] == "ValidationError"
+    assert payload["fields"] == ["methods.threads"]
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_input_sample_promotes_1d():
 
 
 def test_run_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=7, l_n=10, threads=2, out_dir="runs",
+    cfg = RunConfig(seed=7, l_n=10, out_dir="runs",
                     methods={"quantile": {"alpha": 0.9}})
     cfg.validate()
     path = tmp_path / "cfg.json"
@@ -182,10 +182,10 @@ def test_run_config_round_trip(tmp_path):
 
 
 def test_run_config_lists_every_bad_field():
-    cfg = RunConfig(seed=-1, l_n=0, threads=0)
+    cfg = RunConfig(seed=-1, l_n=0, out_dir=5)
     with pytest.raises(ValidationError) as err:
         cfg.validate()
     joined = " ".join(err.value.fields)
-    assert "seed" in joined and "l_n" in joined and "threads" in joined
+    assert "seed" in joined and "l_n" in joined and "out_dir" in joined
     assert len(err.value.fields) == 3
 

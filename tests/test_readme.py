@@ -21,7 +21,6 @@ def _readme_commands() -> list[list[str]]:
 
 def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UQ_THREADS", raising=False)
     commands = _readme_commands()
     assert commands and commands[0][0] == "synth"
     for argv in commands:

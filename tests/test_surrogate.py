@@ -5,11 +5,13 @@ import pytest
 
 from uqim.data import InputSample, PairedDataset
 from uqim.errors import (
+    ConditioningError,
     DataError,
     DomainError,
     InsufficientDataError,
     RankDeficiencyError,
 )
+from uqim.randgen import make_rng
 from uqim.surrogate import (
     FunctionFamily,
     PolyBasis,
@@ -29,6 +31,7 @@ from uqim.surrogate import (
     save_model,
     select_weight_and_penalty,
 )
+from uqim.synthetic import make_hidim_like
 
 
 def _data(x, y, kind="simulated"):
@@ -248,6 +251,94 @@ def test_pure_noise_prefers_shrinkage():
         )
         wins += sel.weight < 1.0
     assert wins >= 0.8 * reps
+
+
+def test_fits_solve_the_documented_normal_equations_exactly():
+    # the operation order that fixed-seed results rest on, for the plain fit
+    # and the zero-anchored one
+    rng = np.random.default_rng(12)
+    x = rng.random(20)
+    eps = np.cos(3.0 * x) + 0.1 * rng.normal(size=20)
+    exp = _data(x, eps, kind="experimental")
+    extra = rng.random(35)[:, None]
+    w, n, n1 = 0.7, 20, 35
+    for fam in [
+        FunctionFamily("spline1d", 5, penalty=1e-4),
+        FunctionFamily("poly", 3, penalty=1e-6),
+        FunctionFamily("rbf", 7, penalty=1e-5),
+    ]:
+        plain = fit_penalized_ls(fam, exp)
+        b = plain.basis.design(exp.inputs)
+        a = b.T @ b / n + fam.penalty * plain.basis.roughness()
+        assert np.array_equal(plain.coef, np.linalg.solve(a, b.T @ eps / n))
+        model = fit_residual_model_weighted(fam, exp, eps, extra, w)
+        b1, b2 = model.basis.design(exp.inputs), model.basis.design(extra)
+        gram = (w / n) * (b1.T @ b1) + ((1.0 - w) / n1) * (b2.T @ b2)
+        a = gram + fam.penalty * model.basis.roughness()
+        assert np.array_equal(model.coef, np.linalg.solve(a, (w / n) * (b1.T @ eps)))
+
+
+def _weighted_cv_oracle(family, exp, eps, extra, w_grid, penalty_grid, folds, seed):
+    """The CV table cell by cell: one full weighted fit per (w, pen, fold)."""
+    perm = make_rng(seed).permutation(exp.n)
+    parts = np.array_split(perm, folds)
+    table = []
+    for w in sorted(w_grid):
+        for pen in sorted(penalty_grid):
+            sse, held = 0.0, 0
+            for hold in parts:
+                train = np.setdiff1d(perm, hold, assume_unique=True)
+                sub = PairedDataset(inputs=exp.inputs[train],
+                                    outputs=exp.outputs[train], kind="experimental")
+                try:
+                    model = fit_residual_model_weighted(
+                        family.with_penalty(pen), sub, eps[train], extra, w
+                    )
+                except (RankDeficiencyError, ConditioningError, DataError):
+                    sse = np.inf
+                    break
+                err = model(exp.inputs[hold]) - eps[hold]
+                sse += float(err @ err)
+                held += hold.size
+            table.append((w, pen, sse / held if np.isfinite(sse) else np.inf))
+    return table
+
+
+@pytest.mark.parametrize("family", [
+    FunctionFamily("spline1d", 12),
+    FunctionFamily("rbf", 20),
+    FunctionFamily("poly", 9),
+])
+def test_weighted_cv_table_matches_oracle(family):
+    # 8 training rows per fold cannot fix 10+ coefficients: the w = 1,
+    # pen = 0 cells fail (inf) while anchored or penalized cells fit
+    rng = np.random.default_rng(4)
+    x = rng.random(10)
+    exp = _data(x, np.zeros(10), kind="experimental")
+    eps = np.sin(4.0 * x) + 0.1 * rng.normal(size=10)
+    extra = rng.random(30)[:, None]
+    w_grid = [0.0, 0.25, 0.5, 0.9, 1.0]
+    grid = [0.0, 1e-6, 1e-3, 0.1]
+    sel = select_weight_and_penalty(family, exp, eps, extra, w_grid=w_grid,
+                                    penalty_grid=grid, seed=3)
+    oracle = _weighted_cv_oracle(family, exp, eps, extra, w_grid, grid, 5, 3)
+    assert sel.table == oracle
+    assert (1.0, 0.0, np.inf) in sel.table
+    assert sum(np.isfinite(score) for _, _, score in sel.table) > len(grid)
+
+
+@pytest.mark.parametrize("family", [FunctionFamily("rbf", 20), FunctionFamily("poly", 2)])
+def test_weighted_cv_table_matches_oracle_5d(family):
+    # the raw-scale 5-d field law with the default grids
+    system = make_hidim_like(bias_kind="linear")
+    exp = system.draw_experiment(50, seed=1)
+    sim = system.draw_simulation(200, seed=2)
+    eps = compute_residuals(fit_with_gcv(FunctionFamily("poly", 2), sim), exp)
+    sel = select_weight_and_penalty(family, exp, eps, sim.inputs, seed=11)
+    grid = [p for _, p, _ in sel.table[:11]]
+    oracle = _weighted_cv_oracle(family, exp, eps, sim.inputs,
+                                 [w for w, _, _ in sel.table[::11]], grid, 5, 11)
+    assert sel.table == oracle
 
 
 def test_improved_surrogate_trivial_cases():
