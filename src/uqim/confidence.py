@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedDataset
-from .density import KdeModel, kde_cdf, kde_evaluate, mc_quantile
+from .density import KdeModel, _order_index, kde_cdf, kde_evaluate
 from .errors import DomainError, InfeasibleError
 
 
@@ -78,11 +78,79 @@ class EpsGamma:
     objective: float
 
 
+# grid fractions of the feasible eps span: log-spaced near its lower end,
+# uniform elsewhere.  The two parts share no interior value, so a sort
+# dedupes them; np.unique would load numpy.ma into every CLI start.
+_EPS_GRID = np.sort(np.concatenate([
+    np.logspace(-14.0, 0.0, 400)[:-1], np.linspace(0.0, 1.0, 1200)[1:-1]
+]))
+
+
+def _brent_bounded(f, a, b, xatol, maxfun=500):
+    """Minimize ``f`` on [a, b] by Brent's bounded method; returns (x, f(x)).
+
+    Golden-section steps with parabolic interpolation (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 5), step for step as
+    fminbound takes them: the same tolerance sqrt(2.2e-16)|x| + xatol/3 and
+    the same cap of ``maxfun`` evaluations, so both give the same bits.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b, xatol = float(a), float(b), float(xatol)
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun or not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            return xf, float(fx)
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+
 def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> EpsGamma:
     """Minimize eps + gamma over the feasible eps in (1-(delta-ddelta)^(1/n), 1).
 
     Vectorized hybrid grid (log-spaced near the lower boundary, uniform
-    elsewhere) followed by a bounded scalar refinement between the best
+    elsewhere) followed by a Brent bounded refinement between the best
     grid neighbors.
     """
     rem = _check_core(n, delta, d_delta)
@@ -98,29 +166,18 @@ def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> Ep
             gam = np.sqrt(-np.log(arg) / (2.0 * big_n))
         return np.where(arg > 0.0, eps + gam, np.inf)
 
-    t = np.unique(
-        np.concatenate(
-            [np.logspace(-14.0, 0.0, 400), np.linspace(0.0, 1.0, 1200)]
-        )
-    )
-    t = t[(t > 0.0) & (t < 1.0)]
-    cand = lb + span * t
+    cand = lb + span * _EPS_GRID
     vals = objective(cand)
     i = int(np.argmin(vals))
     lo = cand[i - 1] if i > 0 else lb + span * 1e-16
     hi = cand[i + 1] if i + 1 < cand.size else cand[-1]
     best_eps, best_val = float(cand[i]), float(vals[i])
     if hi > lo:
-        from scipy.optimize import minimize_scalar
-
-        res = minimize_scalar(
-            lambda e: float(objective(e)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": max(span * 1e-15, 1e-300)},
+        x, fx = _brent_bounded(
+            lambda e: float(objective(e)), lo, hi, max(span * 1e-15, 1e-300)
         )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_eps, best_val = float(res.x), float(res.fun)
+        if math.isfinite(fx) and fx < best_val:
+            best_eps = x
     gam = gamma_term(n, big_n, delta, d_delta, best_eps)
     return EpsGamma(eps=best_eps, gamma=gam, objective=best_eps + gam)
 
@@ -286,7 +343,8 @@ def quantile_ci(
     uses delta/2; ``sweep=True`` tries the 0.1..0.9 delta grid and keeps
     the narrowest valid interval (ties toward smaller ddelta).
     """
-    outputs = np.asarray(outputs, dtype=float).ravel()
+    # one sort serves the order statistics of every ddelta candidate
+    outputs = np.sort(np.asarray(outputs, dtype=float).ravel())
     if outputs.size < 1:
         raise DomainError("need at least one surrogate output")
     if not 0.0 < alpha < 1.0:
@@ -306,8 +364,8 @@ def quantile_ci(
         high = alpha + hoeff + eg.eps + eg.gamma
         if not (0.0 < low and high < 1.0):
             continue
-        lo_q = mc_quantile(outputs, low).value - beta_hat
-        hi_q = mc_quantile(outputs, high).value + beta_hat
+        lo_q = float(outputs[_order_index(big_n, low) - 1]) - beta_hat
+        hi_q = float(outputs[_order_index(big_n, high) - 1]) + beta_hat
         ci = QuantileCi(
             lower=lo_q, upper=hi_q, alpha=float(alpha), delta=float(delta),
             d_delta=dd, n=n, big_n=big_n, beta_hat=beta_hat,

@@ -372,6 +372,21 @@ def test_ci_quantile_check_only(tmp_path):
     assert rep["results"]["feasible"] is True
 
 
+def test_ci_quantile_check_only_big_n_report(tmp_path):
+    rc, rep, err = run_cli([
+        "ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+        "--delta", "0.05", "--big-n", "100000", "--out-dir", tmp_path,
+    ])
+    assert rc == 0, err
+    entries = rep["results"]["entries"]
+    assert len(entries) == 9
+    for e in entries:
+        assert type(e["feasible"]) is bool
+        assert type(e["objective"]) is float
+        assert type(e["hoeffding"]) is float
+    assert rep["results"]["feasible"] is True
+
+
 def test_fit_surrogate_weighted_improvement(tmp_path, workspace):
     ws = workspace["dir"]
     rc, rep, _ = run_cli([

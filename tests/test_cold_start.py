@@ -1,4 +1,4 @@
-"""The CLI starts without scipy: only the subcommands that use it load it."""
+"""The CLI starts without scipy or numpy.ma: only the subcommands that use scipy load it."""
 
 import contextlib
 import io
@@ -29,15 +29,27 @@ print(json.dumps(seen))
 """
 
 
-def _probe(argvs, cwd):
+def _run_python(code, *args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([[str(a) for a in v] for v in argvs])],
+        [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _probe(argvs, cwd):
+    return json.loads(
+        _run_python(_PROBE, json.dumps([[str(a) for a in v] for v in argvs]), cwd=cwd)
+    )
+
+
+def test_import_loads_no_numpy_ma():
+    # numpy.ma costs ~16 ms of start-up; np.unique, for one, loads it on first use
+    code = "import sys, uqim.cli; print('numpy.ma' in sys.modules)"
+    assert _run_python(code).strip() == "False"
 
 
 def test_scipy_free_subcommands(tmp_path):
@@ -49,7 +61,7 @@ def test_scipy_free_subcommands(tmp_path):
     assert rc == 0
     run = ["--out-dir", tmp_path]
     seen = _probe([
-        ["gen-inputs", "--count", "2000", "--dist", "mvn", "--from", "sim.csv",
+        ["gen-inputs", "--count", "100000", "--dist", "mvn", "--from", "sim.csv",
          "--columns", "x1", "--out", "inputs.csv", *run],
         ["fit-surrogate", "--sim", "sim.csv", "--exp", "exp.csv", "--family",
          "spline1d", "--size", "8", "--res-family", "poly", "--res-size", "1",
@@ -63,8 +75,17 @@ def test_scipy_free_subcommands(tmp_path):
          "--family", "poly", "--size", "1", "--b-reps", "20", "--n-learn", "10", *run],
         ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
          "--delta", "0.05"],
+        ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+         "--delta", "0.05", "--big-n", "100000"],
+        ["ci-quantile", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+         "inputs.csv", "--alpha", "0.95", "--delta", "0.2", "--sweep", *run],
+        # infeasible: the error report searches for the smallest workable delta
+        ["ci-quantile", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+         "inputs.csv", "--alpha", "0.95", "--delta", "0.05", "--sweep", *run],
+        ["density-band", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+         "inputs.csv", "--kappa", "0.005", "--delta", "0.05", *run],
     ], cwd=tmp_path)
-    assert [rc for _, rc, _ in seen] == [0] * len(seen)
+    assert [rc for _, rc, _ in seen] == [0] * (len(seen) - 2) + [1, 0]
     assert [(cmd, mods) for cmd, _, mods in seen if mods] == []
 
 

@@ -10,6 +10,7 @@ from uqim.confidence import (
     EpsGamma,
     QuantileCi,
     ci_feasibility,
+    default_d_delta_grid,
     density_band,
     gamma_term,
     minimal_feasible_delta,
@@ -20,7 +21,7 @@ from uqim.confidence import (
     surrogate_error_bound,
 )
 from uqim.data import PairedDataset
-from uqim.density import KdeModel, kde_cdf
+from uqim.density import KdeModel, kde_cdf, mc_quantile
 from uqim.errors import DomainError, InfeasibleError
 from uqim.randgen import make_rng
 
@@ -115,6 +116,58 @@ def test_minimize_eps_gamma_random_settings_oracle():
             np.inf,
         )
         assert eg.objective <= float(obj.min()) + 1e-9
+
+
+def _scipy_bounded_eps_gamma(n, big_n, delta, d_delta):
+    """minimize_eps_gamma's grid and bracket, refined by scipy's bounded method."""
+    from scipy.optimize import minimize_scalar
+
+    rem = delta - d_delta
+    lb = 1.0 - rem ** (1.0 / n)
+    span = 1.0 - lb
+
+    def objective(eps):
+        eps = np.asarray(eps, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            arg = rem - (1.0 - eps) ** n
+            gam = np.sqrt(-np.log(arg) / (2.0 * big_n))
+        return np.where(arg > 0.0, eps + gam, np.inf)
+
+    t = np.unique(
+        np.concatenate([np.logspace(-14.0, 0.0, 400), np.linspace(0.0, 1.0, 1200)])
+    )
+    cand = lb + span * t[(t > 0.0) & (t < 1.0)]
+    vals = objective(cand)
+    i = int(np.argmin(vals))
+    lo = cand[i - 1] if i > 0 else lb + span * 1e-16
+    hi = cand[i + 1] if i + 1 < cand.size else cand[-1]
+    best_eps, best_val = float(cand[i]), float(vals[i])
+    if hi > lo:
+        res = minimize_scalar(
+            lambda e: float(objective(e)), bounds=(lo, hi), method="bounded",
+            options={"xatol": max(span * 1e-15, 1e-300)},
+        )
+        if np.isfinite(res.fun) and res.fun < best_val:
+            best_eps = float(res.x)
+    gam = gamma_term(n, big_n, delta, d_delta, best_eps)
+    return best_eps, gam, best_eps + gam
+
+
+def test_minimize_eps_gamma_matches_scipy_bounded():
+    settings = [
+        (n, big_n, delta, dd)
+        for n in (1, 2, 10, 50, 100, 1000)
+        for big_n in (1.0, 10.0, 1e5, 1e6, 1e18)
+        for delta in (0.05, 0.2, 0.5, 0.999)
+        for dd in default_d_delta_grid(delta)
+    ]
+    # the README's density band: ddelta = 2/N^2
+    settings.append((50, 1e6, 0.05, 2.0 / 1e6**2))
+    for n, big_n, delta, dd in settings:
+        eg = minimize_eps_gamma(n, big_n, delta, dd)
+        got = (eg.eps, eg.gamma, eg.objective)
+        assert got == _scipy_bounded_eps_gamma(n, big_n, delta, dd), (n, big_n, delta, dd)
+        assert [type(v) for v in got] == [float] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +283,28 @@ def test_quantile_ci_sweep_narrows_or_matches():
     plain = quantile_ci(data, model, outputs, alpha=0.95, delta=0.05)
     swept = quantile_ci(data, model, outputs, alpha=0.95, delta=0.05, sweep=True)
     assert swept.width <= plain.width + 1e-15
+
+
+def test_quantile_ci_sweep_matches_per_candidate_order_statistics():
+    # outputs on a lattice, so the order statistics sit among ties; at
+    # n = 200, N = 1e4 the narrowest interval is not the first candidate's
+    outputs = np.round(make_rng(12).standard_normal(10_000), 3)
+    data, model = _exp_with_error(200, 0.02, seed=13)
+    ci = quantile_ci(data, model, outputs, alpha=0.9, delta=0.2, sweep=True)
+    best = None
+    for dd in default_d_delta_grid(0.2):
+        hoeff = math.sqrt(-math.log(dd / 2.0) / (2.0 * outputs.size))
+        eg = minimize_eps_gamma(200, outputs.size, 0.2, dd)
+        low = 0.9 - hoeff - eg.eps - eg.gamma
+        high = 0.9 + hoeff + eg.eps + eg.gamma
+        if not (0.0 < low and high < 1.0):
+            continue
+        lower = mc_quantile(outputs, low).value - ci.beta_hat
+        upper = mc_quantile(outputs, high).value + ci.beta_hat
+        if best is None or upper - lower < best[1] - best[0]:
+            best = (lower, upper, dd)
+    assert best is not None and best[2] > 0.02 * 1.5
+    assert (ci.lower, ci.upper, ci.d_delta) == best
 
 
 def test_quantile_ci_validation():
