@@ -8,7 +8,8 @@ value on the remaining n - n_l resampled points and records
 
 the plug-in order statistic.  The report carries every replicate value plus
 their exact sample median.  Each replicate owns a spawned RNG stream and
-calls the surrogate's least-squares core directly, one after another.
+solves the surrogate module's one least-squares system directly, plain or
+zero-anchored through the same call, one replicate after another.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .surrogate import (
     FunctionFamily,
     _check_weight,
     _extra_points,
-    _fit_design,
-    _WeightedPieces,
-    build_basis,
+    _System,
     compute_residuals,
 )
 
@@ -84,24 +83,16 @@ def bootstrap_error_quantile(
     if not np.all(np.isfinite(residuals)):
         raise DataError("base model gives non-finite residuals")
     x = experimental.inputs
-    extra = None
-    if extra_inputs is not None:
-        w = _check_weight(1.0 if weight is None else weight)
-        extra = _extra_points(extra_inputs, experimental.dim)
+    w = _check_weight(1.0 if weight is None else weight)
+    extra = None if extra_inputs is None else _extra_points(extra_inputs, experimental.dim)
     k = _order_index(n - n_learn, alpha)
 
     quantiles = np.empty(b_reps)
     for r, rep_seed in enumerate(spawn_seeds(seed, b_reps)):
         idx = make_rng(rep_seed).integers(0, n, size=n)
         learn, rest = idx[:n_learn], idx[n_learn:]
-        xl, el = x[learn], residuals[learn]
-        if extra is None:
-            basis = build_basis(family, xl)
-            coef = _fit_design(basis.design(xl), el, family.penalty, basis.roughness())
-        else:
-            fit = _WeightedPieces.on_data(family, xl, el, extra)
-            basis, coef = fit.basis, fit.solve(w, family.penalty)
-        pred = basis.predict(coef, x[rest])
+        fit = _System.on_data(family, x[learn], residuals[learn], extra)
+        pred = fit.basis.predict(fit.solve(family.penalty, w), x[rest])
         quantiles[r] = np.partition(np.abs(pred), k - 1)[k - 1]
     return BootstrapErrorReport(
         quantiles=quantiles,

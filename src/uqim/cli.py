@@ -11,8 +11,9 @@ artifact paths are resolved under ``--out-dir``.
 
 A ``--config`` JSON file (see :class:`uqim.data.RunConfig`) supplies
 defaults for seed/out-dir, ``l_n`` for the bootstrap learn size,
-and per-subcommand defaults through its ``methods`` block; explicit flags
-win over the config.
+and per-subcommand defaults through its ``methods`` block, each checked
+like the command-line value of its option; explicit flags win over the
+config.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,59 +66,11 @@ def _version() -> str:
 # report plumbing
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
-@dataclass
-class PipelineReport:
-    """JSON-serializable record of one CLI invocation."""
-
-    command: str
-    settings: dict
-    seed: int
-    version: str = ""
-    results: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "seed": self.seed,
-            "settings": _jsonify(self.settings),
-            "results": _jsonify(self.results),
-            "timings": _jsonify(self.timings),
-            "artifacts": list(self.artifacts),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PipelineReport":
-        return cls(
-            command=obj["command"],
-            settings=obj.get("settings", {}),
-            seed=obj.get("seed", 0),
-            version=obj.get("version", ""),
-            results=obj.get("results", {}),
-            timings=obj.get("timings", {}),
-            artifacts=list(obj.get("artifacts", [])),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineReport":
-        return cls.from_dict(json.loads(text))
+def _plain(obj):
+    """json.dumps ``default``: numpy arrays and scalars as Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -819,15 +772,58 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _resolve_ctx(args) -> _Ctx:
+def _method_defaults(parser, args, block: dict) -> None:
+    """Fill the unset options of the running subcommand from its config block.
+
+    Each value goes through its option's own ``type`` and ``choices``, as a
+    command-line string would; a ``store_true`` flag takes a JSON bool.  A
+    key that names no option of the subcommand is an error, and every bad key
+    is reported at once.  The global flags are no keys here: seed and out_dir
+    are top-level config keys.
+    """
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        a.dest: a
+        for a in subs.choices[args.command]._actions
+        if a.option_strings and a.dest not in _PRIVATE_ARGS + ("help",)
+    }
+    problems = []
+    for key, value in block.items():
+        opt = options.get(str(key).replace("-", "_"))
+        if opt is None:
+            problem = f"names no {args.command} option"
+        elif opt.nargs == 0:  # store_true: the flag or the config turns it on
+            if isinstance(value, bool):
+                setattr(args, opt.dest, getattr(args, opt.dest) or value)
+                continue
+            problem = f"must be true or false, got {value!r}"
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            problem = f"must be a string or a number, got {value!r}"
+        else:
+            try:
+                value = (opt.type or str)(str(value))
+            except ValueError:
+                problem = f"invalid {opt.type.__name__} value {value!r}"
+            else:
+                if opt.choices is None or value in opt.choices:
+                    if getattr(args, opt.dest) is None:
+                        setattr(args, opt.dest, value)
+                    continue
+                problem = f"must be one of {', '.join(opt.choices)}, got {value!r}"
+        problems.append((f"methods.{args.command}.{key}", problem))
+    if problems:
+        raise ValidationError(
+            "invalid configuration: " + "; ".join(f"{f}: {p}" for f, p in problems),
+            fields=[f for f, _ in problems],
+        )
+
+
+def _resolve_ctx(parser, args) -> _Ctx:
     config = RunConfig.from_json(args.config) if args.config else RunConfig()
     seed = args.seed if args.seed is not None else config.seed
     out_dir = args.out_dir or config.out_dir or "."
     # per-method defaults from the config, flags win
-    for key, value in config.methods.get(args.command, {}).items():
-        dest = str(key).replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+    _method_defaults(parser, args, config.methods.get(args.command, {}))
     if args.command == "bootstrap-error" and args.n_learn is None and config.l_n:
         args.n_learn = config.l_n
     return _Ctx(seed=int(seed), out_dir=out_dir, dry_run=bool(args.dry_run))
@@ -837,10 +833,11 @@ _PRIVATE_ARGS = ("command", "config", "report", "dry_run", "seed", "out_dir")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        ctx = _resolve_ctx(args)
+        ctx = _resolve_ctx(parser, args)
         if ctx.dry_run:
             settings = {
                 k: v for k, v in sorted(vars(args).items()) if k not in _PRIVATE_ARGS
@@ -849,16 +846,16 @@ def main(argv=None) -> int:
             results, artifacts = {}, []
         else:
             settings, results, artifacts = _HANDLERS[args.command](args, ctx)
-        report = PipelineReport(
-            command=args.command,
-            settings=settings,
-            seed=ctx.seed,
-            version=_version(),
-            results=results,
-            timings={"total_s": time.perf_counter() - started},
-            artifacts=artifacts,
-        )
-        text = report.to_json()
+        report = {
+            "command": args.command,
+            "version": _version(),
+            "seed": ctx.seed,
+            "settings": settings,
+            "results": results,
+            "timings": {"total_s": time.perf_counter() - started},
+            "artifacts": artifacts,
+        }
+        text = json.dumps(report, default=_plain, indent=2, sort_keys=True)
         print(text)
         if args.report:
             with open(ctx.path(args.report), "w") as fh:

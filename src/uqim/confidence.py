@@ -435,12 +435,15 @@ def _sup_separable(u, w, before, k_y, r_y, k_split):
 def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     """(sup_upper, sup_lower) arrays over the evaluation points.
 
-    With F the KDE cdf and mu the empirical measure, an interval [a, b]
-    scores e_hi[b] + e_lo[a] upward, where e_hi = mu(-inf, t + beta] - F(t)
-    and e_lo = F(t) - mu(-inf, t - beta).  Downward it scores e_lo[b] +
-    e_hi[a] when its shrunk interval (a + beta, b - beta), with both ends
-    rounded as computed, is nonempty, and F(b) - F(a) when it is empty, so
-    no interval counts a negative number of samples.
+    Only intervals [a, b] longer than kappa count, in both directions, and
+    "longer" means a < fl(b - kappa), the rounded ends of the one
+    ``cand - kappa`` search.  With F the KDE cdf and mu the empirical
+    measure, an interval scores e_hi[b] + e_lo[a] upward, where
+    e_hi = mu(-inf, t + beta] - F(t) and e_lo = F(t) - mu(-inf, t - beta).
+    Downward it scores e_lo[b] + e_hi[a] when its shrunk interval
+    (a + beta, b - beta), with both ends rounded as computed, is nonempty,
+    and F(b) - F(a) when it is empty, so no interval counts a negative
+    number of samples.
     """
     n = sorted_outputs.size
     cdf = kde_cdf(kde, cand)
@@ -544,7 +547,7 @@ def density_band(
 ) -> DensityBand:
     """Simultaneous confidence band for the density of the true output.
 
-    Guarantees hold for integrals over intervals of length >= kappa inside
+    Guarantees hold for integrals over intervals of length > kappa inside
     ``interval``.  Multiple bandwidths combine by pointwise min of uppers
     and max of lowers.  Requires 2/N^2 < delta.
     """

@@ -20,6 +20,10 @@ at the boundary).  The residual-correction machinery fits a second model to
 (X_i, eps_i) pairs, optionally anchored toward zero on extra input points,
 with the weight and penalty selected by k-fold cross validation scored on
 the experimental data only.
+
+Every fit (plain, GCV, zero-anchored, each CV fold and each bootstrap
+replicate) assembles and solves one penalized normal-equation system,
+``_System``.
 """
 
 from __future__ import annotations
@@ -350,44 +354,80 @@ class ImprovedSurrogate:
         return self.base(points) + self.residual(points)
 
 
-def _solve_normal(gram, rhs, penalty, rough, stacked_design=None):
-    """Solve (gram + penalty * rough) c = rhs with rank diagnostics."""
-    a = gram + penalty * rough
-    if penalty == 0.0 and stacked_design is not None:
-        if np.linalg.matrix_rank(stacked_design) < gram.shape[0]:
-            raise RankDeficiencyError(
-                "singular least-squares system with zero penalty; "
-                "use a positive penalty weight or a smaller basis"
+_SINGULAR = (
+    "singular least-squares system with zero penalty; "
+    "use a positive penalty weight or a smaller basis"
+)
+
+
+class _System:
+    """The penalized least-squares system (gram + penalty R) c = rhs of one
+    fit on one basis: the design ``b1`` of the fitted rows with targets ``y``,
+    optionally the design ``b2`` of zero-anchored extra rows, and the
+    b1^T b1, b1^T y and b2^T b2 that every (weight, penalty) pair shares.
+    Every fit in this module solves through :meth:`solve` (the GCV loop also
+    needs the hat-matrix trace), the one place to change the solver.
+    """
+
+    def __init__(self, basis, b1, y, b2=None):
+        self.basis, self.b1, self.b2, self.rough = basis, b1, b2, basis.roughness()
+        self.g1, self.r1 = b1.T @ b1, b1.T @ y
+        self.g2 = None if b2 is None else b2.T @ b2
+
+    @classmethod
+    def on_data(cls, family: FunctionFamily, inputs, y, extra=None) -> "_System":
+        if extra is None:
+            basis = build_basis(family, inputs)
+            return cls(basis, basis.design(inputs), y)
+        basis = build_basis(family, np.vstack([inputs, extra]))
+        return cls(basis, basis.design(inputs), y, basis.design(extra))
+
+    def normal(self, w: float = 1.0):
+        """(gram, rhs): plain mean squares, or weight ``w`` on the fitted
+        rows and 1 - w on the zero anchor."""
+        n = self.b1.shape[0]
+        if self.b2 is None:
+            return self.g1 / n, self.r1 / n
+        n1 = self.b2.shape[0]
+        return (w / n) * self.g1 + ((1.0 - w) / n1) * self.g2, (w / n) * self.r1
+
+    def solve(self, penalty: float, w: float = 1.0) -> np.ndarray:
+        """Coefficients at ``penalty`` (and anchor weight ``w``), with rank
+        diagnostics at zero penalty."""
+        gram, rhs = self.normal(w)
+        b, n = self.b1, self.b1.shape[0]
+        if penalty == 0.0 and self.b2 is None and n < b.shape[1]:
+            raise InsufficientDataError(
+                f"{n} rows cannot determine {b.shape[1]} coefficients "
+                "without a positive penalty"
             )
-    try:
-        return np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        if penalty == 0.0:
-            raise RankDeficiencyError(
-                "singular least-squares system with zero penalty; "
-                "use a positive penalty weight or a smaller basis"
-            ) from exc
-        raise ConditioningError(f"normal equations unsolvable: {exc}") from exc
+        if penalty == 0.0 and self.b2 is not None:
+            s, s1 = np.sqrt(w / n), np.sqrt((1.0 - w) / self.b2.shape[0])
+            b = np.vstack([s * b, s1 * self.b2])
+        if penalty == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]:
+            raise RankDeficiencyError(_SINGULAR)
+        try:
+            return np.linalg.solve(gram + penalty * self.rough, rhs)
+        except np.linalg.LinAlgError as exc:
+            if penalty == 0.0:
+                raise RankDeficiencyError(_SINGULAR) from exc
+            raise ConditioningError(f"normal equations unsolvable: {exc}") from exc
 
-
-def _fit_design(b, y, penalty, rough) -> np.ndarray:
-    """Coefficients of the penalized least-squares fit of ``y`` on design ``b``."""
-    if penalty == 0.0 and b.shape[0] < b.shape[1]:
-        raise InsufficientDataError(
-            f"{b.shape[0]} rows cannot determine {b.shape[1]} coefficients "
-            "without a positive penalty"
-        )
-    n = b.shape[0]
-    return _solve_normal(b.T @ b / n, b.T @ y / n, penalty, rough, b)
+    def penalty_scale(self) -> float:
+        """trace(B^T B / rows) / trace(R) over every row of the system."""
+        tr_r = float(np.trace(self.rough))
+        if tr_r <= 0:
+            return 1.0
+        b = self.b1 if self.b2 is None else np.vstack([self.b1, self.b2])
+        return max(float(np.trace(b.T @ b / b.shape[0])) / tr_r, np.finfo(float).tiny)
 
 
 def fit_penalized_ls(family: FunctionFamily, data: PairedDataset) -> SurrogateModel:
     """Fit the family to (inputs, outputs) by penalized least squares."""
-    basis = build_basis(family, data.inputs)
-    coef = _fit_design(
-        basis.design(data.inputs), data.outputs, family.penalty, basis.roughness()
+    fit = _System.on_data(family, data.inputs, data.outputs)
+    return SurrogateModel(
+        family=family, basis=fit.basis, coef=fit.solve(family.penalty), train_size=data.n
     )
-    return SurrogateModel(family=family, basis=basis, coef=coef, train_size=data.n)
 
 
 def penalized_objective(model: SurrogateModel, points, targets) -> float:
@@ -397,13 +437,6 @@ def penalized_objective(model: SurrogateModel, points, targets) -> float:
         model.coef @ model.basis.roughness() @ model.coef
     )
     return float(np.mean(resid**2) + pen)
-
-
-def _penalty_scale(gram, rough) -> float:
-    tr_r = float(np.trace(rough))
-    if tr_r <= 0:
-        return 1.0
-    return max(float(np.trace(gram)) / tr_r, np.finfo(float).tiny)
 
 
 def default_gcv_grid(scale: float) -> np.ndarray:
@@ -417,18 +450,15 @@ def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
     ``model.family.penalty`` and ``model.cv_score`` holds its GCV value.
     Ties prefer the smaller penalty.
     """
-    basis = build_basis(family, data.inputs)
-    b = basis.design(data.inputs)
+    fit = _System.on_data(family, data.inputs, data.outputs)
     n = data.n
-    gram = b.T @ b / n
-    rhs = b.T @ data.outputs / n
-    rough = basis.roughness()
+    gram, rhs = fit.normal()
     if grid is None:
-        grid = default_gcv_grid(_penalty_scale(gram, rough))
+        grid = default_gcv_grid(fit.penalty_scale())
     grid = np.sort(np.asarray(grid, dtype=float))
     best = None
     for pen in grid:
-        a = gram + pen * rough
+        a = gram + pen * fit.rough
         try:
             coef = np.linalg.solve(a, rhs)
             tr_h = float(np.trace(np.linalg.solve(a, gram)))
@@ -437,7 +467,7 @@ def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
         denom = 1.0 - tr_h / n
         if denom <= 1e-9:
             continue
-        score = float(np.mean((data.outputs - b @ coef) ** 2)) / denom**2
+        score = float(np.mean((data.outputs - fit.b1 @ coef) ** 2)) / denom**2
         if best is None or score < best[0]:
             best = (score, pen, coef)
     if best is None:
@@ -445,7 +475,7 @@ def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
     score, pen, coef = best
     return SurrogateModel(
         family=family.with_penalty(pen),
-        basis=basis,
+        basis=fit.basis,
         coef=coef,
         train_size=n,
         cv_score=score,
@@ -489,30 +519,6 @@ def _check_weight(weight) -> float:
     return w
 
 
-class _WeightedPieces:
-    """The zero-anchored residual fit on one basis, reduced to what every
-    (weight, penalty) pair shares: the designs b1 of the experimental rows
-    and b2 of the extra inputs, b1^T b1, b2^T b2 and b1^T eps."""
-
-    def __init__(self, basis, b1, b2, eps):
-        self.basis, self.b1, self.b2, self.rough = basis, b1, b2, basis.roughness()
-        self.g1, self.g2, self.r1 = b1.T @ b1, b2.T @ b2, b1.T @ eps
-
-    @classmethod
-    def on_data(cls, family: FunctionFamily, inputs, eps, extra) -> "_WeightedPieces":
-        basis = build_basis(family, np.vstack([inputs, extra]))
-        return cls(basis, basis.design(inputs), basis.design(extra), eps)
-
-    def solve(self, w: float, penalty: float) -> np.ndarray:
-        n, n1 = self.b1.shape[0], self.b2.shape[0]
-        gram = (w / n) * self.g1 + ((1.0 - w) / n1) * self.g2
-        stacked = None
-        if penalty == 0.0:
-            s, s1 = np.sqrt(w / n), np.sqrt((1.0 - w) / n1)
-            stacked = np.vstack([s * self.b1, s1 * self.b2])
-        return _solve_normal(gram, (w / n) * self.r1, penalty, self.rough, stacked)
-
-
 def fit_residual_model_weighted(
     family: FunctionFamily,
     experimental: PairedDataset,
@@ -530,21 +536,17 @@ def fit_residual_model_weighted(
     if residuals.shape[0] != experimental.n:
         raise DataError(f"{residuals.shape[0]} residuals for {experimental.n} rows")
     extra = _extra_points(extra_inputs, experimental.dim)
-    fit = _WeightedPieces.on_data(family, experimental.inputs, residuals, extra)
-    coef = fit.solve(w, family.penalty)
-    return SurrogateModel(family, fit.basis, coef, train_size=experimental.n)
+    fit = _System.on_data(family, experimental.inputs, residuals, extra)
+    return SurrogateModel(
+        family, fit.basis, fit.solve(family.penalty, w), train_size=experimental.n
+    )
 
 
 DEFAULT_W_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
-def default_penalty_grid(family: FunctionFamily, experimental, extra_inputs):
-    """Zero plus a geometric sweep scaled to the design."""
-    extra = _extra_points(extra_inputs, experimental.dim)
-    allpts = np.vstack([experimental.inputs, extra])
-    basis = build_basis(family, allpts)
-    b = basis.design(allpts)
-    scale = _penalty_scale(b.T @ b / b.shape[0], basis.roughness())
+def default_penalty_grid(scale: float) -> np.ndarray:
+    """Zero plus a geometric sweep of the design's penalty scale."""
     return np.concatenate([[0.0], scale * np.logspace(-8, 1, 10)])
 
 
@@ -586,23 +588,24 @@ def select_weight_and_penalty(
     if w_grid is None:
         w_grid = DEFAULT_W_GRID
     w_grid = sorted(_check_weight(w) for w in w_grid)
-    if penalty_grid is None:
-        penalty_grid = default_penalty_grid(family, experimental, extra_inputs)
-    penalty_grid = sorted(float(p) for p in penalty_grid)
-
-    perm = make_rng(seed).permutation(n)
     x = experimental.inputs
     extra = _extra_points(extra_inputs, experimental.dim)
+    # one full-data system scales the default grid and fits the final model
+    full = _System.on_data(family, x, eps, extra)
+    if penalty_grid is None:
+        penalty_grid = default_penalty_grid(full.penalty_scale())
+    penalty_grid = sorted(float(p) for p in penalty_grid)
+    perm = make_rng(seed).permutation(n)
 
-    # one basis and one set of Gram pieces per fold serve all the cells; a
-    # cell's squared errors add up in fold order, and it fails (None, scored
-    # inf) at its first fold that cannot be fitted
+    # one system per fold serves all the cells; a cell's squared errors add
+    # up in fold order, and it fails (None, scored inf) at its first fold
+    # that cannot be fitted
     cells = [(w, pen) for w in w_grid for pen in penalty_grid]
     sse = [0.0] * len(cells)
     for hold in np.array_split(perm, folds):
         train = np.setdiff1d(perm, hold, assume_unique=True)
         try:
-            fit = _WeightedPieces.on_data(family, x[train], eps[train], extra)
+            fit = _System.on_data(family, x[train], eps[train], extra)
         except DataError:
             sse = [None] * len(cells)
             break
@@ -612,7 +615,7 @@ def select_weight_and_penalty(
         for i, (w, pen) in enumerate(cells):
             if sse[i] is not None:
                 try:
-                    coef = fit.solve(w, pen)
+                    coef = fit.solve(pen, w)
                 except (RankDeficiencyError, ConditioningError):
                     sse[i] = None
                     continue
@@ -623,10 +626,10 @@ def select_weight_and_penalty(
     w, pen, score = min(table, key=lambda row: row[2])  # first minimum wins ties
     if not np.isfinite(score):
         raise ConditioningError("every (weight, penalty) combination failed")
-    model = fit_residual_model_weighted(
-        family.with_penalty(pen), experimental, eps, extra, w
+    model = SurrogateModel(
+        family.with_penalty(pen), full.basis, full.solve(pen, w), train_size=n,
+        cv_score=score,
     )
-    model.cv_score = score
     return WeightSelection(weight=w, penalty=pen, cv_risk=score, model=model, table=table)
 
 

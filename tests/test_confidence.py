@@ -423,8 +423,8 @@ def _brute_sup(direction, y, kappa, beta, kde, outputs, extra=()):
         for b in cand[i:]:
             if b < y:
                 continue
-            length = b - a
-            if length <= kappa:
+            # longer than kappa as the program rounds it: a < fl(b - kappa)
+            if not a < b - kappa:
                 continue
             integral = float(kde_cdf(kde, b) - kde_cdf(kde, a))
             if direction == "upper":
@@ -466,21 +466,30 @@ def test_sup_mismatch_exhaustive_oracle():
 
 
 @pytest.mark.parametrize(
-    "case", ["beta_zero", "short_beta", "long_beta", "tie_0.30", "tie_0.33"]
+    "case",
+    ["beta_zero", "short_beta", "long_beta", "tie_0.30", "tie_0.33",
+     "lattice_29", "lattice_33"],
 )
 def test_band_sups_grid_exhaustive_oracle(case):
     """Every grid point at once, with the grid among the candidates.
 
     The ``tie`` cases have lower-direction intervals [v - beta, v + beta]
     whose shrunk interval is empty but, as rounded, can count -1 samples.
+    The ``lattice`` cases round the outputs to 2 decimals, where fl(b - a)
+    > kappa and a < fl(b - kappa) disagree about which intervals are long.
     """
-    rng = np.random.default_rng(26)
     kappa = 0.3
-    beta, h = {"beta_zero": (0.0, 0.2), "short_beta": (0.12, 0.2),
-               "long_beta": (2.0, 0.2), "tie_0.30": (0.3, 0.1),
-               "tie_0.33": (0.33, 0.1)}[case]
+    seed, n, beta, h = {
+        "beta_zero": (26, 5, 0.0, 0.2), "short_beta": (26, 5, 0.12, 0.2),
+        "long_beta": (26, 5, 2.0, 0.2), "tie_0.30": (26, 5, 0.3, 0.1),
+        "tie_0.33": (26, 5, 0.33, 0.1), "lattice_29": (29, 6, 0.15, 0.2),
+        "lattice_33": (33, 6, 0.3, 0.1),
+    }[case]
+    rng = np.random.default_rng(seed)
     for _ in range(2):
-        outputs = np.sort(rng.normal(size=5))
+        outputs = np.sort(rng.normal(size=n))
+        if case.startswith("lattice"):
+            outputs = np.round(outputs, 2)
         kde = KdeModel(values=outputs, bandwidth=h, kernel="naive")
         grid = np.linspace(outputs[0] - 0.5, outputs[-1] + 0.5, 21)
         cand = np.unique(

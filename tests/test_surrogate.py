@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import uqim.surrogate
 from uqim.data import InputSample, PairedDataset
 from uqim.errors import (
     ConditioningError,
@@ -18,6 +19,7 @@ from uqim.surrogate import (
     RbfBasis,
     SplineBasis,
     SurrogateModel,
+    build_basis,
     compute_residuals,
     fit_penalized_ls,
     fit_residual_model,
@@ -31,7 +33,7 @@ from uqim.surrogate import (
     save_model,
     select_weight_and_penalty,
 )
-from uqim.synthetic import make_hidim_like
+from uqim.synthetic import make_hidim_like, make_mafds_like
 
 
 def _data(x, y, kind="simulated"):
@@ -84,6 +86,14 @@ def test_underdetermined_without_penalty_rejected():
     data = _data([0.0, 1.0], [0.0, 1.0])
     with pytest.raises(InsufficientDataError):
         fit_penalized_ls(FunctionFamily("poly", 3), data)
+    # the zero-anchored fit checks only the rank of its stacked design, so
+    # weighted CV scores such a cell inf instead of stopping
+    exp = _data([0.0, 1.0], [0.0, 0.0], kind="experimental")
+    for w in (1.0, 0.5):
+        with pytest.raises(RankDeficiencyError, match="positive penalty"):
+            fit_residual_model_weighted(
+                FunctionFamily("poly", 3), exp, [0.0, 1.0], [[0.5]], weight=w
+            )
 
 
 def test_compute_residuals_trivial_cases():
@@ -339,6 +349,51 @@ def test_weighted_cv_table_matches_oracle_5d(family):
     oracle = _weighted_cv_oracle(family, exp, eps, sim.inputs,
                                  [w for w, _, _ in sel.table[::11]], grid, 5, 11)
     assert sel.table == oracle
+
+
+def _old_default_penalty_grid(family, inputs, extra):
+    """The default weighted-CV penalty grid from its formula: one basis and
+    design of all rows, scaled by trace(b^T b / rows) / trace(R)."""
+    allpts = np.vstack([inputs, extra])
+    basis = build_basis(family, allpts)
+    b = basis.design(allpts)
+    scale = float(np.trace(b.T @ b / b.shape[0])) / float(np.trace(basis.roughness()))
+    return [0.0, *(scale * np.logspace(-8, 1, 10))]
+
+
+@pytest.mark.parametrize("family, dim", [
+    (FunctionFamily("spline1d", 8), 1),
+    (FunctionFamily("rbf", 12), 1),
+    (FunctionFamily("poly", 2), 1),
+    (FunctionFamily("rbf", 20), 5),
+    (FunctionFamily("poly", 2), 5),
+], ids=["spline1d_1d", "rbf_1d", "poly_1d", "rbf_5d", "poly_5d"])
+def test_select_fits_one_full_data_system(family, dim, monkeypatch):
+    # the default grid's scale and the selected model come from one system
+    # on all rows: 5 fold bases and 1 full-data basis
+    system = make_mafds_like() if dim == 1 else make_hidim_like(bias_kind="linear")
+    exp = system.draw_experiment(50, seed=1)
+    sim = system.draw_simulation(200, seed=2)
+    eps = compute_residuals(fit_penalized_ls(FunctionFamily("poly", 1), sim), exp)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_basis(*args)
+
+    monkeypatch.setattr(uqim.surrogate, "build_basis", counted)
+    sel = select_weight_and_penalty(family, exp, eps, sim.inputs, seed=11)
+    monkeypatch.undo()
+    assert len(calls) == 6
+    assert [p for _, p, _ in sel.table[:11]] == _old_default_penalty_grid(
+        family, exp.inputs, sim.inputs
+    )
+    refit = fit_residual_model_weighted(
+        family.with_penalty(sel.penalty), exp, eps, sim.inputs, sel.weight
+    )
+    assert np.array_equal(sel.model.coef, refit.coef)
+    assert sel.model.family == refit.family
+    assert sel.model.cv_score == sel.cv_risk
 
 
 def test_improved_surrogate_trivial_cases():
