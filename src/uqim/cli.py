@@ -11,9 +11,10 @@ artifact paths are resolved under ``--out-dir``.
 
 A ``--config`` JSON file (see :class:`uqim.data.RunConfig`) supplies
 defaults for seed/out-dir, ``l_n`` for the bootstrap learn size,
-and per-subcommand defaults through its ``methods`` block, each checked
-like the command-line value of its option; explicit flags win over the
-config.
+and per-subcommand defaults through its ``methods`` blocks.  Every block
+must name a subcommand and every value is checked like the command-line
+value of its option, but only the running subcommand's block sets
+defaults; explicit flags win over the config.
 """
 
 from __future__ import annotations
@@ -772,45 +773,53 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _method_defaults(parser, args, block: dict) -> None:
-    """Fill the unset options of the running subcommand from its config block.
+def _method_defaults(parser, args, methods: dict) -> None:
+    """Check every config method block; fill the unset options of the running
+    subcommand from its block.
 
-    Each value goes through its option's own ``type`` and ``choices``, as a
-    command-line string would; a ``store_true`` flag takes a JSON bool.  A
-    key that names no option of the subcommand is an error, and every bad key
-    is reported at once.  The global flags are no keys here: seed and out_dir
-    are top-level config keys.
+    A block must be named after a subcommand.  Each value goes through its
+    option's own ``type`` and ``choices``, as a command-line string would; a
+    ``store_true`` flag takes a JSON bool.  A key that names no option of its
+    subcommand is an error.  The blocks of the other subcommands are checked
+    alike but set nothing, and every problem is reported at once.  The
+    global flags are no keys here: seed and out_dir are top-level config keys.
     """
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {
-        a.dest: a
-        for a in subs.choices[args.command]._actions
-        if a.option_strings and a.dest not in _PRIVATE_ARGS + ("help",)
-    }
     problems = []
-    for key, value in block.items():
-        opt = options.get(str(key).replace("-", "_"))
-        if opt is None:
-            problem = f"names no {args.command} option"
-        elif opt.nargs == 0:  # store_true: the flag or the config turns it on
-            if isinstance(value, bool):
-                setattr(args, opt.dest, getattr(args, opt.dest) or value)
-                continue
-            problem = f"must be true or false, got {value!r}"
-        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            problem = f"must be a string or a number, got {value!r}"
-        else:
-            try:
-                value = (opt.type or str)(str(value))
-            except ValueError:
-                problem = f"invalid {opt.type.__name__} value {value!r}"
-            else:
-                if opt.choices is None or value in opt.choices:
-                    if getattr(args, opt.dest) is None:
-                        setattr(args, opt.dest, value)
+    for command, block in methods.items():
+        if command not in subs.choices:
+            problems.append((f"methods.{command}", "names no subcommand"))
+            continue
+        options = {
+            a.dest: a
+            for a in subs.choices[command]._actions
+            if a.option_strings and a.dest not in _PRIVATE_ARGS + ("help",)
+        }
+        running = command == args.command
+        for key, value in block.items():
+            opt = options.get(str(key).replace("-", "_"))
+            if opt is None:
+                problem = f"names no {command} option"
+            elif opt.nargs == 0:  # store_true: the flag or the config turns it on
+                if isinstance(value, bool):
+                    if running:
+                        setattr(args, opt.dest, getattr(args, opt.dest) or value)
                     continue
-                problem = f"must be one of {', '.join(opt.choices)}, got {value!r}"
-        problems.append((f"methods.{args.command}.{key}", problem))
+                problem = f"must be true or false, got {value!r}"
+            elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                problem = f"must be a string or a number, got {value!r}"
+            else:
+                try:
+                    value = (opt.type or str)(str(value))
+                except ValueError:
+                    problem = f"invalid {opt.type.__name__} value {value!r}"
+                else:
+                    if opt.choices is None or value in opt.choices:
+                        if running and getattr(args, opt.dest) is None:
+                            setattr(args, opt.dest, value)
+                        continue
+                    problem = f"must be one of {', '.join(opt.choices)}, got {value!r}"
+            problems.append((f"methods.{command}.{key}", problem))
     if problems:
         raise ValidationError(
             "invalid configuration: " + "; ".join(f"{f}: {p}" for f, p in problems),
@@ -823,7 +832,7 @@ def _resolve_ctx(parser, args) -> _Ctx:
     seed = args.seed if args.seed is not None else config.seed
     out_dir = args.out_dir or config.out_dir or "."
     # per-method defaults from the config, flags win
-    _method_defaults(parser, args, config.methods.get(args.command, {}))
+    _method_defaults(parser, args, config.methods)
     if args.command == "bootstrap-error" and args.n_learn is None and config.l_n:
         args.n_learn = config.l_n
     return _Ctx(seed=int(seed), out_dir=out_dir, dry_run=bool(args.dry_run))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedDataset
-from .density import KdeModel, _order_index, kde_cdf, kde_evaluate
+from .density import BLOCK, KdeModel, _order_index, kde_cdf, kde_evaluate
 from .errors import DomainError, InfeasibleError
 
 
@@ -418,18 +418,34 @@ def _window_max(s, lo, hi):
 def _sup_separable(u, w, before, k_y, r_y, k_split):
     """For each y: sup{u[k] + w[j] : cand[j] <= y <= cand[k], j < before[k]}.
 
-    ``before`` is nondecreasing.  ``k_y`` and ``r_y`` count the candidates
-    < y and <= y; ``k_split`` splits the k into those with before[k] <= r_y
-    and those from which on before[k] >= r_y.
+    ``before`` is nondecreasing with before[k] <= k.  ``k_y`` and ``r_y``
+    count the candidates < y and <= y; ``k_split`` splits the k into those
+    with before[k] <= r_y and those from which on before[k] >= r_y.
     """
     pref = np.empty(w.size + 1)  # pref[i] = max(w[:i]), -inf for i = 0
     pref[0] = -np.inf
     np.maximum.accumulate(w, out=pref[1:])
     # k from k_split on pairs with every j <= y, nearer k with every j < before[k]
     far = pref[r_y] + _window_max(u, k_split, np.full(k_split.shape, u.size))
-    near = pref[before]
-    near += u
+    # near[k] = pref[before[k]] + u[k] overwrites pref[k]: a block reads pref
+    # below its own end only (before[k] <= k), so from the top block down
+    # nothing is overwritten before it is read
+    near = pref[:-1]
+    for a in reversed(range(0, u.size, BLOCK)):
+        part = pref[before[a : a + BLOCK]]
+        part += u[a : a + BLOCK]
+        near[a : a + BLOCK] = part
     return np.maximum(far, _window_max(near, k_y, k_split))
+
+
+def _search(haystack, needles, side, out, shift=None):
+    """out[i] = searchsorted(haystack, needles[i] (+ shift)), in blocks."""
+    for a in range(0, needles.size, BLOCK):
+        part = needles[a : a + BLOCK]
+        out[a : a + BLOCK] = np.searchsorted(
+            haystack, part if shift is None else part + shift, side=side
+        )
+    return out
 
 
 def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
@@ -444,38 +460,54 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     (a + beta, b - beta), with both ends rounded as computed, is nonempty,
     and F(b) - F(a) when it is empty, so no interval counts a negative
     number of samples.
+
+    Besides ``cand``, at most three float arrays of its length are alive at
+    once: ``cdf``, the ``cand + beta`` buffer that becomes ``e_hi``, and one
+    of ``short``, ``e_lo``; then, with ``cdf`` freed, ``e_hi``, ``e_lo`` and
+    the prefix maxima of ``_sup_separable``.  The index arrays are 32-bit
+    below 2**31 candidates, and every search runs in blocks of needles.
     """
-    n = sorted_outputs.size
-    cdf = kde_cdf(kde, cand)
-    e_hi = np.searchsorted(sorted_outputs, cand + beta, side="right") / n
-    e_hi -= cdf
-    e_lo = np.searchsorted(sorted_outputs, cand - beta, side="left") / n
-    np.subtract(cdf, e_lo, out=e_lo)
+    n, size = sorted_outputs.size, cand.size
+    index = np.int32 if size < 2**31 else np.intp
     k_y = np.searchsorted(cand, y_grid, side="left")
     r_y = np.searchsorted(cand, y_grid, side="right")
-    past_kappa = np.searchsorted(cand, cand - kappa, side="left")
     k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
-    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
+    past_kappa = _search(cand, cand, "left", np.empty(size, index), -kappa)
+    cdf = kde_cdf(kde, cand)
+    e_hi = cand + beta
     # once kappa exceeds 2 beta by more than the rounding of the interval
     # ends, every interval longer than kappa has a nonempty shrunk interval
     ends = max(abs(cand[0]), abs(cand[-1])) + max(kappa, beta)
-    if kappa - 2.0 * beta > 2.0 * np.spacing(ends):
+    has_short = not kappa - 2.0 * beta > 2.0 * np.spacing(ends)
+    if has_short:
+        # the a < before[b] are exactly the partners of b with b - a > kappa
+        # and a nonempty shrunk interval, its ends rounded as in e_hi and
+        # e_lo; before is nondecreasing
+        before = _search(e_hi, cand, "left", np.empty(size, index), -beta)
+        np.minimum(before, past_kappa, out=before)
+        # the b below k_long[q] have only partners a <= y[q], the b from it
+        # on every a <= y[q]; needles of int64 would copy before to int64
+        k_long = np.searchsorted(before, r_y.astype(index), side="left")
+        # an empty shrunk interval with b - a > kappa scores F(b) - F(a), best
+        # at the smallest such a = cand[before[b]], which must be <= y:
+        # b < k_long
+        short = cdf[before]
+        np.subtract(cdf, short, out=short)
+        short[before == past_kappa] = -np.inf
+        short_max = _window_max(short, k_y, k_long)
+        del short
+    _search(sorted_outputs, e_hi, "right", e_hi)  # needles cand + beta
+    e_hi /= n
+    e_hi -= cdf
+    e_lo = _search(sorted_outputs, cand, "left", np.empty(size), -beta)
+    e_lo /= n
+    np.subtract(cdf, e_lo, out=e_lo)
+    del cdf
+    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
+    if not has_short:
         return sup_up, _sup_separable(e_lo, e_hi, past_kappa, k_y, r_y, k_kappa)
-    # the a < before[b] are exactly the partners of b with b - a > kappa and
-    # a nonempty shrunk interval, its ends rounded as in e_hi and e_lo;
-    # before is nondecreasing
-    before = np.searchsorted(cand + beta, cand - beta, side="left")
-    np.minimum(before, past_kappa, out=before)
-    # the b below k_long[q] have only partners a <= y[q], the b from it on
-    # every a <= y[q]
-    k_long = np.searchsorted(before, r_y, side="left")
     sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
-    # an empty shrunk interval with b - a > kappa scores F(b) - F(a), best at
-    # the smallest such a = cand[before[b]], which must be <= y: b < k_long
-    short = cdf[before]
-    np.subtract(cdf, short, out=short)
-    short[before == past_kappa] = -np.inf
-    return sup_up, np.maximum(sup_lo, _window_max(short, k_y, k_long))
+    return sup_up, np.maximum(sup_lo, short_max)
 
 
 def sup_interval_mismatch(

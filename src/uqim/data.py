@@ -247,8 +247,8 @@ _UINT64_MAX = 2**64 - 1
 class RunConfig:
     """Pipeline configuration: seed, sample sizes and per-method blocks.
 
-    ``methods`` maps a method name (CLI subcommand) to an opaque dict of
-    parameters interpreted by that method.
+    ``methods`` maps a method name (CLI subcommand) to a dict of its
+    parameters; the CLI checks every block against its subcommand's options.
     """
 
     seed: int = 0

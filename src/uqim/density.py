@@ -22,6 +22,10 @@ from .errors import DomainError, InsufficientDataError, ZeroSpreadError
 
 KERNELS = ("naive", "gauss", "epanechnikov")
 
+# queries per block of the elementwise KDE CDF and the density band's
+# searches: each temporary of a block is 512 KB and stays in cache
+BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class KdeModel:
@@ -85,13 +89,19 @@ def kde_cdf(model: KdeModel, y) -> np.ndarray:
     v, h, n = model.values, model.bandwidth, model.n
     if model.kernel == "naive":
         # sum of clip(t - v + h, 0, 2h) via sorted prefix sums; taken relative
-        # to v[0] so that a large common offset does not cancel
-        full = np.searchsorted(v, t - h, side="right")
-        part = np.searchsorted(v, t + h, side="left")
+        # to v[0] so that a large common offset does not cancel.  Blocks of
+        # BLOCK queries keep the temporaries in cache
         prefix = np.zeros(n + 1)
         np.cumsum(v - v[0], out=prefix[1:])
-        mid = (part - full) * (t + h - v[0]) - (prefix[part] - prefix[full])
-        out = (2.0 * h * full + mid) / (2.0 * n * h)
+        flat = t.ravel()
+        out = np.empty(flat.shape)
+        for a in range(0, flat.size, BLOCK):
+            tb = flat[a : a + BLOCK]
+            full = np.searchsorted(v, tb - h, side="right")
+            part = np.searchsorted(v, tb + h, side="left")
+            mid = (part - full) * (tb + h - v[0]) - (prefix[part] - prefix[full])
+            out[a : a + BLOCK] = (2.0 * h * full + mid) / (2.0 * n * h)
+        out = out.reshape(t.shape)
         np.clip(out, 0.0, 1.0, out=out)  # the prefix sums round
     elif model.kernel == "epanechnikov":
         out = np.empty(t.shape)

@@ -89,11 +89,20 @@ def _as_points(x, dim: int) -> np.ndarray:
 
 
 def _predict_in_chunks(basis, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``basis.design(x) @ coef`` over row chunks; caps design scratch at ~32 MB."""
+    """``basis.design(x) @ coef`` over blocks of rows.
+
+    A block's design holds about 2**16 values (512 KB), so it stays in cache
+    between ``design`` and the product.  Its row count is a power of two and
+    at least 16: the block, and each half or quarter of it that OpenBLAS's
+    dgemv hands to 2 or 4 threads, starts at a multiple of the 4-row groups
+    in which dgemv takes rows (a row outside such a group can round
+    differently).
+    """
     x = _as_points(points, basis.dim)
     coef = np.asarray(coef, dtype=float)
     out = np.empty(x.shape[0])
-    step = max(1, 2**22 // max(basis.n_coef, 1))
+    rows = max(2**16 // max(basis.n_coef, 1), 1)  # rows within 2**16 values
+    step = max(16, 1 << (rows.bit_length() - 1))
     for a in range(0, x.shape[0], step):
         out[a : a + step] = basis.design(x[a : a + step]) @ coef
     return out
@@ -236,12 +245,16 @@ class RbfBasis:
         # below 8 dimensions this is np.sum's order over that trailing axis,
         # from 8 on np.sum keeps 8 partial sums and may differ in the last bit
         d2 = np.zeros((x.shape[0], self.n_coef - 1))
+        diff = np.empty_like(d2)
         for j in range(self.dim):
-            diff = x[:, j, None] - self.centers[None, :, j]
-            d2 += diff * diff
+            np.subtract(x[:, j, None], self.centers[:, j], out=diff)
+            diff *= diff
+            d2 += diff
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * self.lengthscale**2
         out = np.empty((x.shape[0], self.n_coef))
         out[:, 0] = 1.0
-        out[:, 1:] = np.exp(-d2 / (2.0 * self.lengthscale**2))
+        out[:, 1:] = np.exp(d2, out=d2)
         return out
 
     predict = _predict_in_chunks
@@ -280,16 +293,22 @@ class PolyBasis:
                 mat[i, j] += 1
         self.powers = mat
         self.n_coef = mat.shape[0]
+        # (j, power) of each column's factors other than pow(x_j, 0), in order of j
+        self._factors = [[(j, p) for j, p in enumerate(row) if p] for row in mat]
 
     def design(self, points: np.ndarray) -> np.ndarray:
         x = _as_points(points, self.dim)
-        # one power table per dimension, multiplied in order of j as np.prod
-        # over a trailing (m, n_coef, d) axis does; the array exponent keeps
-        # pow() (x * x can differ from pow(x, 2) in the last bit)
+        # one power table per dimension; the array exponent keeps pow()
+        # (x * x can differ from pow(x, 2) in the last bit).  A column is the
+        # product of its table factors in order of j, as np.prod over a
+        # trailing (m, n_coef, d) axis takes it, with the factors
+        # pow(x_j, 0) = 1.0 left out: 1.0 * a == a, so no bit changes
         exps = np.arange(self.degree + 1)
+        tables = [x[:, j, None] ** exps for j in range(self.dim)]
         out = np.ones((x.shape[0], self.n_coef))
-        for j in range(self.dim):
-            out *= (x[:, j, None] ** exps)[:, self.powers[:, j]]
+        for col, factors in zip(out.T, self._factors):
+            for j, p in factors:
+                col *= tables[j][:, p]
         return out
 
     predict = _predict_in_chunks

@@ -215,6 +215,29 @@ def test_config_method_values_are_validated(tmp_path, argv, block, fields):
     assert payload["fields"] == fields
 
 
+def test_config_blocks_of_every_subcommand_are_checked(tmp_path):
+    # a block named after no subcommand, and a bad block of a subcommand that
+    # is not running, are reported together
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit_surrogate": {"folds": "x"}, "avm": {"grid_steps": [3]}}))
+    rc, _, err = run_cli([
+        "fit-surrogate", "--sim", "a", "--dry-run", "--config", cfg, "--out-dir", tmp_path,
+    ])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["fields"] == ["methods.fit_surrogate", "methods.avm.grid_steps"]
+    # a valid block of another subcommand sets nothing
+    cfg.write_text(json.dumps({"avm": {"grid_steps": 7}}))
+    rc, rep, _ = run_cli([
+        "density", "--model", "m.json", "--inputs", "i.csv", "--dry-run",
+        "--config", cfg, "--out-dir", tmp_path,
+    ])
+    assert rc == 0
+    assert rep["settings"]["grid_steps"] is None
+
+
 def test_config_method_values_convert_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uqim import confidence
 from uqim.confidence import (
     DensityBand,
     _band_sups,
@@ -502,6 +504,89 @@ def test_band_sups_grid_exhaustive_oracle(case):
                 for y in grid
             ]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def _sup_separable_whole(u, w, before, k_y, r_y, k_split):
+    pref = np.empty(w.size + 1)
+    pref[0] = -np.inf
+    np.maximum.accumulate(w, out=pref[1:])
+    far = pref[r_y] + _window_max(u, k_split, np.full(k_split.shape, u.size))
+    near = pref[before]
+    near += u
+    return np.maximum(far, _window_max(near, k_y, k_split))
+
+
+def _band_sups_whole(kde, sorted_outputs, cand, y_grid, kappa, beta):
+    """_band_sups with every search over all candidates at once, 64-bit
+    index arrays and near in an array of its own."""
+    n = sorted_outputs.size
+    cdf = kde_cdf(kde, cand)
+    e_hi = np.searchsorted(sorted_outputs, cand + beta, side="right") / n
+    e_hi -= cdf
+    e_lo = np.searchsorted(sorted_outputs, cand - beta, side="left") / n
+    np.subtract(cdf, e_lo, out=e_lo)
+    k_y = np.searchsorted(cand, y_grid, side="left")
+    r_y = np.searchsorted(cand, y_grid, side="right")
+    past_kappa = np.searchsorted(cand, cand - kappa, side="left")
+    k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
+    sup_up = _sup_separable_whole(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
+    ends = max(abs(cand[0]), abs(cand[-1])) + max(kappa, beta)
+    if kappa - 2.0 * beta > 2.0 * np.spacing(ends):
+        return sup_up, _sup_separable_whole(e_lo, e_hi, past_kappa, k_y, r_y, k_kappa)
+    before = np.searchsorted(cand + beta, cand - beta, side="left")
+    np.minimum(before, past_kappa, out=before)
+    k_long = np.searchsorted(before, r_y, side="left")
+    sup_lo = _sup_separable_whole(e_lo, e_hi, before, k_y, r_y, k_long)
+    short = cdf[before]
+    np.subtract(cdf, short, out=short)
+    short[before == past_kappa] = -np.inf
+    return sup_up, np.maximum(sup_lo, _window_max(short, k_y, k_long))
+
+
+# kappa > 2 beta leaves only long shrunk intervals; kappa <= 2 beta adds the
+# short-interval term.  The lattice rounds the outputs to 2 decimals, which
+# makes ties at b - a = kappa and at 2 beta
+@pytest.mark.parametrize("kappa, err, lattice", [
+    (0.3, 0.05, False), (0.3, 0.2, False), (0.3, 0.15, True), (0.2, 0.1, True),
+], ids=["long_only", "short", "short_lattice", "tie_lattice"])
+def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
+    # 70,000 outputs make about 210,000 candidates, more than 3 blocks
+    outputs, data, model = _band_inputs(n_exp=30, big_n=70_000, err=err, seed=64)
+    if lattice:
+        outputs = np.round(outputs, 2)
+    kw = dict(kappa=kappa, delta=0.05, bandwidths=[0.05, 0.2],
+              interval=(-3.0, 3.0), grid_steps=200)
+    got = density_band(outputs, data, model, **kw)
+    monkeypatch.setattr(confidence, "_band_sups", _band_sups_whole)
+    want = density_band(outputs, data, model, **kw)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
+    monkeypatch.undo()
+    kde = KdeModel(values=outputs, bandwidth=0.1, kernel="naive")
+    vals = kde.values
+    beta = got.beta_hat
+    for y in (-1.3, 0.0, 0.004, 2.2):
+        cand = np.unique(np.concatenate([vals, vals - beta, vals + beta, [y]]))
+        whole = _band_sups_whole(kde, vals, cand, np.array([y]), kappa, beta)
+        for direction, sup in zip(("upper", "lower"), whole):
+            assert sup_interval_mismatch(direction, y, kappa, beta, kde) == sup[0]
+
+
+@pytest.mark.parametrize("kappa, err", [(0.3, 0.05), (0.3, 0.2)], ids=["long_only", "short"])
+def test_band_memory_peak(kappa, err):
+    # in multiples of the candidate array (3N + G floats), the band peaks at
+    # 5.6 (long only) and 6.6 (short) here; searching all candidates at once
+    # with 64-bit indices and a separate near array it peaked at 7.7 and 9.1
+    outputs, data, model = _band_inputs(n_exp=40, big_n=100_000, err=err, seed=63)
+    grid_steps = 200
+    tracemalloc.start()
+    try:
+        density_band(outputs, data, model, kappa=kappa, delta=0.05, bandwidths=[0.1],
+                     interval=(-3.0, 3.0), grid_steps=grid_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 8 * (3 * outputs.size + grid_steps)
 
 
 def test_window_max_matches_loop():

@@ -5,6 +5,7 @@ import pytest
 
 from uqim.data import InputSample
 from uqim.density import (
+    BLOCK,
     KdeModel,
     kde_cdf,
     kde_evaluate,
@@ -14,6 +15,9 @@ from uqim.density import (
 )
 from uqim.errors import DomainError, InsufficientDataError, ZeroSpreadError
 from uqim.randgen import make_rng
+
+# np.trapz was renamed np.trapezoid in numpy 2.0
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def test_naive_single_value():
@@ -78,6 +82,30 @@ def test_kde_cdf_oracle():
         assert abs(kde_cdf(model, y) - want) <= 1e-12
 
 
+def _naive_cdf_whole(model, t):
+    """The naive-kernel CDF with every query searched at once."""
+    v, h, n = model.values, model.bandwidth, model.n
+    full = np.searchsorted(v, t - h, side="right")
+    part = np.searchsorted(v, t + h, side="left")
+    prefix = np.zeros(n + 1)
+    np.cumsum(v - v[0], out=prefix[1:])
+    mid = (part - full) * (t + h - v[0]) - (prefix[part] - prefix[full])
+    out = (2.0 * h * full + mid) / (2.0 * n * h)
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", [(2 * BLOCK + 12_345,), (3, BLOCK - 7)])
+def test_naive_cdf_blocks_match_whole_searches(shape):
+    # more than 2 blocks of queries; in 2-d the block edges cut the rows
+    rng = np.random.default_rng(45)
+    model = KdeModel(values=50.0 + rng.standard_normal(5_000), bandwidth=0.2)
+    t = rng.uniform(45.0, 55.0, size=shape)
+    t.flat[::97] = rng.choice(model.values, t.flat[::97].size)  # queries at values
+    got = kde_cdf(model, t)
+    assert got.shape == shape
+    assert np.array_equal(got, _naive_cdf_whole(model, t))
+
+
 def test_naive_cdf_monotone_far_from_zero():
     # prefix sums of raw values cancel at a large common offset
     rng = make_rng(44)
@@ -103,7 +131,7 @@ def test_normalization():
     for kernel, pad in (("epanechnikov", h), ("gauss", 10.0 * h)):
         m = KdeModel(values=v, bandwidth=h, kernel=kernel)
         t = np.linspace(v.min() - pad, v.max() + pad, 200_001)
-        total = float(np.trapezoid(kde_evaluate(m, t), t))
+        total = float(_trapezoid(kde_evaluate(m, t), t))
         assert abs(total - 1.0) <= 1e-6
 
 

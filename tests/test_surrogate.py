@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -591,6 +592,79 @@ def test_rbf_and_poly_design_match_broadcast_formula(dim):
         poly = PolyBasis(degree, dim)
         ref = np.prod(x[:, None, :] ** poly.powers[None, :, :], axis=2)
         assert _bitwise_equal(poly.design(x), ref)
+
+
+def _predict_in_2_22_chunks(basis, coef, x):
+    """predict over chunks of 2**22 design values, each design built with
+    all d power-table factors per poly column and a new array per rbf
+    temporary."""
+    out = np.empty(x.shape[0])
+    step = max(1, 2**22 // max(basis.n_coef, 1))
+    for a in range(0, x.shape[0], step):
+        part = x[a : a + step]
+        if isinstance(basis, PolyBasis):
+            exps = np.arange(basis.degree + 1)
+            design = np.ones((part.shape[0], basis.n_coef))
+            for j in range(basis.dim):
+                design *= (part[:, j, None] ** exps)[:, basis.powers[:, j]]
+        else:
+            d2 = np.zeros((part.shape[0], basis.n_coef - 1))
+            for j in range(basis.dim):
+                diff = part[:, j, None] - basis.centers[None, :, j]
+                d2 += diff * diff
+            design = np.empty((part.shape[0], basis.n_coef))
+            design[:, 0] = 1.0
+            design[:, 1:] = np.exp(-d2 / (2.0 * basis.lengthscale**2))
+        out[a : a + step] = design @ coef
+    return out
+
+
+# the raw scales of the 5-d field law: two coordinates with SD 1e6, two with
+# SD 9 and one near 1e-4 with SD 4e-6
+_RAW_5D = (np.array([3e6, 1e6, 40.0, 20.0, 1e-4]), np.array([1e6, 1e6, 9.0, 9.0, 4e-6]))
+
+
+@pytest.mark.parametrize("kind", ["poly2", "poly3", "rbf20"])
+def test_predict_blocks_match_2_22_chunks(kind):
+    # 6239 rows (3 mod 4) fill 4 blocks of 2048 rows (21 coefficients) or 7
+    # of 1024 (poly 3, 56 coefficients), the last one partly.  6239 = 48 * 130
+    # - 1, so the oracle's single product splits among 2, 3 or 4 OpenBLAS
+    # threads at multiples of 4 rows, and every row sits in the same 4-row
+    # group of dgemv as in the blocks
+    rng = np.random.default_rng(61)
+    if kind == "rbf20":
+        # unit scales, so the bumps are not flat
+        x = rng.normal(size=(6239, 5))
+        basis = RbfBasis.from_data(x[:300], 20)
+    else:
+        mean, sd = _RAW_5D
+        x = mean + sd * rng.normal(size=(6239, 5))
+        basis = PolyBasis(int(kind[-1]), 5)
+    coef = rng.normal(size=basis.n_coef)
+    got = basis.predict(coef, x)
+    assert np.all(coef != 0.0) and np.ptp(got) > 0.0
+    assert np.array_equal(got, _predict_in_2_22_chunks(basis, coef, x))
+
+
+def test_improved_surrogate_call_memory_is_a_few_blocks():
+    # one call on 2e5 5-d points allocates its outputs (base, residual and
+    # their sum, 1.6 MB each) and a few blocks of about 512 KB; a design of
+    # all rows would be 34 MB
+    rng = np.random.default_rng(62)
+    mean, sd = _RAW_5D
+    x = mean + sd * rng.normal(size=(200_000, 5))
+    poly, rbf = PolyBasis(2, 5), RbfBasis.from_data(x[:300], 20)
+    model = improved_surrogate(
+        SurrogateModel(FunctionFamily("poly", 2), poly, rng.normal(size=poly.n_coef), 300),
+        SurrogateModel(FunctionFamily("rbf", 20), rbf, rng.normal(size=rbf.n_coef), 300),
+    )
+    tracemalloc.start()
+    try:
+        model(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.shape[0] * 8 + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
