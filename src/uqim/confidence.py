@@ -17,8 +17,10 @@ with J expanded (upper) or shrunk (lower) by beta_hat.
 The sup over intervals is approximated over a finite candidate family whose
 endpoints are the sample values, the sample values +/- beta_hat and the
 evaluation grid.  The sup splits into prefix maxima and window maxima over
-the candidates: sorting and searching them cost O(N log N) per bandwidth,
-and the window maxima for G grid points O(N + G^2) time and O(G) memory.
+the candidates: sorting them costs O(N log N) once, the searches of the
+sorted candidates merge them with the haystack block by block in O(N) per
+bandwidth, and the window maxima for G grid points take O(N + G^2) time and
+O(G) memory.
 Boundary conventions are conservative: expanded intervals count their
 endpoints, shrunk intervals do not.
 """
@@ -31,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedDataset
-from .density import BLOCK, KdeModel, _order_index, kde_cdf, kde_evaluate
+from .density import (
+    BLOCK, KdeModel, _order_index, _searchsorted_blocks, kde_cdf, kde_evaluate,
+)
 from .errors import DomainError, InfeasibleError
 
 
@@ -438,16 +442,6 @@ def _sup_separable(u, w, before, k_y, r_y, k_split):
     return np.maximum(far, _window_max(near, k_y, k_split))
 
 
-def _search(haystack, needles, side, out, shift=None):
-    """out[i] = searchsorted(haystack, needles[i] (+ shift)), in blocks."""
-    for a in range(0, needles.size, BLOCK):
-        part = needles[a : a + BLOCK]
-        out[a : a + BLOCK] = np.searchsorted(
-            haystack, part if shift is None else part + shift, side=side
-        )
-    return out
-
-
 def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     """(sup_upper, sup_lower) arrays over the evaluation points.
 
@@ -465,14 +459,15 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     once: ``cdf``, the ``cand + beta`` buffer that becomes ``e_hi``, and one
     of ``short``, ``e_lo``; then, with ``cdf`` freed, ``e_hi``, ``e_lo`` and
     the prefix maxima of ``_sup_separable``.  The index arrays are 32-bit
-    below 2**31 candidates, and every search runs in blocks of needles.
+    below 2**31 candidates.  The needles of every full-candidate search are
+    sorted, so ``_searchsorted_blocks`` merges them block by block.
     """
     n, size = sorted_outputs.size, cand.size
     index = np.int32 if size < 2**31 else np.intp
     k_y = np.searchsorted(cand, y_grid, side="left")
     r_y = np.searchsorted(cand, y_grid, side="right")
     k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
-    past_kappa = _search(cand, cand, "left", np.empty(size, index), -kappa)
+    past_kappa = _searchsorted_blocks(cand, cand, "left", np.empty(size, index), -kappa)
     cdf = kde_cdf(kde, cand)
     e_hi = cand + beta
     # once kappa exceeds 2 beta by more than the rounding of the interval
@@ -483,7 +478,7 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
         # the a < before[b] are exactly the partners of b with b - a > kappa
         # and a nonempty shrunk interval, its ends rounded as in e_hi and
         # e_lo; before is nondecreasing
-        before = _search(e_hi, cand, "left", np.empty(size, index), -beta)
+        before = _searchsorted_blocks(e_hi, cand, "left", np.empty(size, index), -beta)
         np.minimum(before, past_kappa, out=before)
         # the b below k_long[q] have only partners a <= y[q], the b from it
         # on every a <= y[q]; needles of int64 would copy before to int64
@@ -496,10 +491,10 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
         short[before == past_kappa] = -np.inf
         short_max = _window_max(short, k_y, k_long)
         del short
-    _search(sorted_outputs, e_hi, "right", e_hi)  # needles cand + beta
+    _searchsorted_blocks(sorted_outputs, e_hi, "right", e_hi)  # needles cand + beta
     e_hi /= n
     e_hi -= cdf
-    e_lo = _search(sorted_outputs, cand, "left", np.empty(size), -beta)
+    e_lo = _searchsorted_blocks(sorted_outputs, cand, "left", np.empty(size), -beta)
     e_lo /= n
     np.subtract(cdf, e_lo, out=e_lo)
     del cdf

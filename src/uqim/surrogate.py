@@ -298,17 +298,17 @@ class PolyBasis:
 
     def design(self, points: np.ndarray) -> np.ndarray:
         x = _as_points(points, self.dim)
-        # one power table per dimension; the array exponent keeps pow()
-        # (x * x can differ from pow(x, 2) in the last bit).  A column is the
-        # product of its table factors in order of j, as np.prod over a
-        # trailing (m, n_coef, d) axis takes it, with the factors
-        # pow(x_j, 0) = 1.0 left out: 1.0 * a == a, so no bit changes
-        exps = np.arange(self.degree + 1)
+        # one table of pow(x_j, 1..degree) per dimension; the array exponent
+        # keeps pow() (x * x can differ from pow(x, 2) in the last bit).  A
+        # column is the product of its table factors in order of j, as
+        # np.prod over a trailing (m, n_coef, d) axis takes it, with the
+        # factors pow(x_j, 0) = 1.0 left out: 1.0 * a == a, so no bit changes
+        exps = np.arange(1, self.degree + 1)
         tables = [x[:, j, None] ** exps for j in range(self.dim)]
         out = np.ones((x.shape[0], self.n_coef))
         for col, factors in zip(out.T, self._factors):
             for j, p in factors:
-                col *= tables[j][:, p]
+                col *= tables[j][:, p - 1]
         return out
 
     predict = _predict_in_chunks

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from uqim import density
 from uqim.data import InputSample
 from uqim.density import (
     BLOCK,
     KdeModel,
+    _searchsorted_blocks,
     kde_cdf,
     kde_evaluate,
     mc_quantile,
@@ -103,6 +105,109 @@ def test_naive_cdf_blocks_match_whole_searches(shape):
     t.flat[::97] = rng.choice(model.values, t.flat[::97].size)  # queries at values
     got = kde_cdf(model, t)
     assert got.shape == shape
+    assert np.array_equal(got, _naive_cdf_whole(model, t))
+
+
+def _search_case(name):
+    """(haystack, needles) of one oracle case; the needles are sorted."""
+    rng = np.random.default_rng(72)
+    if name == "ties":
+        # 3 decimals: ties inside the needles, between needles and haystack,
+        # and a run of 11 equal needles across the first block edge
+        hay = np.sort(np.round(rng.normal(size=150_000), 3))
+        needles = np.sort(np.round(rng.normal(size=2 * BLOCK + 123), 3))
+        needles[BLOCK - 5 : BLOCK + 6] = needles[BLOCK]
+        return hay, needles
+    if name == "signed_zero":
+        # -0.0 == 0.0: mixed in both, in either order, and at a block edge
+        zeros = np.where(rng.random(BLOCK + 40) < 0.5, -0.0, 0.0)
+        hay = np.concatenate([-rng.random(500), zeros[:300], rng.random(500)])
+        hay.sort(kind="stable")
+        needles = np.concatenate([-np.sort(rng.random(BLOCK - 20))[::-1], zeros,
+                                  np.sort(rng.random(100))])
+        return hay, needles
+    if name == "outside":
+        # whole blocks below the haystack's minimum and above its maximum
+        hay = np.sort(rng.uniform(0.0, 1.0, 50_000))
+        needles = np.concatenate([np.linspace(-2.0, -1.0, BLOCK + 7), [0.0, 0.5, 1.0],
+                                  np.linspace(2.0, 3.0, BLOCK)])
+        return hay, needles
+    if name == "single":
+        return np.sort(rng.normal(size=1000)), np.array([0.1])
+    if name == "wide":
+        # 201 needles over 1e6 values: far past MERGE_SPAN, plain search
+        hay = np.sort(rng.normal(size=1_000_000))
+        return hay, np.linspace(-5.0, 5.0, 201)
+    # "lattice": few distinct outputs, so each needle spans many ties
+    hay = np.sort(np.round(rng.normal(size=3 * BLOCK), 1))
+    return hay, np.unique(np.concatenate([hay, hay + 0.5]))
+
+
+_SEARCH_CASES = ["ties", "signed_zero", "outside", "single", "wide", "lattice"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", _SEARCH_CASES)
+def test_searchsorted_blocks_matches_numpy(name, side, monkeypatch):
+    hay, needles = _search_case(name)
+    want = np.searchsorted(hay, needles, side=side)
+    assert np.array_equal(_searchsorted_blocks(hay, needles, side), want)
+    # int32 buffer and a shift, as the density band passes them
+    out = np.empty(needles.size, np.int32)
+    got = _searchsorted_blocks(hay, needles, side, out, -0.25)
+    assert got is out
+    assert np.array_equal(out, np.searchsorted(hay, needles - 0.25, side=side))
+    # every block merged, and every block searched
+    for span in (10**9, 0):
+        monkeypatch.setattr(density, "MERGE_SPAN", span)
+        assert np.array_equal(_searchsorted_blocks(hay, needles, side), want)
+
+
+def _count_merges(monkeypatch):
+    """A list that gets one entry per np.argsort call, that is per merge."""
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, merges", [
+    ("ties", 3), ("outside", 3), ("single", 1), ("wide", 0), ("lattice", 0),
+])
+def test_searchsorted_blocks_size_rule(name, merges, monkeypatch):
+    # sorted blocks are merged unless their haystack slice is longer than
+    # MERGE_SPAN per needle; unsorted blocks are always searched
+    hay, needles = _search_case(name)
+    calls = _count_merges(monkeypatch)
+    _searchsorted_blocks(hay, needles, "left")
+    assert len(calls) == merges
+    calls.clear()
+    shuffled = np.random.default_rng(73).permutation(needles)
+    got = _searchsorted_blocks(hay, shuffled, "right")
+    assert len(calls) == (needles.size == 1)
+    assert np.array_equal(got, np.searchsorted(hay, shuffled, side="right"))
+
+
+def test_naive_cdf_sorted_and_unsorted_blocks(monkeypatch):
+    # block 0 sorted and merged, block 1 shuffled, block 2 sorted over a
+    # span too wide to merge, block 3 a merged sorted remainder that holds
+    # queries at values
+    rng = np.random.default_rng(74)
+    model = KdeModel(values=rng.standard_normal(400_000), bandwidth=0.1)
+    v = model.values
+    narrow = np.sort(rng.uniform(-0.2, 0.2, BLOCK))
+    near = v[(v > 0.3) & (v < 0.5)]
+    tail = np.sort(np.concatenate([near, rng.uniform(0.3, 0.5, 3_000)]))
+    wide = np.linspace(-4.0, 4.0, BLOCK)
+    t = np.concatenate([narrow, rng.permutation(narrow), wide, tail])
+    calls = _count_merges(monkeypatch)
+    got = kde_cdf(model, t)
+    assert len(calls) == 4  # two searches in each of blocks 0 and 3
     assert np.array_equal(got, _naive_cdf_whole(model, t))
 
 

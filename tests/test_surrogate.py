@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,6 +648,76 @@ def test_predict_blocks_match_2_22_chunks(kind):
     got = basis.predict(coef, x)
     assert np.all(coef != 0.0) and np.ptp(got) > 0.0
     assert np.array_equal(got, _predict_in_2_22_chunks(basis, coef, x))
+
+
+def _design_with_pow0(basis, x):
+    """PolyBasis.design with pow(x_j, 0) in every power table: the table
+    columns are exponents 0..degree, and each design column multiplies its
+    nonzero-power factors in order of j."""
+    exps = np.arange(basis.degree + 1)
+    tables = [x[:, j, None] ** exps for j in range(basis.dim)]
+    out = np.ones((x.shape[0], basis.n_coef))
+    for col, row in zip(out.T, basis.powers):
+        for j, p in enumerate(row):
+            if p:
+                col *= tables[j][:, p]
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 3, 17, 60_001])
+def test_poly_tables_without_pow0_keep_bits(rows, degree, monkeypatch):
+    # leaving the exponent-0 column out of the tables must not change the
+    # pow() results of the other exponents, on the raw 5-d scales
+    rng = np.random.default_rng(66)
+    mean, sd = _RAW_5D
+    x = mean + sd * rng.normal(size=(rows, 5))
+    basis = PolyBasis(degree, 5)
+    coef = rng.normal(size=basis.n_coef)
+    design, pred = basis.design(x), basis.predict(coef, x)
+    monkeypatch.setattr(PolyBasis, "design", _design_with_pow0)
+    assert _bitwise_equal(design, basis.design(x))
+    assert _bitwise_equal(pred, basis.predict(coef, x))
+
+
+# Prints one hash per (basis, row count) of fixed-seed predictions on 5-d
+# points; no row count is a multiple of 4
+_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+from uqim.surrogate import PolyBasis, RbfBasis
+rng = np.random.default_rng(67)
+mean = np.array([3e6, 1e6, 40.0, 20.0, 1e-4])
+sd = np.array([1e6, 1e6, 9.0, 9.0, 4e-6])
+unit = rng.normal(size=(300, 5))
+bases = {"poly2": PolyBasis(2, 5), "poly3": PolyBasis(3, 5),
+         "rbf20": RbfBasis.from_data(unit, 20)}
+seen = {}
+for name, basis in bases.items():
+    coef = rng.normal(size=basis.n_coef)
+    for rows in (6_239, 60_001, 200_003):
+        z = rng.normal(size=(rows, 5))
+        pred = basis.predict(coef, z if name == "rbf20" else mean + sd * z)
+        assert np.all(coef != 0.0) and np.ptp(pred) > 0.0
+        seen[f"{name}/{rows}"] = hashlib.sha256(pred.tobytes()).hexdigest()
+print(json.dumps(seen))
+"""
+
+
+def test_predict_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dgemv among T threads at ceil(rows / T) rows; with
+    # 3 threads the split of a 2048-row block is not a multiple of 4 rows
+    src = str(Path(uqim.surrogate.__file__).resolve().parents[1])
+    hashes = []
+    for threads in ("1", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(json.loads(proc.stdout))
+    assert len(hashes[0]) == 9
+    assert hashes[0] == hashes[1]
 
 
 def test_improved_surrogate_call_memory_is_a_few_blocks():
