@@ -15,13 +15,22 @@ each omega).  The error law used for quantiles is the fitted MVN with mean
 
 Likelihood, posterior and fit all use one core that factors Theta once and
 returns the log likelihood, log posterior and analytic gradient (Rasmussen &
-Williams 2006, eq. 5.9).  The MAP fit runs L-BFGS-B on that gradient in every
-beta mode; with beta profiled at beta* = u's / u'1 (u = Theta^-1 1, s = y - m)
-the gradient follows beta*, and restarts that fail read -inf.
+Williams 2006, eq. 5.9).  The MAP fit minimizes the negative log posterior
+over the box of prior supports by projected BFGS on that gradient in every
+beta mode (Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995; Nocedal & Wright
+2006, ch. 6 and 7): variables at a bound that the gradient pushes against
+are held there, the rest take a quasi-Newton step from the last 10
+curvature pairs, and Armijo backtracking runs along the projected path.  A
+restart stops at projected-gradient infinity norm <= 1e-5 or relative
+decrease <= 2.22e-9 (L-BFGS-B's defaults).  With beta
+profiled at beta* = u's / u'1 (u = Theta^-1 1, s = y - m) the gradient
+follows beta*, and restarts that fail read -inf.
 
-Cholesky factorizations follow a fixed jitter policy: on failure, add
-j * trace(Theta)/n to the diagonal for j = 1e-10, 1e-9, ..., 1e-6, then
-give up with a conditioning error.
+Cholesky factorizations (numpy's) follow a fixed jitter policy: on failure,
+add j * trace(Theta)/n to the diagonal for j = 1e-10, 1e-9, ..., 1e-6, then
+give up with a conditioning error; a non-finite factor is a conditioning
+error at once.  Error-quantile replicates are drawn from the same factor.
+The module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -35,9 +44,15 @@ import numpy as np
 from .data import PairedDataset
 from .density import _order_index
 from .errors import ConditioningError, DataError, DomainError, FitError
-from .randgen import MvnParams, make_rng, sample_mvn
+from .randgen import make_rng
 
 _JITTER_STEPS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+# L-BFGS-B's default stopping rule: projected-gradient infinity norm, and
+# relative decrease factr * machine epsilon with factr = 1e7
+_PGTOL = 1e-5
+_FTOL = 1e7 * np.finfo(float).eps
+_ARMIJO = 1e-4
+_MEMORY = 10  # curvature pairs kept, L-BFGS-B's default
 
 
 @dataclass(frozen=True)
@@ -223,19 +238,19 @@ def gp_cov_matrix(x: np.ndarray, params: GpDiscrepancyParams) -> np.ndarray:
 
 
 def _chol_jitter(theta: np.ndarray):
-    """Cholesky with the escalating jitter policy; returns (factor, jitter)."""
-    from scipy.linalg import cho_factor
-
-    base = float(np.trace(theta)) / theta.shape[0]
+    """Lower Cholesky factor with the escalating jitter policy; returns (L, jitter)."""
+    n = theta.shape[0]
+    base = float(np.trace(theta)) / n
     for mult in _JITTER_STEPS:
         jitter = mult * base
         try:
-            fac = cho_factor(
-                theta + jitter * np.eye(theta.shape[0]), lower=True
-            )
-            return fac, jitter
+            fac = np.linalg.cholesky(theta + jitter * np.eye(n))
         except np.linalg.LinAlgError:
             continue
+        # numpy returns inf and NaN factors of non-finite input without raising
+        if not np.isfinite(fac).all():
+            raise ConditioningError("covariance has a non-finite Cholesky factor")
+        return fac, jitter
     raise ConditioningError(
         "covariance not factorizable within the jitter policy "
         f"(up to {_JITTER_STEPS[-1]:g} * trace/n)"
@@ -257,13 +272,13 @@ def _log_reciprocal_pdf(t: float, c: float, eps: float) -> float:
     return math.log(c) - lt
 
 
-def _profiled_beta(fac, s: np.ndarray) -> tuple[float, np.ndarray]:
-    """beta* = u's / u'1 with u = Theta^-1 1, and the weights u / u'1."""
-    from scipy.linalg import cho_solve
+def _profiled_beta(linv: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """beta* = u's / u'1 with u = Theta^-1 1, and the weights u / u'1.
 
-    ones = np.ones(s.shape[0])
-    u = cho_solve(fac, ones)
-    u1 = float(u @ ones)
+    ``linv`` is L^-1 for the Cholesky factor L of Theta.
+    """
+    u = linv.T @ linv.sum(axis=1)
+    u1 = float(np.sum(u))
     return float(u @ s) / u1, u / u1
 
 
@@ -282,8 +297,6 @@ def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
     ``s`` is observed minus model output and ``d2`` is ``_sqdists`` of the
     inputs.  ``beta=None`` profiles the mean out at its closed form.
     """
-    from scipy.linalg import cho_solve
-
     if hyper is not None:
         log_s2 = _log_reciprocal_pdf(sigma2, hyper.c_sigma2, hyper.eps_trunc)
         log_w = sum(
@@ -295,23 +308,24 @@ def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
     n = s.shape[0]
     r = _correlation(d2, omegas)
     fac, jitter = _chol_jitter(sigma2 * r + lam * np.eye(n))
+    # the gradient needs all of Theta^-1 = L^-T L^-1, so solve against I once
+    linv = np.linalg.solve(fac, np.eye(n))
     profiled = beta is None
     if profiled:
-        beta, w = _profiled_beta(fac, s)
-    resid = s - beta
-    alpha = cho_solve(fac, resid)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(fac[0]))))
-    ll = -0.5 * (float(resid @ alpha) + logdet + n * math.log(2.0 * math.pi))
+        beta, w = _profiled_beta(linv, s)
+    v = linv @ (s - beta)
+    alpha = linv.T @ v
+    logdet = 2.0 * float(np.sum(np.log(np.diag(fac))))
+    ll = -0.5 * (float(v @ v) + logdet + n * math.log(2.0 * math.pi))
     # d ll / d theta_k = (alpha' Theta_k alpha - tr(Theta^-1 Theta_k)) / 2 with
     # Theta_k = I, R, -sigma2 R o D_j for lam, sigma2, omega_j; d ll / d beta = 1'alpha
-    theta_inv = cho_solve(fac, np.eye(n))
-    dthetas = [r] + [-sigma2 * r * d2j for d2j in d2]
-    a_dtheta = [alpha] + [alpha @ m for m in dthetas]
-    traces = [np.trace(theta_inv)] + [np.sum(theta_inv * m) for m in dthetas]
-    grad = np.array(
-        [0.5 * (float(a @ alpha) - float(t)) for a, t in zip(a_dtheta, traces)]
-        + [float(np.sum(alpha))]
+    theta_inv = linv.T @ linv
+    dthetas = np.concatenate((r[None], -sigma2 * r * d2))
+    a_dtheta = np.vstack((alpha, dthetas @ alpha))
+    traces = np.append(
+        np.trace(theta_inv), dthetas.reshape(len(dthetas), -1) @ theta_inv.ravel()
     )
+    grad = np.append(0.5 * (a_dtheta @ alpha - traces), np.sum(alpha))
     logpost = math.nan
     if hyper is not None:
         logpost = (
@@ -328,7 +342,7 @@ def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
         ))
     if profiled:
         # total derivative along beta*(theta): d beta* / d theta_k = -w' Theta_k alpha
-        grad[:-1] -= grad[-1] * np.array([float(a @ w) for a in a_dtheta])
+        grad[:-1] -= grad[-1] * (a_dtheta @ w)
     return _Eval(ll, logpost, grad, jitter, beta)
 
 
@@ -391,7 +405,8 @@ def gp_beta_closed_form(data: DiscrepancyData, theta: np.ndarray) -> float:
     if theta.shape != (data.n, data.n):
         raise DomainError(f"Theta shape {theta.shape} for n = {data.n}")
     fac, _ = _chol_jitter(theta)
-    return _profiled_beta(fac, data.observed - data.model_outputs)[0]
+    linv = np.linalg.solve(fac, np.eye(data.n))
+    return _profiled_beta(linv, data.observed - data.model_outputs)[0]
 
 
 @dataclass
@@ -405,6 +420,9 @@ class GpFitResult:
     objectives: list
     jitter: float
     hyper: GpHyperParams
+    # per restart: met the stopping rule at a finite objective, and steps taken
+    converged: list
+    iterations: list
 
 
 def _pack_bounds(hyper: GpHyperParams, data: DiscrepancyData, beta_mode: str):
@@ -419,6 +437,110 @@ def _pack_bounds(hyper: GpHyperParams, data: DiscrepancyData, beta_mode: str):
     return bounds
 
 
+class _Minimum(NamedTuple):
+    x: np.ndarray
+    fun: float
+    converged: bool
+    iterations: int
+
+
+def _bfgs_matrix(pairs, n: int) -> np.ndarray:
+    """theta * I updated by BFGS with each (s, y) pair in turn, oldest first.
+
+    Uses the compact form theta I - W' M^-1 W with W = [theta S; Y] and
+    M = [[theta S S', L], [L', -D]], where L and D are the strictly lower
+    triangle and the diagonal of S Y' (Byrd, Nocedal & Schnabel 1994;
+    Nocedal & Wright 2006, eq. 7.24), and theta = y'y / s'y of the newest
+    pair.
+    """
+    b = np.eye(n)
+    k = len(pairs)
+    if not k:
+        return b
+    s, y = pairs[:, 0], pairs[:, 1]
+    sy = s @ y.T
+    theta = float(y[-1] @ y[-1]) / sy[-1, -1]
+    low = np.tril(sy, -1)
+    mid = np.empty((2 * k, 2 * k))
+    mid[:k, :k] = theta * (s @ s.T)
+    mid[:k, k:] = low
+    mid[k:, :k] = low.T
+    mid[k:, k:] = -np.diag(np.diag(sy))
+    w = np.concatenate((theta * s, y))
+    return theta * b - w.T @ np.linalg.solve(mid, w)
+
+
+def _direction(pairs, x, g, lo, hi) -> np.ndarray | None:
+    """Quasi-Newton step over the variables free to move, or None.
+
+    A variable is held (step 0) where it sits at a bound and the gradient,
+    or the step computed with it free, points out of the box; the rest step
+    by d = -B_FF^-1 g_F.  None when no descent step remains.
+    """
+    at_lo, at_hi = x <= lo, x >= hi
+    free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)))
+    d = np.zeros(x.size)
+    try:
+        b = _bfgs_matrix(pairs, x.size)
+        while free.any():
+            d[:] = 0.0
+            d[free] = -np.linalg.solve(b[np.ix_(free, free)], g[free])
+            out = free & ((at_lo & (d < 0)) | (at_hi & (d > 0)))
+            if not out.any():
+                break
+            free &= ~out
+    except np.linalg.LinAlgError:
+        return None
+    return d if free.any() and g @ d < 0 else None
+
+
+def _projected_bfgs(fun, x0, lo, hi, maxiter: int) -> _Minimum:
+    """Minimize ``fun`` (returning value and gradient) over the box [lo, hi].
+
+    Projected BFGS for a few variables.  The Hessian model B is rebuilt each
+    iteration from theta * I (theta = y'y / s'y of the newest pair) by BFGS
+    updates with the last ``_MEMORY`` curvature pairs, skipping pairs with
+    s'y <= eps * y'y, as L-BFGS-B does.  Variables at a bound are held there
+    as ``_direction`` decides, and the others take the quasi-Newton step d;
+    without a descent step the pairs are dropped and d = -g.  Steps halve
+    from 1 along the projected path P(x + t d) until f decreases by at least
+    1e-4 * g'(P(x + t d) - x); when none does, the pairs are dropped and the
+    next iteration starts again from B = I.  Stops, converged, at
+    projected-gradient infinity norm <= ``_PGTOL`` or relative decrease
+    <= ``_FTOL``; not converged after ``maxiter`` iterations or when no step
+    decreases f with B = I.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = fun(x)
+    pairs = np.empty((0, 2, x.size))  # (s, y) rows, oldest first
+    for it in range(maxiter):
+        if np.max(np.abs(x - np.clip(x - g, lo, hi))) <= _PGTOL:
+            return _Minimum(x, f, True, it)
+        d = _direction(pairs, x, g, lo, hi)
+        if d is None:
+            pairs, d = pairs[:0], -g
+        t = 1.0
+        for _ in range(60):
+            x_new = np.clip(x + t * d, lo, hi)
+            f_new, g_new = fun(x_new)
+            if f_new < f and f_new <= f + _ARMIJO * float(g @ (x_new - x)):
+                break
+            t *= 0.5
+        else:
+            if not len(pairs):
+                return _Minimum(x, f, False, it)
+            pairs = pairs[:0]
+            continue
+        step, dg = x_new - x, g_new - g
+        if float(step @ dg) > np.finfo(float).eps * float(dg @ dg):
+            pairs = np.concatenate((pairs[1 - _MEMORY :], [(step, dg)]))
+        done = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            return _Minimum(x, f, True, it + 1)
+    return _Minimum(x, f, False, maxiter)
+
+
 def gp_fit_map(
     data: DiscrepancyData,
     hyper: GpHyperParams | None = None,
@@ -431,7 +553,11 @@ def gp_fit_map(
     """MAP fit by multi-start box-constrained local search.
 
     lam, sigma2 and the omegas are optimized in log space within their prior
-    supports by L-BFGS-B with the analytic gradient in every mode.
+    supports by projected BFGS (``_projected_bfgs``) with the analytic
+    gradient in every mode.  Each restart stops at projected-gradient
+    infinity norm <= 1e-5, at relative decrease <= 2.22e-9 or after
+    ``maxiter`` iterations; ``converged`` and ``iterations`` record which
+    and how many per restart.
     ``beta_mode`` chooses how the constant mean is handled: ``closed_form``
     (profiled at the likelihood argmax beta* = u's / u'1, u = Theta^-1 1;
     the gradient follows beta* with d beta*/d theta_k = -u' Theta_k alpha /
@@ -442,8 +568,6 @@ def gp_fit_map(
     restart does, ``FitError`` is raised.  Deterministic for a given seed;
     ``init`` overrides the first restart's starting point.
     """
-    from scipy.optimize import minimize
-
     if beta_mode not in ("closed_form", "empirical", "free"):
         raise DomainError(f"unknown beta_mode {beta_mode!r}")
     if restarts < 1:
@@ -483,14 +607,8 @@ def gp_fit_map(
         z0 = [math.log(max(v, 1e-300)) for v in (init.lam, init.sigma2, *init.omegas)]
         starts[0] = np.clip(np.array(z0 + [init.beta])[:ndim], lo, hi)
 
-    results = [
-        minimize(
-            negative, z0, method="L-BFGS-B", jac=True, bounds=bounds,
-            options={"maxiter": maxiter},
-        )
-        for z0 in starts
-    ]
-    objs = [-math.inf if r.fun >= bad else -float(r.fun) for r in results]
+    results = [_projected_bfgs(negative, z0, lo, hi, maxiter) for z0 in starts]
+    objs = [-float(r.fun) if r.fun < bad else -math.inf for r in results]
     best = int(np.argmax(objs))
     if not np.isfinite(objs[best]):
         raise FitError("every restart failed to produce a finite posterior")
@@ -508,6 +626,8 @@ def gp_fit_map(
         objectives=objs,
         jitter=ev.jitter,
         hyper=hyper,
+        converged=[r.converged and math.isfinite(o) for r, o in zip(results, objs)],
+        iterations=[r.iterations for r in results],
     )
 
 
@@ -536,17 +656,21 @@ def gp_error_quantile(
     """Simulated quantile of the absolute model error under the fitted law.
 
     Each replication draws the n-vector of errors at the data inputs from
-    MVN((beta, ..., beta), sigma2 R + lam I) and takes the plug-in
-    alpha-quantile of the absolute values; the summary is the median over
-    replications.
+    MVN((beta, ..., beta), sigma2 R + lam I) as beta + L z, with L the
+    Cholesky factor under the jitter policy (so draws move continuously with
+    the parameters), and takes the plug-in alpha-quantile of the absolute
+    values; the summary is the median over replications.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     cov = gp_cov_matrix(data.inputs, params)
-    mean = np.full(data.n, params.beta)
-    draws = sample_mvn(MvnParams(mean=mean, cov=cov), count=reps, seed=seed)
+    if np.trace(cov) == 0.0:  # no variance: every draw is the mean
+        draws = np.full((reps, data.n), params.beta)
+    else:
+        fac, _ = _chol_jitter(cov)
+        draws = make_rng(seed).standard_normal((reps, data.n)) @ fac.T + params.beta
     k = _order_index(data.n, alpha)
     vals = np.partition(np.abs(draws), k - 1, axis=1)[:, k - 1]
     return ErrorQuantileResult(

@@ -71,6 +71,8 @@ def test_scipy_free_subcommands(tmp_path):
         ["quantile", "--model", "model.json", "--inputs", "inputs.csv",
          "--alpha", "0.95,0.99", *run],
         ["avm", "--exp", "exp.csv", "--sim", "sim.csv", *run],
+        ["gp-error", "--exp", "exp.csv", "--model", "model.json", "--alpha", "0.95",
+         *run],
         ["bootstrap-error", "--exp", "exp.csv", "--model", "model.json",
          "--family", "poly", "--size", "1", "--b-reps", "20", "--n-learn", "10", *run],
         ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",

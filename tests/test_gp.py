@@ -1,14 +1,16 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from scipy.stats import foldnorm, multivariate_normal
 
 import uqim.gp as gp_mod
-from uqim.data import PairedDataset
+from uqim.cli import main
+from uqim.data import PairedDataset, parse_dataset, write_dataset
 from uqim.errors import ConditioningError, DataError, DomainError, FitError
 from uqim.gp import (
     DiscrepancyData,
@@ -25,7 +27,17 @@ from uqim.gp import (
     gp_loglikelihood,
     gp_loglikelihood_grad,
 )
-from uqim.randgen import MvnParams, make_rng, sample_mvn
+from uqim.randgen import MvnParams, make_rng, sample_mvn, spawn_seeds
+from uqim.surrogate import (
+    FunctionFamily,
+    compute_residuals,
+    fit_with_gcv,
+    improved_surrogate,
+    load_model,
+    save_model,
+    select_weight_and_penalty,
+)
+from uqim.synthetic import make_hidim_like
 
 
 def _toy_data(rng, n, d=1, beta=0.3, noise=0.05):
@@ -194,6 +206,18 @@ def test_jitter_gives_up_on_indefinite_matrix():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(ConditioningError):
         _chol_jitter(bad)
+
+
+def test_non_finite_theta_is_a_conditioning_error():
+    # numpy factors inf and NaN entries without raising
+    for theta in (np.diag([np.inf, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ConditioningError, match="non-finite"):
+            _chol_jitter(theta)
+    # Theta's diagonal lam + sigma2 overflows to inf
+    data = _toy_data(make_rng(44), 5)
+    params = GpDiscrepancyParams(lam=1e308, beta=0.0, sigma2=1e308, omegas=(1.0,))
+    with np.errstate(over="ignore"), pytest.raises(ConditioningError):
+        gp_loglikelihood(params, data)
 
 
 def test_log_posterior_adds_hand_computed_priors():
@@ -371,6 +395,19 @@ def test_fit_map_validation():
         gp_fit_map(data, hyper=_flat_hyper(dim=3))
 
 
+def _spy_optimizer(monkeypatch):
+    """Record (objective, start, lo, hi, maxiter) of each restart of gp_fit_map."""
+    seen = []
+    real = gp_mod._projected_bfgs
+
+    def spy(fun, x0, lo, hi, maxiter):
+        seen.append((fun, np.array(x0), lo, hi, maxiter))
+        return real(fun, x0, lo, hi, maxiter)
+
+    monkeypatch.setattr(gp_mod, "_projected_bfgs", spy)
+    return seen
+
+
 @pytest.mark.parametrize("dim", [1, 5])
 def test_closed_form_gradient_matches_finite_differences(monkeypatch, dim):
     # the objective closed_form hands to the optimizer, in log-parameter space
@@ -385,17 +422,9 @@ def test_closed_form_gradient_matches_finite_differences(monkeypatch, dim):
         mu_lam=0.0, var_lam=1.0, mu_beta=0.0, var_beta=0.01,
         c_sigma2=1.0 / 60.0, c_omegas=(1.0 / 60.0,) * dim, eps_trunc=1e-12,
     )
-    seen = []
-    real_minimize = scipy.optimize.minimize
-
-    def spy(fun, x0, **kw):
-        seen.append(fun)
-        return real_minimize(fun, x0, **kw)
-
-    # gp_fit_map imports minimize from scipy.optimize when it is called
-    monkeypatch.setattr(scipy.optimize, "minimize", spy)
+    seen = _spy_optimizer(monkeypatch)
     gp_fit_map(data, hyper=hyper, beta_mode="closed_form", restarts=1, maxiter=1)
-    negative = seen[0]
+    negative = seen[0][0]
     h = 1e-5
     for lam, s2, w in [(0.01, 0.5, 2.0), (0.05, 0.1, 8.0), (0.002, 1.0, 0.5)]:
         z = np.log([lam, s2] + [w * (1.0 + 0.3 * j) for j in range(dim)])
@@ -405,6 +434,169 @@ def test_closed_form_gradient_matches_finite_differences(monkeypatch, dim):
             step[k] = h
             fd = (negative(z + step)[0] - negative(z - step)[0]) / (2.0 * h)
             assert abs(grad[k] - fd) <= 1e-5 * max(abs(grad[k]), 1.0)
+
+
+def _readme_fit_data(out_dir):
+    """The README block's gp-error data: synth --seed 11, then fit-surrogate."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([
+            "synth", "--system", "mafds", "--bias-kind", "linear", "--n-exp", "50",
+            "--n-sim", "200", "--seed", "11", "--out-dir", str(out_dir),
+        ]) == 0
+        assert main([
+            "fit-surrogate", "--sim", str(out_dir / "sim.csv"), "--exp",
+            str(out_dir / "exp.csv"), "--family", "spline1d", "--size", "8",
+            "--res-family", "poly", "--res-size", "1", "--weighted", "--out",
+            "model.json", "--out-dir", str(out_dir),
+        ]) == 0
+    exp = parse_dataset(out_dir / "exp.csv", ["x1"], "y", kind="experimental")
+    model = load_model(out_dir / "model.json")
+    data = DiscrepancyData(
+        inputs=exp.inputs, model_outputs=model(exp.inputs), observed=exp.outputs
+    )
+    # the seeds gp-error derives from its default --seed 0
+    return data, spawn_seeds(0, 2)
+
+
+def _api_5d_fit_data(seed, work):
+    """The benchmark's api_5d gp_fit_map data: the raw-scale 5-d field law,
+    poly 2 by GCV improved by a weighted rbf 20 correction."""
+    system = make_hidim_like(bias_kind="linear")
+    seed_exp, seed_sim = spawn_seeds(seed, 2)
+    exp0 = system.draw_experiment(50, seed_exp)
+    sim0 = system.draw_simulation(200, seed_sim)
+    names, out = list(exp0.input_names), exp0.output_name
+    write_dataset(exp0, work / "exp.csv")
+    write_dataset(sim0, work / "sim.csv")
+    exp = parse_dataset(work / "exp.csv", names, out, kind="experimental")
+    sim = parse_dataset(work / "sim.csv", names, out, kind="simulated")
+    base = fit_with_gcv(FunctionFamily("poly", 2), sim)
+    sel = select_weight_and_penalty(
+        FunctionFamily("rbf", 20), exp, compute_residuals(base, exp), sim.inputs,
+        seed=seed,
+    )
+    save_model(improved_surrogate(base, sel.model, weight=sel.weight), work / "model.json")
+    model = load_model(work / "model.json")
+    data = DiscrepancyData(
+        inputs=exp.inputs, model_outputs=model(exp.inputs), observed=exp.outputs
+    )
+    return data, spawn_seeds(seed, 2)
+
+
+@pytest.fixture(scope="module")
+def readme_fit_data(tmp_path_factory):
+    return _readme_fit_data(tmp_path_factory.mktemp("readme"))
+
+
+def _noise_level_data(rep):
+    truth = GpDiscrepancyParams(lam=0.0025, beta=0.3, sigma2=0.01, omegas=(4.0,))
+    rng = make_rng(3000 + rep)
+    x = rng.random((50, 1))
+    m = np.sin(2.0 * np.pi * x[:, 0])
+    cov = gp_cov_matrix(x, truth)
+    delta = sample_mvn(
+        MvnParams(mean=np.full(50, truth.beta), cov=cov), 1, seed=4000 + rep
+    )[0]
+    return DiscrepancyData(inputs=x, model_outputs=m, observed=m + delta)
+
+
+def _oracle_cases():
+    """(id, builder) for the fits of this file, README and api_5d."""
+    def modes_agree(_):
+        rng = make_rng(21)
+        x = rng.random((10, 1))
+        m = x[:, 0] ** 2
+        y = m + 0.3 + 0.05 * rng.standard_normal(10)
+        data = DiscrepancyData(inputs=x, model_outputs=m, observed=y)
+        return data, {"restarts": 12, "seed": 0}
+
+    def init_at_truth(_):
+        rng = make_rng(38)
+        truth = GpDiscrepancyParams(lam=0.01, beta=0.2, sigma2=0.05, omegas=(3.0,))
+        x = rng.random((20, 1))
+        cov = gp_cov_matrix(x, truth)
+        y = sample_mvn(MvnParams(mean=np.full(20, truth.beta), cov=cov), 1, seed=5)[0]
+        data = DiscrepancyData(inputs=x, model_outputs=np.zeros(20), observed=y)
+        return data, {"hyper": _flat_hyper(), "restarts": 20, "seed": 0}
+
+    def toy(seed, restarts, fit_seed):
+        return lambda _: (
+            _toy_data(make_rng(seed), 8), {"restarts": restarts, "seed": fit_seed}
+        )
+
+    def gradient(dim):
+        def build(_):
+            rng = make_rng(50 + dim)
+            x = rng.random((15, dim))
+            m = np.sin(x.sum(axis=1))
+            data = DiscrepancyData(
+                inputs=x, model_outputs=m,
+                observed=m + 0.3 + 0.1 * rng.standard_normal(15),
+            )
+            hyper = GpHyperParams(
+                mu_lam=0.0, var_lam=1.0, mu_beta=0.0, var_beta=0.01,
+                c_sigma2=1.0 / 60.0, c_omegas=(1.0 / 60.0,) * dim, eps_trunc=1e-12,
+            )
+            return data, {"hyper": hyper, "restarts": 20, "seed": 0}
+        return build
+
+    def noise_level(rep):
+        return lambda _: (_noise_level_data(rep), {"restarts": 20, "seed": rep})
+
+    def readme(work):
+        data, (seed_fit, _) = _readme_fit_data(work)
+        return data, {"restarts": 20, "seed": seed_fit}
+
+    def api_5d(seed):
+        def build(work):
+            data, (seed_fit, _) = _api_5d_fit_data(seed, work)
+            return data, {"restarts": 20, "seed": seed_fit}
+        return build
+
+    cases = [
+        ("modes_agree", modes_agree), ("init_at_truth", init_at_truth),
+        ("deterministic", toy(39, 4, 7)), ("failed_restart", toy(42, 3, 0)),
+        ("gradient_d1", gradient(1)), ("gradient_d5", gradient(5)),
+    ]
+    cases += [(f"noise_level_{rep}", noise_level(rep)) for rep in (0, 7, 13, 19)]
+    cases += [("readme_seed11", readme)]
+    cases += [(f"api_5d_seed{seed}", api_5d(seed)) for seed in (11, 12, 13)]
+    return cases
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+def test_fit_map_matches_lbfgsb_oracle(monkeypatch, tmp_path, case):
+    # scipy's L-BFGS-B, run on the same objective, bounds and starts, is the
+    # oracle: the best MAP objective may not fall below its best
+    data, kw = case[1](tmp_path)
+    for beta_mode in ("closed_form", "empirical", "free"):
+        seen = _spy_optimizer(monkeypatch)
+        fit = gp_fit_map(data, beta_mode=beta_mode, **kw)
+        assert len(seen) == fit.restarts
+        best = -math.inf
+        for fun, x0, lo, hi, maxiter in seen:
+            res = minimize(
+                fun, x0, method="L-BFGS-B", jac=True, bounds=list(zip(lo, hi)),
+                options={"maxiter": maxiter},
+            )
+            if res.fun < 1e300:
+                best = max(best, -float(res.fun))
+        assert fit.objective >= best - 1e-9 * abs(best), beta_mode
+
+
+def test_fit_map_reports_convergence_per_restart(readme_fit_data):
+    data, (seed_fit, _) = readme_fit_data
+    fit = gp_fit_map(data, restarts=20, seed=seed_fit)
+    assert fit.converged == [True] * 20
+    assert len(fit.iterations) == 20
+    assert all(isinstance(k, int) and 0 < k < 200 for k in fit.iterations)
+
+
+def test_fit_map_maxiter_stops_restarts_unconverged():
+    data = _toy_data(make_rng(39), 8)
+    fit = gp_fit_map(data, restarts=4, maxiter=1, seed=7)
+    assert fit.iterations == [1] * 4
+    assert fit.converged == [False] * 4
 
 
 @pytest.mark.parametrize("beta_mode", ["closed_form", "empirical", "free"])
@@ -424,6 +616,7 @@ def test_fit_map_failed_restart_reads_minus_inf(monkeypatch, beta_mode):
     assert fit.objectives[0] == -math.inf
     assert np.all(np.isfinite(fit.objectives[1:]))
     assert fit.objective == max(fit.objectives)
+    assert fit.converged[0] is False
 
 
 def test_fit_map_every_restart_failed(monkeypatch):
@@ -463,6 +656,19 @@ def test_error_quantile_deterministic_errors():
     res = gp_error_quantile(params, data, alpha=0.9, reps=50, seed=0)
     assert np.all(res.quantiles == 0.4)
     assert res.median == 0.4
+
+
+def test_error_quantile_continuous_in_parameters(readme_fit_data):
+    # Cholesky draws move continuously with the law; eigenvector draws of a
+    # near-multiple of I rotated with a 1e-8 change in lam
+    data, (seed_fit, seed_q) = readme_fit_data
+    p = gp_fit_map(data, restarts=20, seed=seed_fit).params
+    nudged = GpDiscrepancyParams(
+        lam=p.lam * (1.0 + 1e-8), beta=p.beta, sigma2=p.sigma2, omegas=p.omegas
+    )
+    a = gp_error_quantile(p, data, 0.95, reps=10_000, seed=seed_q).quantiles
+    b = gp_error_quantile(nudged, data, 0.95, reps=10_000, seed=seed_q).quantiles
+    assert np.all(np.abs(b - a) <= 1e-6 * np.abs(a))
 
 
 def test_error_quantile_standard_normal():
