@@ -12,8 +12,9 @@ the family's roughness matrix.  Three basis families are provided:
   second-difference (P-spline) roughness, for d = 1;
 * ``rbf``       Gaussian radial basis functions on a deterministic subset of
   the training points plus an intercept, ridge roughness, for any d;
-* ``poly``      raw monomials up to a total degree, ridge roughness on the
-  non-constant terms.  Intercept coefficient comes first.
+* ``poly``      raw monomials up to a total degree, each the product of its
+  factors (no pow()), ridge roughness on the non-constant terms.  Intercept
+  coefficient comes first.
 
 Outside the training range splines continue linearly (value and slope frozen
 at the boundary).  The residual-correction machinery fits a second model to
@@ -23,7 +24,7 @@ the experimental data only.
 
 Every fit (plain, GCV, zero-anchored, each CV fold and each bootstrap
 replicate) assembles and solves one penalized normal-equation system,
-``_System``.
+``_System``, from ``design``; rbf and poly evaluate through ``_TableBasis``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .randgen import make_rng
 FAMILY_KINDS = ("spline1d", "rbf", "poly")
 
 _DEGREE = 3  # cubic splines throughout
+_BLOCK_ROWS = 4096  # predict's block: at 21 coefficients faster than 2048 or 8192
 
 
 @dataclass(frozen=True)
@@ -86,26 +88,6 @@ def _as_points(x, dim: int) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != dim:
         raise DomainError(f"expected points of dimension {dim}, got shape {a.shape}")
     return a
-
-
-def _predict_in_chunks(basis, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``basis.design(x) @ coef`` over blocks of rows.
-
-    A block's design holds about 2**16 values (512 KB), so it stays in cache
-    between ``design`` and the product.  Its row count is a power of two and
-    at least 16: the block, and each half or quarter of it that OpenBLAS's
-    dgemv hands to 2 or 4 threads, starts at a multiple of the 4-row groups
-    in which dgemv takes rows (a row outside such a group can round
-    differently).
-    """
-    x = _as_points(points, basis.dim)
-    coef = np.asarray(coef, dtype=float)
-    out = np.empty(x.shape[0])
-    rows = max(2**16 // max(basis.n_coef, 1), 1)  # rows within 2**16 values
-    step = max(16, 1 << (rows.bit_length() - 1))
-    for a in range(0, x.shape[0], step):
-        out[a : a + step] = basis.design(x[a : a + step]) @ coef
-    return out
 
 
 def _bspline(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
@@ -210,7 +192,44 @@ class SplineBasis:
         return {"kind": self.kind, "knots": self.knots.tolist()}
 
 
-class RbfBasis:
+def _columns(x: np.ndarray) -> np.ndarray:
+    """``x.T`` contiguous and zero-padded to a multiple of 4 rows.  OpenBLAS's
+    dgemv takes a last group of fewer than 4 rows on another path, which can
+    round differently; padded, a row's prediction keeps its bits wherever the
+    row sits."""
+    xt = np.zeros((x.shape[1], -(-x.shape[0] // 4) * 4))
+    xt[:, : x.shape[0]] = x.T
+    return xt
+
+
+class _TableBasis:
+    """Evaluation shared by rbf and poly, whose ``_table(xt)`` gives their
+    values feature-major, (n_coef, rows) at the columns of a contiguous (dim,
+    rows) ``xt``; intercept first, ridge roughness on the other coefficients."""
+
+    def design(self, points: np.ndarray) -> np.ndarray:
+        """The (rows, n_coef) design: ``_table`` in C order."""
+        xt = _as_points(points, self.dim).T.copy()
+        return np.ascontiguousarray(self._table(xt).T)
+
+    def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """``coef @ _table(block.T)`` over blocks of ``_BLOCK_ROWS`` rows: a
+        block's table stays in cache, and its ufuncs run along whole rows."""
+        x = _as_points(points, self.dim)
+        coef = np.asarray(coef, dtype=float)
+        out = np.empty(x.shape[0])
+        for a in range(0, x.shape[0], _BLOCK_ROWS):
+            part = x[a : a + _BLOCK_ROWS]
+            out[a : a + _BLOCK_ROWS] = (coef @ self._table(_columns(part)))[: len(part)]
+        return out
+
+    def roughness(self) -> np.ndarray:
+        r = np.eye(self.n_coef)
+        r[0, 0] = 0.0  # intercept unpenalized
+        return r
+
+
+class RbfBasis(_TableBasis):
     """Intercept plus Gaussian bumps exp(-|x - c_j|^2 / (2 l^2))."""
 
     kind = "rbf"
@@ -239,30 +258,20 @@ class RbfBasis:
         pos = d2[d2 > 0]
         return cls(centers, float(np.sqrt(np.median(pos))))
 
-    def design(self, points: np.ndarray) -> np.ndarray:
-        x = _as_points(points, self.dim)
-        # summed dimension by dimension without building an (m, c, d) array;
-        # below 8 dimensions this is np.sum's order over that trailing axis,
-        # from 8 on np.sum keeps 8 partial sums and may differ in the last bit
-        d2 = np.zeros((x.shape[0], self.n_coef - 1))
-        diff = np.empty_like(d2)
+    def _table(self, xt: np.ndarray) -> np.ndarray:
+        """Values (n_coef, rows) at the columns of contiguous ``xt`` (dim,
+        rows).  Squared distances add up in order of dimension, as np.sum
+        does over a trailing axis of d < 8 (from 8 on it keeps 8 sums)."""
+        out = np.empty((self.n_coef, xt.shape[1]))
+        out[0], out[1:] = 1.0, 0.0
+        d2, diff = out[1:], np.empty_like(out[1:])
         for j in range(self.dim):
-            np.subtract(x[:, j, None], self.centers[:, j], out=diff)
+            np.subtract(xt[j], self.centers[:, j, None], out=diff)
             diff *= diff
             d2 += diff
-        np.negative(d2, out=d2)
-        d2 /= 2.0 * self.lengthscale**2
-        out = np.empty((x.shape[0], self.n_coef))
-        out[:, 0] = 1.0
-        out[:, 1:] = np.exp(d2, out=d2)
+        d2 /= -2.0 * self.lengthscale**2
+        np.exp(d2, out=d2)
         return out
-
-    predict = _predict_in_chunks
-
-    def roughness(self) -> np.ndarray:
-        r = np.eye(self.n_coef)
-        r[0, 0] = 0.0  # intercept unpenalized
-        return r
 
     def to_dict(self) -> dict:
         return {
@@ -272,7 +281,7 @@ class RbfBasis:
         }
 
 
-class PolyBasis:
+class PolyBasis(_TableBasis):
     """Raw monomials of total degree <= degree; intercept first."""
 
     kind = "poly"
@@ -293,30 +302,19 @@ class PolyBasis:
                 mat[i, j] += 1
         self.powers = mat
         self.n_coef = mat.shape[0]
-        # (j, power) of each column's factors other than pow(x_j, 0), in order of j
-        self._factors = [[(j, p) for j, p in enumerate(row) if p] for row in mat]
+        # column k > 0 is column parent * x_j, j its last factor
+        index = {p: i for i, p in enumerate(powers)}
+        self._parents = [(index[p[:-1]], p[-1]) for p in powers[1:]]
 
-    def design(self, points: np.ndarray) -> np.ndarray:
-        x = _as_points(points, self.dim)
-        # one table of pow(x_j, 1..degree) per dimension; the array exponent
-        # keeps pow() (x * x can differ from pow(x, 2) in the last bit).  A
-        # column is the product of its table factors in order of j, as
-        # np.prod over a trailing (m, n_coef, d) axis takes it, with the
-        # factors pow(x_j, 0) = 1.0 left out: 1.0 * a == a, so no bit changes
-        exps = np.arange(1, self.degree + 1)
-        tables = [x[:, j, None] ** exps for j in range(self.dim)]
-        out = np.ones((x.shape[0], self.n_coef))
-        for col, factors in zip(out.T, self._factors):
-            for j, p in factors:
-                col *= tables[j][:, p - 1]
+    def _table(self, xt: np.ndarray) -> np.ndarray:
+        """Monomials (n_coef, rows) at the columns of contiguous ``xt`` (dim,
+        rows): each the left-to-right product of its factors x_j in order of
+        j, from 1.0, correctly rounded at each step; no pow()."""
+        out = np.empty((self.n_coef, xt.shape[1]))
+        out[0] = 1.0
+        for k, (parent, j) in enumerate(self._parents, start=1):
+            np.multiply(out[parent], xt[j], out=out[k])
         return out
-
-    predict = _predict_in_chunks
-
-    def roughness(self) -> np.ndarray:
-        r = np.eye(self.n_coef)
-        r[0, 0] = 0.0
-        return r
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "degree": self.degree, "dim": self.dim}
@@ -370,7 +368,8 @@ class ImprovedSurrogate:
     weight: float | None = None
 
     def __call__(self, points) -> np.ndarray:
-        return self.base(points) + self.residual(points)
+        out = self.base(points)
+        return np.add(out, self.residual(points), out=out)
 
 
 _SINGULAR = (
@@ -628,9 +627,9 @@ def select_weight_and_penalty(
         except DataError:
             sse = [None] * len(cells)
             break
-        # spline prediction is no design product; rbf and poly reuse one design
+        # rbf and poly score each fold with one table and predict's product
         xh, eh, basis = x[hold], eps[hold], fit.basis
-        bh = None if isinstance(basis, SplineBasis) else basis.design(xh)
+        th = None if isinstance(basis, SplineBasis) else basis._table(_columns(xh))
         for i, (w, pen) in enumerate(cells):
             if sse[i] is not None:
                 try:
@@ -638,7 +637,8 @@ def select_weight_and_penalty(
                 except (RankDeficiencyError, ConditioningError):
                     sse[i] = None
                     continue
-                err = (basis.predict(coef, xh) if bh is None else bh @ coef) - eh
+                pred = basis.predict(coef, xh) if th is None else coef @ th
+                err = pred[: len(eh)] - eh
                 sse[i] += float(err @ err)
 
     table = [(*cell, np.inf if t is None else t / n) for cell, t in zip(cells, sse)]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -582,59 +583,67 @@ def test_spline_matches_scipy_on_uneven_knots():
     assert _bitwise_equal(basis.predict(coef, x), _scipy_extended(knots, coef, x))
 
 
-@pytest.mark.parametrize("dim", [1, 5])
-def test_rbf_and_poly_design_match_broadcast_formula(dim):
-    rng = np.random.default_rng(20 + dim)
-    scales = 10.0 ** np.arange(-2, dim - 2)
-    x = rng.normal(size=(300, dim)) * scales
-    x[:3] = -0.0
-    rbf = RbfBasis.from_data(rng.normal(size=(60, dim)) * scales, 15)
-    diff = x[:, None, :] - rbf.centers[None, :, :]
-    bumps = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * rbf.lengthscale**2))
-    assert _bitwise_equal(rbf.design(x), np.column_stack([np.ones(len(x)), bumps]))
-    for degree in range(4):
-        poly = PolyBasis(degree, dim)
-        ref = np.prod(x[:, None, :] ** poly.powers[None, :, :], axis=2)
-        assert _bitwise_equal(poly.design(x), ref)
-
-
-def _predict_in_2_22_chunks(basis, coef, x):
-    """predict over chunks of 2**22 design values, each design built with
-    all d power-table factors per poly column and a new array per rbf
-    temporary."""
-    out = np.empty(x.shape[0])
-    step = max(1, 2**22 // max(basis.n_coef, 1))
-    for a in range(0, x.shape[0], step):
-        part = x[a : a + step]
-        if isinstance(basis, PolyBasis):
-            exps = np.arange(basis.degree + 1)
-            design = np.ones((part.shape[0], basis.n_coef))
-            for j in range(basis.dim):
-                design *= (part[:, j, None] ** exps)[:, basis.powers[:, j]]
-        else:
-            d2 = np.zeros((part.shape[0], basis.n_coef - 1))
-            for j in range(basis.dim):
-                diff = part[:, j, None] - basis.centers[None, :, j]
-                d2 += diff * diff
-            design = np.empty((part.shape[0], basis.n_coef))
-            design[:, 0] = 1.0
-            design[:, 1:] = np.exp(-d2 / (2.0 * basis.lengthscale**2))
-        out[a : a + step] = design @ coef
-    return out
-
-
 # the raw scales of the 5-d field law: two coordinates with SD 1e6, two with
 # SD 9 and one near 1e-4 with SD 4e-6
 _RAW_5D = (np.array([3e6, 1e6, 40.0, 20.0, 1e-4]), np.array([1e6, 1e6, 9.0, 9.0, 4e-6]))
 
 
+def _monomial_factors(basis):
+    """Each poly column's factors j, in order of j, x_j repeated by its power."""
+    return [[j for j, p in enumerate(row) for _ in range(p)] for row in basis.powers]
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+def test_rbf_and_poly_design_match_broadcast_formula(dim):
+    rng = np.random.default_rng(20 + dim)
+    scales = 10.0 ** np.arange(-2, dim - 2)
+    mean, sd = _RAW_5D
+    x = np.vstack([
+        rng.normal(size=(300, dim)) * scales,
+        (mean + sd * rng.normal(size=(100, 5)))[:, :dim],
+    ])
+    x[:3] = -0.0
+    x[3:40:2, 0] = -0.0
+    rbf = RbfBasis.from_data(rng.normal(size=(60, dim)) * scales, 15)
+    diff = x[:, None, :] - rbf.centers[None, :, :]
+    bumps = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * rbf.lengthscale**2))
+    assert _bitwise_equal(rbf.design(x), np.column_stack([np.ones(len(x)), bumps]))
+    # a poly column is the left-to-right product of its factors in Python
+    # floats, starting from 1.0
+    assert np.any(x < 0.0) and np.any(np.signbit(x) & (x == 0.0))
+    rows = x.tolist()
+    for degree in range(4):
+        poly = PolyBasis(degree, dim)
+        ref = np.empty((len(rows), poly.n_coef))
+        for k, factors in enumerate(_monomial_factors(poly)):
+            for i, row in enumerate(rows):
+                value = 1.0
+                for j in factors:
+                    value *= row[j]
+                ref[i, k] = value
+        assert _bitwise_equal(poly.design(x), ref)
+
+
+def _predict_in_2_22_chunks(basis, coef, x):
+    """predict over chunks of 2**22 table values, each one coefficient-table
+    product of the whole chunk with its rows padded by zeros to a multiple
+    of 4."""
+    out = np.empty(x.shape[0])
+    step = max(1, 2**22 // max(basis.n_coef, 1))
+    for a in range(0, x.shape[0], step):
+        part = x[a : a + step]
+        xt = np.zeros((x.shape[1], (part.shape[0] + 3) // 4 * 4))
+        xt[:, : part.shape[0]] = part.T
+        out[a : a + step] = (coef @ basis._table(xt))[: part.shape[0]]
+    return out
+
+
 @pytest.mark.parametrize("kind", ["poly2", "poly3", "rbf20"])
 def test_predict_blocks_match_2_22_chunks(kind):
-    # 6239 rows (3 mod 4) fill 4 blocks of 2048 rows (21 coefficients) or 7
-    # of 1024 (poly 3, 56 coefficients), the last one partly.  6239 = 48 * 130
-    # - 1, so the oracle's single product splits among 2, 3 or 4 OpenBLAS
-    # threads at multiples of 4 rows, and every row sits in the same 4-row
-    # group of dgemv as in the blocks
+    # 6239 rows (3 mod 4) fill 2 blocks of 4096 rows, the second partly, and
+    # one chunk of 2**22 values, so blocked predict must equal a single
+    # coef @ _table(x.T) of all rows.  The last 3 rows fill no group of 4
+    # that dgemv takes; padded, each row's prediction is the one it gets alone
     rng = np.random.default_rng(61)
     if kind == "rbf20":
         # unit scales, so the bumps are not flat
@@ -648,44 +657,42 @@ def test_predict_blocks_match_2_22_chunks(kind):
     got = basis.predict(coef, x)
     assert np.all(coef != 0.0) and np.ptp(got) > 0.0
     assert np.array_equal(got, _predict_in_2_22_chunks(basis, coef, x))
-
-
-def _design_with_pow0(basis, x):
-    """PolyBasis.design with pow(x_j, 0) in every power table: the table
-    columns are exponents 0..degree, and each design column multiplies its
-    nonzero-power factors in order of j."""
-    exps = np.arange(basis.degree + 1)
-    tables = [x[:, j, None] ** exps for j in range(basis.dim)]
-    out = np.ones((x.shape[0], basis.n_coef))
-    for col, row in zip(out.T, basis.powers):
-        for j, p in enumerate(row):
-            if p:
-                col *= tables[j][:, p]
-    return out
+    for i in (0, 1, 2, 3, 4095, 4096, 6235, 6236, 6237, 6238):
+        assert basis.predict(coef, x[i : i + 1])[0] == got[i]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("rows", [1, 3, 17, 60_001])
-def test_poly_tables_without_pow0_keep_bits(rows, degree, monkeypatch):
-    # leaving the exponent-0 column out of the tables must not change the
-    # pow() results of the other exponents, on the raw 5-d scales
+def test_poly_tables_without_pow0_keep_bits(rows, degree):
+    # the product-built tables keep poly predictions within the rounding of
+    # their sum: within 4 n_coef eps sum_k |c_k b_k| of math.fsum over the
+    # terms c_k b_k, with b_k each monomial's product of factors, on the raw
+    # 5-d scales and on N(0, 1) inputs
     rng = np.random.default_rng(66)
     mean, sd = _RAW_5D
-    x = mean + sd * rng.normal(size=(rows, 5))
     basis = PolyBasis(degree, 5)
     coef = rng.normal(size=basis.n_coef)
-    design, pred = basis.design(x), basis.predict(coef, x)
-    monkeypatch.setattr(PolyBasis, "design", _design_with_pow0)
-    assert _bitwise_equal(design, basis.design(x))
-    assert _bitwise_equal(pred, basis.predict(coef, x))
+    for x in (mean + sd * rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5))):
+        b = np.ones((rows, basis.n_coef))
+        for k, factors in enumerate(_monomial_factors(basis)):
+            for j in factors:
+                b[:, k] *= x[:, j]
+        terms = coef * b
+        exact = np.array([math.fsum(t) for t in terms.tolist()])
+        bound = 4 * basis.n_coef * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(basis.predict(coef, x) - exact) <= bound)
 
 
 # Prints one hash per (basis, row count) of fixed-seed predictions on 5-d
-# points; no row count is a multiple of 4
+# points, where no row count is a multiple of 4, and one per fit on the
+# raw-scale 5-d field law: the poly 2 GCV coefficients and the rbf 20 weighted
+# CV table and coefficients
 _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
-from uqim.surrogate import PolyBasis, RbfBasis
+from uqim.surrogate import (FunctionFamily, PolyBasis, RbfBasis, compute_residuals,
+                            fit_with_gcv, select_weight_and_penalty)
+from uqim.synthetic import make_hidim_like
 rng = np.random.default_rng(67)
 mean = np.array([3e6, 1e6, 40.0, 20.0, 1e-4])
 sd = np.array([1e6, 1e6, 9.0, 9.0, 4e-6])
@@ -693,20 +700,31 @@ unit = rng.normal(size=(300, 5))
 bases = {"poly2": PolyBasis(2, 5), "poly3": PolyBasis(3, 5),
          "rbf20": RbfBasis.from_data(unit, 20)}
 seen = {}
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, float).tobytes() for a in arrays)).hexdigest()
 for name, basis in bases.items():
     coef = rng.normal(size=basis.n_coef)
     for rows in (6_239, 60_001, 200_003):
         z = rng.normal(size=(rows, 5))
         pred = basis.predict(coef, z if name == "rbf20" else mean + sd * z)
         assert np.all(coef != 0.0) and np.ptp(pred) > 0.0
-        seen[f"{name}/{rows}"] = hashlib.sha256(pred.tobytes()).hexdigest()
+        seen[f"{name}/{rows}"] = digest(pred)
+system = make_hidim_like(bias_kind="linear")
+exp, sim = system.draw_experiment(50, seed=1), system.draw_simulation(200, seed=2)
+base = fit_with_gcv(FunctionFamily("poly", 2), sim)
+seen["fit_with_gcv/poly2"] = digest(base.coef, [base.family.penalty, base.cv_score])
+sel = select_weight_and_penalty(FunctionFamily("rbf", 20), exp,
+                                compute_residuals(base, exp), sim.inputs, seed=11)
+assert np.any(sel.model.coef != 0.0)
+seen["select_weight_and_penalty/rbf20"] = digest(sel.model.coef, sel.table)
 print(json.dumps(seen))
 """
 
 
 def test_predict_bits_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dgemv among T threads at ceil(rows / T) rows; with
-    # 3 threads the split of a 2048-row block is not a multiple of 4 rows
+    # 3 threads the split of a 4096-row block is not a multiple of 4 rows.
+    # The fits' products and solves go through the same library
     src = str(Path(uqim.surrogate.__file__).resolve().parents[1])
     hashes = []
     for threads in ("1", "3"):
@@ -716,17 +734,18 @@ def test_predict_bits_do_not_depend_on_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         hashes.append(json.loads(proc.stdout))
-    assert len(hashes[0]) == 9
+    assert len(hashes[0]) == 11
     assert hashes[0] == hashes[1]
 
 
 def test_improved_surrogate_call_memory_is_a_few_blocks():
-    # one call on 2e5 5-d points allocates its outputs (base, residual and
-    # their sum, 1.6 MB each) and a few blocks of about 512 KB; a design of
-    # all rows would be 34 MB
+    # one call on 1e6 5-d points allocates its two outputs (base and
+    # residual, 8 MB each; the sum goes into the base's) and a few blocks of
+    # at most 688 KB.  A third output would overshoot the bound by about
+    # 4 MB; a design of all rows would be 168 MB
     rng = np.random.default_rng(62)
     mean, sd = _RAW_5D
-    x = mean + sd * rng.normal(size=(200_000, 5))
+    x = mean + sd * rng.normal(size=(1_000_000, 5))
     poly, rbf = PolyBasis(2, 5), RbfBasis.from_data(x[:300], 20)
     model = improved_surrogate(
         SurrogateModel(FunctionFamily("poly", 2), poly, rng.normal(size=poly.n_coef), 300),
@@ -738,7 +757,7 @@ def test_improved_surrogate_call_memory_is_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * x.shape[0] * 8 + 4 * 2**20
+    assert peak < 2 * x.shape[0] * 8 + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
