@@ -5,45 +5,19 @@ simulators by penalized least-squares surrogates (optionally corrected on
 experimental data), and attach finite-sample uncertainty statements to the
 resulting output quantities: quantiles, densities, validation metrics and
 model-error bounds.
+
+The package loads each layer module on first use (PEP 562): ``uqim.fit_with_gcv``
+or ``from uqim import fit_with_gcv`` imports ``uqim.surrogate`` and binds all
+of its exported names, and ``uqim.surrogate`` is the module.  Only ``errors``
+and ``avm`` load with the package; ``avm`` because its module and its function
+share a name, and the package attribute must stay the function.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
 from .avm import AvmResult, EmpiricalCdf, avm
-from .bootstrap import BootstrapErrorReport, bootstrap_error_quantile
-from .confidence import (
-    DensityBand,
-    EpsGamma,
-    FeasibilityReport,
-    QuantileCi,
-    ci_feasibility,
-    density_band,
-    gamma_term,
-    minimal_feasible_delta,
-    minimal_feasible_n,
-    minimize_eps_gamma,
-    quantile_ci,
-    sup_interval_mismatch,
-    surrogate_error_bound,
-)
-from .data import (
-    InputSample,
-    PairedDataset,
-    RunConfig,
-    parse_dataset,
-    parse_inputs,
-    write_dataset,
-    write_inputs,
-)
-from .density import (
-    KdeModel,
-    QuantileEstimate,
-    kde_cdf,
-    kde_evaluate,
-    mc_quantile,
-    select_bandwidth,
-    surrogate_density,
-)
 from .errors import (
     ConditioningError,
     DataError,
@@ -56,51 +30,69 @@ from .errors import (
     ValidationError,
     ZeroSpreadError,
 )
-from .gp import (
-    DiscrepancyData,
-    ErrorQuantileResult,
-    GpDiscrepancyParams,
-    GpFitResult,
-    GpHyperParams,
-    gp_beta_closed_form,
-    gp_beta_empirical,
-    gp_cov_matrix,
-    gp_covariance,
-    gp_error_quantile,
-    gp_fit_map,
-    gp_log_posterior,
-    gp_loglikelihood,
-    gp_loglikelihood_grad,
-)
-from .randgen import (
-    MvnParams,
-    estimate_mvn,
-    latin_hypercube,
-    make_rng,
-    sample_mvn,
-    spawn_seeds,
-)
-from .surrogate import (
-    FunctionFamily,
-    ImprovedSurrogate,
-    SurrogateModel,
-    WeightSelection,
-    compute_residuals,
-    fit_penalized_ls,
-    fit_residual_model,
-    fit_residual_model_weighted,
-    fit_with_gcv,
-    improved_surrogate,
-    load_model,
-    save_model,
-    select_weight_and_penalty,
-)
-from .synthetic import (
-    SyntheticSystem,
-    field_measurements,
-    make_hidim_like,
-    make_mafds_like,
-    mc_truth_quantile,
+
+# the public names of each lazily loaded layer module
+_EXPORTS = {
+    "bootstrap": ("BootstrapErrorReport", "bootstrap_error_quantile"),
+    "confidence": (
+        "DensityBand", "EpsGamma", "FeasibilityReport", "QuantileCi", "ci_feasibility",
+        "density_band", "gamma_term", "minimal_feasible_delta", "minimal_feasible_n",
+        "minimize_eps_gamma", "quantile_ci", "sup_interval_mismatch",
+        "surrogate_error_bound",
+    ),
+    "data": (
+        "InputSample", "PairedDataset", "RunConfig", "parse_dataset", "parse_inputs",
+        "write_dataset", "write_inputs",
+    ),
+    "density": (
+        "KdeModel", "QuantileEstimate", "kde_cdf", "kde_evaluate", "mc_quantile",
+        "select_bandwidth", "surrogate_density",
+    ),
+    "gp": (
+        "DiscrepancyData", "ErrorQuantileResult", "GpDiscrepancyParams", "GpFitResult",
+        "GpHyperParams", "gp_beta_closed_form", "gp_beta_empirical", "gp_cov_matrix",
+        "gp_covariance", "gp_error_quantile", "gp_fit_map", "gp_log_posterior",
+        "gp_loglikelihood", "gp_loglikelihood_grad",
+    ),
+    "randgen": (
+        "MvnParams", "estimate_mvn", "latin_hypercube", "make_rng", "sample_mvn",
+        "spawn_seeds",
+    ),
+    "surrogate": (
+        "FunctionFamily", "ImprovedSurrogate", "SurrogateModel", "WeightSelection",
+        "compute_residuals", "fit_penalized_ls", "fit_residual_model",
+        "fit_residual_model_weighted", "fit_with_gcv", "improved_surrogate",
+        "load_model", "save_model", "select_weight_and_penalty",
+    ),
+    "synthetic": (
+        "SyntheticSystem", "field_measurements", "make_hidim_like", "make_mafds_like",
+        "mc_truth_quantile",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the eager names above (with the ``errors`` module), the lazy names and modules
+__all__ = sorted(
+    {*(name for name in globals() if not name.startswith("_")), *_MODULE_OF, *_EXPORTS}
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def _load(module: str):
+    mod = _import_module(f".{module}", __name__)
+    namespace = globals()
+    for name in _EXPORTS[module]:
+        namespace.setdefault(name, getattr(mod, name))
+    return mod
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _load(name)
+    if name in _MODULE_OF:
+        _load(_MODULE_OF[name])
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

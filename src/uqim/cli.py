@@ -28,9 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avm import avm
-from .bootstrap import bootstrap_error_quantile
-from .confidence import ci_feasibility, density_band, quantile_ci
 from .data import (
     InputSample,
     RunConfig,
@@ -40,21 +37,20 @@ from .data import (
     write_dataset,
     write_inputs,
 )
-from .density import kde_cdf, kde_evaluate, mc_quantile, surrogate_density
 from .errors import DataError, DomainError, InfeasibleError, UqError, ValidationError
-from .gp import DiscrepancyData, gp_error_quantile, gp_fit_map
-from .randgen import estimate_mvn, latin_hypercube, sample_mvn, spawn_seeds
-from .surrogate import (
-    FunctionFamily,
-    compute_residuals,
-    fit_penalized_ls,
-    fit_with_gcv,
-    improved_surrogate,
-    load_model,
-    save_model,
-    select_weight_and_penalty,
-)
-from .synthetic import field_measurements, make_hidim_like, make_mafds_like
+
+# The layer modules load in the handlers that call them, so that a process
+# starts on the running subcommand's layers only; --dry-run, --version and
+# argument errors load none.
+
+
+def __getattr__(name: str):
+    # the layer functions this module once imported at its top still resolve
+    # as uqim.cli.<name>, through the package, which loads them on first use
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _version() -> str:
@@ -140,6 +136,8 @@ class _Ctx:
 
 
 def _family_from_args(kind, size, penalty, default_kind="spline1d", default_size=10):
+    from .surrogate import FunctionFamily
+
     return FunctionFamily(
         kind=kind or default_kind,
         size=int(size) if size is not None else default_size,
@@ -156,6 +154,8 @@ def _model_outputs(model, inputs_path) -> np.ndarray:
 
 
 def _cmd_gen_inputs(args, ctx: _Ctx):
+    from .randgen import estimate_mvn, latin_hypercube, sample_mvn
+
     count = int(args.count)
     dist = args.dist or ("lhs" if args.ranges and not args.from_data else "mvn")
     sample = None
@@ -186,6 +186,15 @@ def _cmd_gen_inputs(args, ctx: _Ctx):
 
 
 def _cmd_fit_surrogate(args, ctx: _Ctx):
+    from .surrogate import (
+        compute_residuals,
+        fit_penalized_ls,
+        fit_with_gcv,
+        improved_surrogate,
+        save_model,
+        select_weight_and_penalty,
+    )
+
     sim = _load_dataset(args.sim, args.input_columns, args.output_column, "simulated")
     family = _family_from_args(args.family, args.size, args.penalty)
     if args.penalty is None:
@@ -254,6 +263,9 @@ def _cmd_fit_surrogate(args, ctx: _Ctx):
 
 
 def _cmd_density(args, ctx: _Ctx):
+    from .density import kde_cdf, kde_evaluate, surrogate_density
+    from .surrogate import load_model
+
     model = load_model(args.model)
     sample = parse_inputs(args.inputs)
     bw = args.bandwidth
@@ -303,6 +315,8 @@ def _cmd_density(args, ctx: _Ctx):
 
 
 def _cmd_quantile(args, ctx: _Ctx):
+    from .density import mc_quantile
+
     if bool(args.outputs) == bool(args.model):
         raise DomainError("give either --outputs or --model with --inputs")
     if args.outputs:
@@ -311,6 +325,8 @@ def _cmd_quantile(args, ctx: _Ctx):
     else:
         if not args.inputs:
             raise DomainError("--model needs --inputs")
+        from .surrogate import load_model
+
         values = _model_outputs(load_model(args.model), args.inputs)
         source = f"{args.model} on {args.inputs}"
     alphas = _floats(args.alpha)
@@ -324,6 +340,8 @@ def _cmd_quantile(args, ctx: _Ctx):
 
 
 def _cmd_avm(args, ctx: _Ctx):
+    from .avm import avm
+
     expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
     simd = _load_dataset(args.sim, args.input_columns, args.output_column, "simulated")
     steps = int(args.grid_steps) if args.grid_steps is not None else 10_000
@@ -340,6 +358,10 @@ def _cmd_avm(args, ctx: _Ctx):
 
 
 def _cmd_gp_error(args, ctx: _Ctx):
+    from .gp import DiscrepancyData, gp_error_quantile, gp_fit_map
+    from .randgen import spawn_seeds
+    from .surrogate import load_model
+
     expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
     model = load_model(args.model)
     data = DiscrepancyData(
@@ -382,6 +404,9 @@ def _cmd_gp_error(args, ctx: _Ctx):
 
 
 def _cmd_bootstrap_error(args, ctx: _Ctx):
+    from .bootstrap import bootstrap_error_quantile
+    from .surrogate import load_model
+
     expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
     model = load_model(args.model)
     family = _family_from_args(args.family, args.size, args.penalty)
@@ -426,6 +451,8 @@ def _cmd_bootstrap_error(args, ctx: _Ctx):
 
 
 def _cmd_ci_quantile(args, ctx: _Ctx):
+    from .confidence import ci_feasibility, quantile_ci
+
     alpha = float(args.alpha)
     delta = float(args.delta)
     if args.check_only:
@@ -459,6 +486,8 @@ def _cmd_ci_quantile(args, ctx: _Ctx):
     for name in ("exp", "model", "inputs"):
         if not getattr(args, name):
             raise DomainError(f"--{name} is required unless --check-only")
+    from .surrogate import load_model
+
     expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
     model = load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
@@ -502,14 +531,16 @@ def _cmd_ci_quantile(args, ctx: _Ctx):
 
 
 def _cmd_density_band(args, ctx: _Ctx):
+    from .confidence import density_band
+    from .density import select_bandwidth
+    from .surrogate import load_model
+
     expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
     model = load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
     if args.bandwidths:
         bandwidths = _floats(args.bandwidths)
     else:
-        from .density import select_bandwidth
-
         bandwidths = [select_bandwidth(outputs)]
     interval = (
         _parse_span(args.interval)
@@ -555,6 +586,14 @@ def _cmd_density_band(args, ctx: _Ctx):
 
 
 def _cmd_synth(args, ctx: _Ctx):
+    from .randgen import spawn_seeds
+    from .synthetic import (
+        field_measurements,
+        make_hidim_like,
+        make_mafds_like,
+        mc_truth_quantile,
+    )
+
     system = args.system or "mafds"
     if system == "field":
         ds = field_measurements()
@@ -588,8 +627,6 @@ def _cmd_synth(args, ctx: _Ctx):
     if sys_.quantile_fn is not None:
         truth_q = sys_.true_quantile(alpha)
     else:
-        from .synthetic import mc_truth_quantile
-
         truth_q = mc_truth_quantile(
             sys_, alpha, count=int(args.mc_count or 100_000), seed=ctx.seed
         )

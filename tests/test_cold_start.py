@@ -1,32 +1,91 @@
-"""The CLI starts without scipy or numpy.ma: only the subcommands that use scipy load it."""
+"""The CLI starts on the running subcommand's layers only.
 
-import contextlib
-import io
+``import uqim`` loads ``uqim.errors`` and ``uqim.avm``, ``uqim.cli`` adds
+``uqim.data``; every other layer module loads on first use.  No README
+subcommand loads scipy or numpy.ma.
+"""
+
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import uqim
-from uqim.cli import _HANDLERS, main
+from uqim.cli import _HANDLERS
 
 _SRC = str(Path(uqim.__file__).resolve().parents[1])
 
 # Runs ``uqim.cli.main`` on each argv of a JSON list in one fresh interpreter
-# and prints which scipy modules were loaded after the import and after each call.
+# and prints which scipy and uqim modules were loaded after the import and
+# after each call.
 _PROBE = """
 import contextlib, io, json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(top):
+    return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 from uqim.cli import main
-seen = [["import uqim.cli", 0, scipy_modules()]]
+seen = [["import uqim.cli", 0, loaded("scipy"), loaded("uqim")]]
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = main(argv)
-    seen.append([" ".join(argv), rc, scipy_modules()])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # --version and argument errors
+            rc = exc.code
+    seen.append([" ".join(argv), rc, loaded("scipy"), loaded("uqim")])
 print(json.dumps(seen))
 """
+
+# what ``import uqim.cli`` loads of the package, and all a --dry-run may load
+_CLI_MODULES = ["uqim", "uqim.avm", "uqim.cli", "uqim.data", "uqim.errors"]
+
+_RUN = ["--out-dir", "."]
+
+# The README block in order, each subcommand with the layer modules it must
+# not load: the layers it does not call, directly or through another layer
+_README = [
+    (["synth", "--system", "mafds", "--bias-kind", "linear", "--n-exp", "50",
+      "--n-sim", "200", "--seed", "11", *_RUN],
+     "surrogate gp bootstrap confidence"),
+    (["gen-inputs", "--count", "100000", "--dist", "mvn", "--from", "sim.csv",
+      "--columns", "x1", "--out", "inputs.csv", *_RUN],
+     "surrogate density gp bootstrap confidence synthetic"),
+    (["fit-surrogate", "--sim", "sim.csv", "--exp", "exp.csv", "--family",
+      "spline1d", "--size", "8", "--res-family", "poly", "--res-size", "1",
+      "--weighted", "--out", "model.json", *_RUN],
+     "density gp bootstrap confidence synthetic"),
+    (["density", "--model", "model.json", "--inputs", "inputs.csv",
+      "--bandwidth", "auto", "--grid", "0.05:0.12:50", *_RUN],
+     "gp bootstrap confidence synthetic"),
+    (["quantile", "--model", "model.json", "--inputs", "inputs.csv",
+      "--alpha", "0.95,0.99", *_RUN],
+     "gp bootstrap confidence synthetic"),
+    (["avm", "--exp", "exp.csv", "--sim", "sim.csv", *_RUN],
+     "randgen surrogate density gp bootstrap confidence synthetic"),
+    (["gp-error", "--exp", "exp.csv", "--model", "model.json", "--alpha", "0.95",
+      *_RUN],
+     "bootstrap confidence synthetic"),
+    (["bootstrap-error", "--exp", "exp.csv", "--model", "model.json",
+      "--family", "poly", "--size", "1", "--b-reps", "20", "--n-learn", "10", *_RUN],
+     "gp confidence synthetic"),
+    (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+      "--delta", "0.05"],
+     "randgen surrogate gp bootstrap synthetic"),
+    (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+      "--delta", "0.05", "--big-n", "100000"],
+     "randgen surrogate gp bootstrap synthetic"),
+    (["ci-quantile", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+      "inputs.csv", "--alpha", "0.95", "--delta", "0.2", "--sweep", *_RUN],
+     "gp bootstrap synthetic"),
+    # infeasible: the error report searches for the smallest workable delta
+    (["ci-quantile", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+      "inputs.csv", "--alpha", "0.95", "--delta", "0.05", "--sweep", *_RUN],
+     "gp bootstrap synthetic"),
+    (["density-band", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+      "inputs.csv", "--kappa", "0.005", "--delta", "0.05", *_RUN],
+     "gp bootstrap synthetic"),
+]
 
 
 def _run_python(code, *args, cwd=None):
@@ -53,45 +112,21 @@ def test_import_loads_no_numpy_ma():
 
 
 def test_scipy_free_subcommands(tmp_path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = main([
-            "synth", "--system", "mafds", "--bias-kind", "linear", "--n-exp", "50",
-            "--n-sim", "200", "--seed", "11", "--out-dir", str(tmp_path),
-        ])
-    assert rc == 0
-    run = ["--out-dir", tmp_path]
-    seen = _probe([
-        ["gen-inputs", "--count", "100000", "--dist", "mvn", "--from", "sim.csv",
-         "--columns", "x1", "--out", "inputs.csv", *run],
-        ["fit-surrogate", "--sim", "sim.csv", "--exp", "exp.csv", "--family",
-         "spline1d", "--size", "8", "--res-family", "poly", "--res-size", "1",
-         "--weighted", "--out", "model.json", *run],
-        ["density", "--model", "model.json", "--inputs", "inputs.csv",
-         "--bandwidth", "auto", "--grid", "0.05:0.12:50", *run],
-        ["quantile", "--model", "model.json", "--inputs", "inputs.csv",
-         "--alpha", "0.95,0.99", *run],
-        ["avm", "--exp", "exp.csv", "--sim", "sim.csv", *run],
-        ["gp-error", "--exp", "exp.csv", "--model", "model.json", "--alpha", "0.95",
-         *run],
-        ["bootstrap-error", "--exp", "exp.csv", "--model", "model.json",
-         "--family", "poly", "--size", "1", "--b-reps", "20", "--n-learn", "10", *run],
-        ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
-         "--delta", "0.05"],
-        ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
-         "--delta", "0.05", "--big-n", "100000"],
-        ["ci-quantile", "--exp", "exp.csv", "--model", "model.json", "--inputs",
-         "inputs.csv", "--alpha", "0.95", "--delta", "0.2", "--sweep", *run],
-        # infeasible: the error report searches for the smallest workable delta
-        ["ci-quantile", "--exp", "exp.csv", "--model", "model.json", "--inputs",
-         "inputs.csv", "--alpha", "0.95", "--delta", "0.05", "--sweep", *run],
-        ["density-band", "--exp", "exp.csv", "--model", "model.json", "--inputs",
-         "inputs.csv", "--kappa", "0.005", "--delta", "0.05", *run],
-    ], cwd=tmp_path)
-    assert [rc for _, rc, _ in seen] == [0] * (len(seen) - 2) + [1, 0]
-    assert [(cmd, mods) for cmd, _, mods in seen if mods] == []
+    # each also loads only the uqim layers it calls (the name predates that
+    # guard); one fresh process per subcommand, in README order, each reading
+    # the artifacts of the ones before it
+    seen = [_probe([argv], cwd=tmp_path)[-1] for argv, _ in _README]
+    assert [rc for _, rc, _, _ in seen] == [0] * (len(seen) - 2) + [1, 0]
+    assert [(cmd, scipy) for cmd, _, scipy, _ in seen if scipy] == []
+    loaded_forbidden = [
+        (cmd, sorted(set(mods) & {f"uqim.{m}" for m in forbidden.split()}))
+        for (cmd, _, _, mods), (_, forbidden) in zip(seen, _README)
+    ]
+    assert [(cmd, mods) for cmd, mods in loaded_forbidden if mods] == []
 
 
 def test_dry_runs_load_no_scipy(tmp_path):
+    # nor any layer module, and neither do --version and argument errors
     dry = {
         "gen-inputs": ["--count", "1"],
         "fit-surrogate": ["--sim", "s.csv"],
@@ -107,6 +142,105 @@ def test_dry_runs_load_no_scipy(tmp_path):
     }
     assert sorted(dry) == sorted(_HANDLERS)
     argvs = [[name, "--dry-run", *args] for name, args in dry.items()]
-    seen = _probe(argvs, cwd=tmp_path)
-    assert [rc for _, rc, _ in seen] == [0] * len(seen)
-    assert [(cmd, mods) for cmd, _, mods in seen if mods] == []
+    # --version exits 0; a missing required option exits 2
+    seen = _probe(argvs + [["--version"], ["avm", "--exp", "e.csv"]], cwd=tmp_path)
+    assert [rc for _, rc, _, _ in seen] == [0] * (len(seen) - 1) + [2]
+    assert [(cmd, scipy) for cmd, _, scipy, _ in seen if scipy] == []
+    assert [(cmd, mods) for cmd, _, _, mods in seen if mods != _CLI_MODULES] == []
+
+
+# ---------------------------------------------------------------------------
+# the package surface: the names of ``uqim.__all__`` as they were when the
+# package imported every layer module up front, by defining module
+
+_SURFACE = {
+    "avm": "AvmResult EmpiricalCdf avm",
+    "bootstrap": "BootstrapErrorReport bootstrap_error_quantile",
+    "confidence": "DensityBand EpsGamma FeasibilityReport QuantileCi ci_feasibility "
+                  "density_band gamma_term minimal_feasible_delta minimal_feasible_n "
+                  "minimize_eps_gamma quantile_ci sup_interval_mismatch "
+                  "surrogate_error_bound",
+    "data": "InputSample PairedDataset RunConfig parse_dataset parse_inputs "
+            "write_dataset write_inputs",
+    "density": "KdeModel QuantileEstimate kde_cdf kde_evaluate mc_quantile "
+               "select_bandwidth surrogate_density",
+    "errors": "ConditioningError DataError DomainError InfeasibleError "
+              "InsufficientDataError InvalidCovarianceError RankDeficiencyError UqError "
+              "ValidationError ZeroSpreadError",
+    "gp": "DiscrepancyData ErrorQuantileResult GpDiscrepancyParams GpFitResult "
+          "GpHyperParams gp_beta_closed_form gp_beta_empirical gp_cov_matrix "
+          "gp_covariance gp_error_quantile gp_fit_map gp_log_posterior "
+          "gp_loglikelihood gp_loglikelihood_grad",
+    "randgen": "MvnParams estimate_mvn latin_hypercube make_rng sample_mvn spawn_seeds",
+    "surrogate": "FunctionFamily ImprovedSurrogate SurrogateModel WeightSelection "
+                 "compute_residuals fit_penalized_ls fit_residual_model "
+                 "fit_residual_model_weighted fit_with_gcv improved_surrogate "
+                 "load_model save_model select_weight_and_penalty",
+    "synthetic": "SyntheticSystem field_measurements make_hidim_like make_mafds_like "
+                 "mc_truth_quantile",
+}
+# the submodules listed in ``__all__``; ``avm`` names the function
+_SURFACE_MODULES = sorted(set(_SURFACE) - {"avm"})
+
+# In a fresh interpreter, resolves every name through ``from uqim import`` and
+# through ``getattr``, the first of them as given, and prints the names that are
+# not the defining module's object (or, for a submodule name, the module).
+_SURFACE_PROBE = """
+import importlib, json, sys
+import uqim
+surface, modules, from_first = json.loads(sys.argv[1])
+def from_import(name):
+    ns = {}
+    exec(f"from uqim import {name}", ns)
+    return ns[name]
+lookups = [from_import, lambda name: getattr(uqim, name)][:: 1 if from_first else -1]
+bad = [
+    name
+    for module, names in surface.items() for name in names.split()
+    if any(look(name) is not getattr(importlib.import_module(f"uqim.{module}"), name)
+           for look in lookups)
+]
+bad += [name for name in modules if getattr(uqim, name) is not sys.modules[f"uqim.{name}"]]
+print(json.dumps([bad, uqim.__all__, dir(uqim)]))
+"""
+
+
+@pytest.mark.parametrize("from_first", [True, False], ids=["from_import", "getattr"])
+def test_every_public_name_resolves_to_its_module_object(from_first):
+    frozen = [n for names in _SURFACE.values() for n in names.split()]
+    assert len(frozen) == 80
+    bad, all_, dir_ = json.loads(_run_python(
+        _SURFACE_PROBE, json.dumps([_SURFACE, _SURFACE_MODULES, from_first])
+    ))
+    assert bad == []
+    assert all_ == sorted(frozen + _SURFACE_MODULES)
+    assert set(all_) <= set(dir_)
+
+
+def test_submodules_and_avm_after_lazy_loads(tmp_path):
+    code = """
+import contextlib, io, sys, types
+import uqim
+assert "uqim.surrogate" not in sys.modules
+assert isinstance(uqim.surrogate, types.ModuleType)
+assert uqim.surrogate is sys.modules["uqim.surrogate"]
+assert uqim.fit_with_gcv is uqim.surrogate.fit_with_gcv
+import uqim.avm
+assert isinstance(uqim.avm, types.FunctionType), uqim.avm
+import uqim.cli
+# the layer names uqim.cli imported at its top before the layers loaded lazily
+assert uqim.cli.load_model is uqim.surrogate.load_model
+with contextlib.redirect_stdout(io.StringIO()):
+    assert uqim.cli.main(["synth", "--n-exp", "20", "--n-sim", "20"]) == 0
+    assert uqim.cli.main(["avm", "--exp", "exp.csv", "--sim", "sim.csv"]) == 0
+assert isinstance(uqim.avm, types.FunctionType), uqim.avm
+assert uqim.avm is sys.modules["uqim.avm"].avm
+print("ok")
+"""
+    assert _run_python(code, cwd=tmp_path).strip() == "ok"
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uqim.no_such_name  # noqa: B018
+    assert not hasattr(uqim, "cli_main")

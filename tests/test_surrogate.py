@@ -688,7 +688,7 @@ def test_poly_tables_without_pow0_keep_bits(rows, degree):
 # raw-scale 5-d field law: the poly 2 GCV coefficients and the rbf 20 weighted
 # CV table and coefficients
 _THREAD_PROBE = """
-import hashlib, json
+import ctypes, hashlib, json
 import numpy as np
 from uqim.surrogate import (FunctionFamily, PolyBasis, RbfBasis, compute_residuals,
                             fit_with_gcv, select_weight_and_penalty)
@@ -717,25 +717,40 @@ sel = select_weight_and_penalty(FunctionFamily("rbf", 20), exp,
                                 compute_residuals(base, exp), sim.inputs, seed=11)
 assert np.any(sel.model.coef != 0.0)
 seen["select_weight_and_penalty/rbf20"] = digest(sel.model.coef, sel.table)
-print(json.dumps(seen))
+def blas_threads():
+    # the thread count OpenBLAS runs with, which it caps at the core count
+    libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+print(json.dumps({"threads": blas_threads(), "hashes": seen}))
 """
 
 
 def test_predict_bits_do_not_depend_on_blas_threads():
-    # OpenBLAS splits a dgemv among T threads at ceil(rows / T) rows; with
-    # 3 threads the split of a 4096-row block is not a multiple of 4 rows.
-    # The fits' products and solves go through the same library
+    # OpenBLAS splits a dgemv among T threads at ceil(rows / T) rows, and the
+    # fits' products and solves go through the same library.  It caps T at the
+    # core count, so the second probe asks for 3 threads and runs with
+    # min(3, cores): only on 3 or more cores does a 4096-row block split into
+    # parts that are not a multiple of 4 rows
     src = str(Path(uqim.surrogate.__file__).resolve().parents[1])
-    hashes = []
+    runs = []
     for threads in ("1", "3"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        hashes.append(json.loads(proc.stdout))
-    assert len(hashes[0]) == 11
-    assert hashes[0] == hashes[1]
+        runs.append(json.loads(proc.stdout))
+    assert runs[0]["threads"] == 1
+    assert runs[1]["threads"] >= min(2, os.cpu_count())
+    assert len(runs[0]["hashes"]) == 11
+    assert runs[0]["hashes"] == runs[1]["hashes"]
 
 
 def test_improved_surrogate_call_memory_is_a_few_blocks():

@@ -41,6 +41,21 @@ def test_true_quantile_closed_form():
         system.true_quantile(0.0)
 
 
+def test_true_quantile_matches_ndtri_formula():
+    # the stdlib normal quantile (AS 241) against scipy's ndtri, the formula
+    # the closed form used before; z differs by a few ulp at most, and the
+    # README's alpha gives the same bits
+    alphas = np.concatenate([
+        np.geomspace(1e-9, 0.1, 200), np.linspace(0.1, 0.9, 161)[1:-1],
+        1.0 - np.geomspace(0.1, 1e-9, 200),
+    ])
+    system = make_mafds_like()
+    for a in alphas:
+        want = 0.37 * np.sqrt(max(0.05 + 0.0057 * ndtri(a), 0.0))
+        assert system.true_quantile(float(a)) == pytest.approx(want, rel=1e-14, abs=0)
+    assert system.true_quantile(0.95) == 0.09015835308344447
+
+
 def test_oracle_cdf_density_consistency():
     system = make_mafds_like()
     for a in (0.1, 0.5, 0.9):
