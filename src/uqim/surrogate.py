@@ -383,8 +383,9 @@ class _System:
     fit on one basis: the design ``b1`` of the fitted rows with targets ``y``,
     optionally the design ``b2`` of zero-anchored extra rows, and the
     b1^T b1, b1^T y and b2^T b2 that every (weight, penalty) pair shares.
-    Every fit in this module solves through :meth:`solve` (the GCV loop also
-    needs the hat-matrix trace), the one place to change the solver.
+    Every fit in this module, the GCV and CV grids included, takes its
+    coefficients from :meth:`solve` and GCV its hat-matrix trace from
+    :meth:`hat_trace`: the one place to change the solver.
     """
 
     def __init__(self, basis, b1, y, b2=None):
@@ -431,6 +432,12 @@ class _System:
                 raise RankDeficiencyError(_SINGULAR) from exc
             raise ConditioningError(f"normal equations unsolvable: {exc}") from exc
 
+    def hat_trace(self, penalty: float) -> float:
+        """Trace of the hat matrix B (gram + penalty R)^-1 B^T / n of a plain
+        fit: its effective number of parameters."""
+        gram, _ = self.normal()
+        return float(np.trace(np.linalg.solve(gram + penalty * self.rough, gram)))
+
     def penalty_scale(self) -> float:
         """trace(B^T B / rows) / trace(R) over every row of the system."""
         tr_r = float(np.trace(self.rough))
@@ -466,21 +473,20 @@ def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
 
     Returns the fitted model; the selected weight sits in
     ``model.family.penalty`` and ``model.cv_score`` holds its GCV value.
-    Ties prefer the smaller penalty.
+    Ties prefer the smaller penalty.  A grid point that :meth:`_System.solve`
+    rejects (zero penalty on a rank-deficient design, say) is skipped.
     """
     fit = _System.on_data(family, data.inputs, data.outputs)
     n = data.n
-    gram, rhs = fit.normal()
     if grid is None:
         grid = default_gcv_grid(fit.penalty_scale())
     grid = np.sort(np.asarray(grid, dtype=float))
     best = None
     for pen in grid:
-        a = gram + pen * fit.rough
         try:
-            coef = np.linalg.solve(a, rhs)
-            tr_h = float(np.trace(np.linalg.solve(a, gram)))
-        except np.linalg.LinAlgError:
+            coef = fit.solve(pen)
+            tr_h = fit.hat_trace(pen)
+        except (InsufficientDataError, RankDeficiencyError, ConditioningError):
             continue
         denom = 1.0 - tr_h / n
         if denom <= 1e-9:

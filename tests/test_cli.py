@@ -235,7 +235,7 @@ def test_config_blocks_of_every_subcommand_are_checked(tmp_path):
         "--config", cfg, "--out-dir", tmp_path,
     ])
     assert rc == 0
-    assert rep["settings"]["grid_steps"] is None
+    assert rep["settings"]["grid_steps"] == 201
 
 
 def test_config_method_values_convert_like_flags(tmp_path):
@@ -257,6 +257,76 @@ def test_config_method_values_convert_like_flags(tmp_path):
     ])
     assert rc == 0
     assert (rep["settings"]["weighted"], rep["settings"]["folds"]) == (True, 3)
+
+
+def test_flag_beats_config_beats_parser_default(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    gp = ["gp-error", "--exp", "e.csv", "--model", "m.json", "--dry-run"]
+    boot = ["bootstrap-error", "--exp", "e.csv", "--model", "m.json", "--dry-run"]
+
+    def resolved(argv, key, config=None):
+        rc, rep, err = run_cli(argv + (["--config", config] if config else []))
+        assert rc == 0, err
+        return rep["seed"], rep["settings"][key]
+
+    assert resolved(gp, "reps") == (0, 10_000)
+    cfg.write_text(json.dumps({"seed": 5, "gp-error": {"reps": 50}}))
+    assert resolved(gp, "reps", cfg) == (5, 50)
+    assert resolved(gp + ["--reps", "7", "--seed", "3"], "reps", cfg) == (3, 7)
+    # the bootstrap learn size: flag, then its block, then l_n, then the default
+    cfg.write_text(json.dumps({"l_n": 8}))
+    assert resolved(boot, "n_learn", cfg) == (0, 8)
+    cfg.write_text(json.dumps({"l_n": 8, "bootstrap-error": {"n_learn": 9}}))
+    assert resolved(boot, "n_learn", cfg) == (0, 9)
+    assert resolved(boot + ["--n-learn", "4"], "n_learn", cfg) == (0, 4)
+    # no config value outlives its run
+    assert resolved(gp, "reps") == (0, 10_000)
+    assert resolved(boot, "n_learn") == (0, 10)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--grid-steps", "-3"],
+    ["--grid-steps", "0"],
+    ["--grid", "0:1:2.5"],
+    ["--grid", "0:1:1"],
+    ["--bandwidth", "abc"],
+    ["--bandwidth", "0.1,0.2"],
+], ids=["negative_steps", "zero_steps", "fractional_grid_steps", "one_grid_step",
+        "text_bandwidth", "two_bandwidths"])
+def test_density_bad_input_is_a_domain_error(tmp_path, workspace, flags):
+    ws = workspace["dir"]
+    rc, _, err = run_cli([
+        "density", "--model", ws / "model.json", "--inputs", ws / "inputs.csv",
+        *flags, "--out-dir", tmp_path,
+    ])
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DomainError"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("d_delta", ["abc", "0.01,0.02"], ids=["text", "two_values"])
+def test_ci_quantile_d_delta_is_one_number(workspace, d_delta):
+    ws = workspace["dir"]
+    rc, _, err = run_cli([
+        "ci-quantile", "--exp", ws / "exp.csv", "--model", ws / "model.json",
+        "--inputs", ws / "inputs.csv", "--alpha", "0.95", "--delta", "0.2",
+        "--d-delta", d_delta,
+    ])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "--d-delta" in payload["message"] or "numbers" in payload["message"]
+
+
+def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
+    # an explicit 0 reaches the sampler, not a 100,000-draw default
+    rc, _, err = run_cli([
+        "synth", "--system", "hidim", "--mc-count", "0", "--out-dir", tmp_path,
+    ])
+    assert rc == 1
+    assert json.loads(err) == {"error": "DomainError", "message": "count must be >= 1, got 0"}
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +418,10 @@ def test_bootstrap_error_report(tmp_path, workspace):
     assert rc == 0
     assert rep["settings"] == {
         "exp": str(ws / "exp.csv"), "model": str(ws / "model.json"),
-        "family": "poly", "size": 1, "b_reps": 3, "n_learn": 10,
-        "alpha": 0.95, "weight": None,
+        "family": "poly", "size": 1, "penalty": 0.0, "b_reps": 3, "n_learn": 10,
+        "alpha": 0.95, "weight": None, "extra_inputs": None,
+        "input_columns": None, "output_column": None,
+        "output": "bootstrap_quantiles.csv", "dry_run": False,
     }
     res = rep["results"]
     assert len(res["quantiles"]) == res["b_reps"] == 3

@@ -1,5 +1,6 @@
 """The README's command-line block runs as written, in order, in a fresh cwd."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -20,8 +21,16 @@ def _readme_commands() -> list[list[str]]:
 
 
 def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
+    # each also echoes the same settings as its --dry-run: the resolved options
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
     assert commands and commands[0][0] == "synth"
     for argv in commands:
-        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        settings = []
+        for extra in ([], ["--dry-run"]):
+            assert main(argv + extra) == 0, (argv + extra, capsys.readouterr().err)
+            settings.append(json.loads(capsys.readouterr().out)["settings"])
+        real, dry = settings
+        assert (real.pop("dry_run"), dry.pop("dry_run")) == (False, True)
+        assert real == dry, argv
+

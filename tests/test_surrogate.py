@@ -79,6 +79,21 @@ def test_gcv_ties_prefer_smaller_penalty():
     assert model.family.penalty == 1e-3
 
 
+def test_gcv_skips_penalties_the_solver_rejects():
+    # two distinct abscissae cannot determine a quadratic without a penalty:
+    # GCV skips zero, as fit_penalized_ls refuses it, and keeps the others
+    x = np.repeat([1000.0, 2000.0], 4)
+    data = _data(x, np.array([1.0, 1.1, 0.9, 1.05, 2.0, 2.1, 1.9, 2.05]))
+    with pytest.raises(RankDeficiencyError):
+        fit_penalized_ls(FunctionFamily("poly", 2), data)
+    model = fit_with_gcv(FunctionFamily("poly", 2), data, grid=[0.0, 1e-6, 1e-2])
+    assert model.family.penalty == 1e-6
+    fixed = fit_penalized_ls(FunctionFamily("poly", 2, penalty=1e-6), data)
+    assert model.coef.tobytes() == fixed.coef.tobytes()
+    with pytest.raises(ConditioningError, match="every grid point"):
+        fit_with_gcv(FunctionFamily("poly", 2), data, grid=[0.0])
+
+
 def test_rank_deficiency_names_the_cure():
     # two distinct abscissae cannot determine a quadratic
     x = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
