@@ -8,8 +8,13 @@ value on the remaining n - n_l resampled points and records
 
 the plug-in order statistic.  The report carries every replicate value plus
 their exact sample median.  Each replicate owns a spawned RNG stream and
-solves the surrogate module's one least-squares system directly, plain or
-zero-anchored through the same call, one replicate after another.
+solves the surrogate module's one least-squares system, plain or
+zero-anchored through the same call.  A ``poly`` basis does not depend on the
+rows it is fitted on, so its replicates gather their rows from one design and
+solve in blocks, each block one stack of systems; their quantiles equal those
+of one replicate after another bit for bit.  ``spline1d`` and ``rbf`` build
+their basis from each replicate's learn rows and run one replicate after
+another.
 """
 
 from __future__ import annotations
@@ -25,10 +30,18 @@ from .randgen import make_rng, spawn_seeds
 from .surrogate import (
     FunctionFamily,
     _check_weight,
+    _columns,
     _extra_points,
     _System,
+    build_basis,
     compute_residuals,
 )
+
+# values in the largest stacked array of a block of poly replicates, so that
+# memory does not grow with b_reps.  At 128 KB an array stays in L2 and glibc
+# reuses freed heap chunks for it; 2**16 and more raised the api_5d pipeline's
+# peak RSS by 8 MB (glibc, 2-vCPU x86_64), for no faster bootstrap.
+_BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -85,15 +98,34 @@ def bootstrap_error_quantile(
     x = experimental.inputs
     w = _check_weight(1.0 if weight is None else weight)
     extra = None if extra_inputs is None else _extra_points(extra_inputs, experimental.dim)
-    k = _order_index(n - n_learn, alpha)
+    m, k = n - n_learn, _order_index(n - n_learn, alpha)
 
+    # a poly basis does not look at the rows it is fitted on: build it, the
+    # design of all n rows and that of the extra rows once, gather each
+    # replicate's rows from them and fit blocks of replicates as one stack
+    stacked, block = family.kind == "poly", 1
+    if stacked:
+        basis = build_basis(family, x)
+        design = basis.design(x)
+        b2 = None if extra is None else basis.design(extra)
+        # at zero penalty the rank check stacks the extra rows under each
+        # replicate's learn rows
+        rows = n_learn + (extra.shape[0] if b2 is not None and family.penalty == 0 else 0)
+        block = max(1, _BLOCK_VALUES // (basis.n_coef * max(rows, m)))
+    seeds = spawn_seeds(seed, b_reps)
     quantiles = np.empty(b_reps)
-    for r, rep_seed in enumerate(spawn_seeds(seed, b_reps)):
-        idx = make_rng(rep_seed).integers(0, n, size=n)
-        learn, rest = idx[:n_learn], idx[n_learn:]
-        fit = _System.on_data(family, x[learn], residuals[learn], extra)
-        pred = fit.basis.predict(fit.solve(family.penalty, w), x[rest])
-        quantiles[r] = np.partition(np.abs(pred), k - 1)[k - 1]
+    for a in range(0, b_reps, block):
+        idx = np.array([make_rng(s).integers(0, n, size=n) for s in seeds[a : a + block]])
+        learn, rest = idx[:, :n_learn], idx[:, n_learn:]
+        if stacked:
+            fit = _System(basis, design[learn], residuals[learn], b2)
+            coef = fit.solve(family.penalty, w)
+            # as predict's product: a padded feature-major table per replicate
+            pred = (coef[:, None, :] @ _columns(design[rest]))[:, 0, :m]
+        else:
+            fit = _System.on_data(family, x[learn[0]], residuals[learn[0]], extra)
+            pred = fit.basis.predict(fit.solve(family.penalty, w), x[rest[0]])[None]
+        quantiles[a : a + len(idx)] = np.partition(np.abs(pred), k - 1, axis=1)[:, k - 1]
     return BootstrapErrorReport(
         quantiles=quantiles,
         median=float(np.median(quantiles)),

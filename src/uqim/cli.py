@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -79,9 +80,12 @@ def _plain(obj):
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
+        values = [float(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError:
-        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        raise DomainError(f"expected comma-separated finite numbers, got {text!r}")
+    return values
 
 
 def _float(text: str, flag: str) -> float:

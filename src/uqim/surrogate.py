@@ -24,7 +24,8 @@ the experimental data only.
 
 Every fit (plain, GCV, zero-anchored, each CV fold and each bootstrap
 replicate) assembles and solves one penalized normal-equation system,
-``_System``, from ``design``; rbf and poly evaluate through ``_TableBasis``.
+``_System``, from ``design``; poly bootstrap replicates solve as one stack
+of such systems.  rbf and poly evaluate through ``_TableBasis``.
 """
 
 from __future__ import annotations
@@ -193,12 +194,13 @@ class SplineBasis:
 
 
 def _columns(x: np.ndarray) -> np.ndarray:
-    """``x.T`` contiguous and zero-padded to a multiple of 4 rows.  OpenBLAS's
-    dgemv takes a last group of fewer than 4 rows on another path, which can
-    round differently; padded, a row's prediction keeps its bits wherever the
-    row sits."""
-    xt = np.zeros((x.shape[1], -(-x.shape[0] // 4) * 4))
-    xt[:, : x.shape[0]] = x.T
+    """``x.T`` contiguous and zero-padded to a multiple of 4 rows, for each
+    matrix of a stack (..., rows, cols).  OpenBLAS's dgemv takes a last group
+    of fewer than 4 rows on another path, which can round differently;
+    padded, a row's prediction keeps its bits wherever the row sits."""
+    rows = x.shape[-2]
+    xt = np.zeros(x.shape[:-2] + (x.shape[-1], -(-rows // 4) * 4))
+    xt[..., :rows] = np.swapaxes(x, -1, -2)
     return xt
 
 
@@ -386,11 +388,18 @@ class _System:
     Every fit in this module, the GCV and CV grids included, takes its
     coefficients from :meth:`solve` and GCV its hat-matrix trace from
     :meth:`hat_trace`: the one place to change the solver.
+
+    ``b1`` and ``y`` may carry leading stack axes, (..., rows, n_coef) and
+    (..., rows), for fits that share the basis and ``b2`` (the bootstrap
+    replicates); :meth:`solve` then gives (..., n_coef).  numpy's matmul,
+    svd and solve run the same BLAS/LAPACK call on each stacked matrix as on
+    a lone one, so a stacked fit's coefficients equal the lone fit's.
     """
 
     def __init__(self, basis, b1, y, b2=None):
         self.basis, self.b1, self.b2, self.rough = basis, b1, b2, basis.roughness()
-        self.g1, self.r1 = b1.T @ b1, b1.T @ y
+        b1t = np.swapaxes(b1, -1, -2)
+        self.g1, self.r1 = b1t @ b1, (b1t @ y[..., None])[..., 0]
         self.g2 = None if b2 is None else b2.T @ b2
 
     @classmethod
@@ -404,7 +413,7 @@ class _System:
     def normal(self, w: float = 1.0):
         """(gram, rhs): plain mean squares, or weight ``w`` on the fitted
         rows and 1 - w on the zero anchor."""
-        n = self.b1.shape[0]
+        n = self.b1.shape[-2]
         if self.b2 is None:
             return self.g1 / n, self.r1 / n
         n1 = self.b2.shape[0]
@@ -412,21 +421,23 @@ class _System:
 
     def solve(self, penalty: float, w: float = 1.0) -> np.ndarray:
         """Coefficients at ``penalty`` (and anchor weight ``w``), with rank
-        diagnostics at zero penalty."""
+        diagnostics at zero penalty; a stack fails if any of its fits does."""
         gram, rhs = self.normal(w)
-        b, n = self.b1, self.b1.shape[0]
-        if penalty == 0.0 and self.b2 is None and n < b.shape[1]:
+        b, (n, p) = self.b1, self.b1.shape[-2:]
+        if penalty == 0.0 and self.b2 is None and n < p:
             raise InsufficientDataError(
-                f"{n} rows cannot determine {b.shape[1]} coefficients "
+                f"{n} rows cannot determine {p} coefficients "
                 "without a positive penalty"
             )
         if penalty == 0.0 and self.b2 is not None:
             s, s1 = np.sqrt(w / n), np.sqrt((1.0 - w) / self.b2.shape[0])
-            b = np.vstack([s * b, s1 * self.b2])
-        if penalty == 0.0 and np.linalg.matrix_rank(b) < b.shape[1]:
+            anchor = np.broadcast_to(s1 * self.b2, b.shape[:-2] + self.b2.shape)
+            b = np.concatenate([s * b, anchor], axis=-2)
+        if penalty == 0.0 and np.any(np.linalg.matrix_rank(b) < p):
             raise RankDeficiencyError(_SINGULAR)
         try:
-            return np.linalg.solve(gram + penalty * self.rough, rhs)
+            # an explicit trailing axis: numpy 2 reads a 2-d rhs as one matrix
+            return np.linalg.solve(gram + penalty * self.rough, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             if penalty == 0.0:
                 raise RankDeficiencyError(_SINGULAR) from exc

@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import foldnorm
 
+from uqim import bootstrap
 from uqim.bootstrap import BootstrapErrorReport, bootstrap_error_quantile
 from uqim.data import InputSample, PairedDataset
-from uqim.errors import DataError, DomainError, RankDeficiencyError
+from uqim.errors import (
+    ConditioningError,
+    DataError,
+    DomainError,
+    RankDeficiencyError,
+    UqError,
+)
 from uqim.randgen import make_rng, spawn_seeds
 from uqim.surrogate import (
     FunctionFamily,
@@ -151,6 +160,113 @@ def test_replicates_match_oracle_5d():
                                       n_learn=25, alpha=0.95, seed=11)
     oracle = _replicates_oracle(exp, _Const(0.0), fam, 30, 25, 0.95, 11)
     assert np.array_equal(report.quantiles, oracle)
+
+
+def _smooth(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, dim))
+    exp = PairedDataset(inputs=x, outputs=np.sin(3.0 * x.sum(axis=1))
+                        + 0.1 * rng.normal(size=n), kind="experimental")
+    return exp, rng.random((40, dim))
+
+
+@pytest.mark.parametrize("fit", ["plain", "weighted_pen0", "weighted_pen"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 5])
+def test_poly_stack_matches_oracle(dim, degree, fit):
+    # poly 3 in 5-d has 56 coefficients: 120 learn rows, about 80 of them
+    # distinct, fix it at penalty 0
+    exp, extra = _smooth(dim, 150, 20 + dim)
+    fam = FunctionFamily("poly", degree, penalty=1e-3 if fit == "weighted_pen" else 0.0)
+    kw = {} if fit == "plain" else {"extra_inputs": extra, "weight": 0.7}
+    report = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=20, n_learn=120,
+                                      alpha=0.9, seed=9, **kw)
+    oracle = _replicates_oracle(exp, _Const(0.0), fam, 20, 120, 0.9, 9,
+                                kw.get("extra_inputs"), kw.get("weight"))
+    assert np.array_equal(report.quantiles, oracle)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_poly_stack_blocks_match_oracle(monkeypatch, weighted):
+    # a budget of 7 replicates per block: 40 replicates fill five blocks and
+    # part of a sixth, each an independent stacked fit
+    exp, extra = _smooth(1, 30, 4)
+    kw = {"extra_inputs": extra, "weight": 0.6} if weighted else {}
+    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 7 * 2 * 18)  # 2 coefs x 18 rows
+    sizes = []
+
+    class Recording(bootstrap._System):
+        def __init__(self, basis, b1, y, b2=None):
+            sizes.append(b1.shape[0])
+            super().__init__(basis, b1, y, b2)
+
+    monkeypatch.setattr(bootstrap, "_System", Recording)
+    fam = FunctionFamily("poly", 1, penalty=1e-4 if weighted else 0.0)
+    report = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=40, n_learn=12,
+                                      alpha=0.9, seed=8, **kw)
+    assert sizes == [7, 7, 7, 7, 7, 5]
+    oracle = _replicates_oracle(exp, _Const(0.0), fam, 40, 12, 0.9, 8,
+                                kw.get("extra_inputs"), kw.get("weight"))
+    assert np.array_equal(report.quantiles, oracle)
+
+
+def test_single_replicate_matches_oracle():
+    exp, _ = _smooth(5, 40, 6)
+    fam = FunctionFamily("poly", 2, penalty=1e-6)
+    report = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=1, n_learn=30,
+                                      alpha=0.95, seed=3)
+    assert report.b_reps == 1
+    assert np.array_equal(report.quantiles,
+                          _replicates_oracle(exp, _Const(0.0), fam, 1, 30, 0.95, 3))
+
+
+def _raised(fn):
+    with pytest.raises(UqError) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("penalty, error", [
+    (0.0, RankDeficiencyError),
+    (1e-300, ConditioningError),  # too small to lift x^2 = x off singular
+])
+def test_some_failing_replicates_fail_the_stack_as_the_loop(penalty, error):
+    # x in {0, 1} but for two rows: a learn set without 2 or 3 cannot fix a
+    # quadratic, one with either can: seed 3 gives 14 replicates that fit
+    # and 6 that do not
+    x = np.array([0.0, 1.0] * 9 + [2.0, 3.0])
+    exp = _exp(x, np.cos(x))
+    fam = FunctionFamily("poly", 2, penalty=penalty)
+    fits = []
+    for rep_seed in spawn_seeds(3, 20):
+        learn = make_rng(rep_seed).integers(0, 20, size=20)[:8]
+        fits.append(np.isin(x[learn], [2.0, 3.0]).any())
+    assert 0 < sum(fits) < 20
+    loop = _raised(lambda: _replicates_oracle(exp, _Const(0.0), fam, 20, 8, 0.95, 3))
+    stack = _raised(lambda: bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=20,
+                                                     n_learn=8, seed=3))
+    assert stack == loop
+    assert loop[0] is error
+
+
+def test_weighted_zero_penalty_memory_does_not_grow_with_b_reps():
+    # the rank check stacks the 12 learn and 20,000 extra rows of every
+    # replicate in a block: 16 MB for 50 replicates in one stack, 160 MB for
+    # 500; blocks keep both under the same few MB
+    rng = np.random.default_rng(0)
+    x = rng.random(30)
+    exp, extra = _exp(x, np.sin(5.0 * x)), rng.random((20_000, 1))
+    limit = 4 * 2**20
+    for b_reps in (50, 500):
+        tracemalloc.start()
+        try:
+            bootstrap_error_quantile(exp, _Const(0.0), FunctionFamily("poly", 1),
+                                     b_reps=b_reps, n_learn=12, seed=1,
+                                     extra_inputs=extra, weight=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (b_reps, peak, limit)
 
 
 def test_rank_deficient_replicate_raises():

@@ -305,6 +305,32 @@ def test_density_bad_input_is_a_domain_error(tmp_path, workspace, flags):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("density", ["--grid", "0:inf:3"]),
+    ("density-band", ["--interval", "0:inf"]),
+    ("quantile", ["--alpha", "nan"]),
+    ("density-band", ["--bandwidths", "inf"]),
+], ids=["density_inf_grid", "band_inf_interval", "quantile_nan_alpha",
+        "band_inf_bandwidth"])
+def test_non_finite_number_is_a_domain_error(tmp_path, workspace, command, flags):
+    ws = workspace["dir"]
+    args = {
+        "density": [],
+        "quantile": [],
+        "density-band": ["--exp", ws / "exp.csv", "--kappa", "0.005", "--delta", "0.05"],
+    }[command]
+    rc, _, err = run_cli([
+        command, "--model", ws / "model.json", "--inputs", ws / "inputs.csv", *args,
+        *flags, "--out-dir", tmp_path,
+    ])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "DomainError"
+    assert "finite" in payload["message"]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("d_delta", ["abc", "0.01,0.02"], ids=["text", "two_values"])
 def test_ci_quantile_d_delta_is_one_number(workspace, d_delta):
     ws = workspace["dir"]
