@@ -264,10 +264,7 @@ def _cmd_density(args):
     auto = args.bandwidth.strip().lower() == "auto"
     bandwidth = None if auto else _float(args.bandwidth, "--bandwidth")
     kde = surrogate_density(
-        load_model(args.model),
-        parse_inputs(args.inputs).points,
-        kernel=args.kernel,
-        bandwidth=bandwidth,
+        load_model(args.model), parse_inputs(args.inputs).points, bandwidth=bandwidth
     )
     if span is None:
         pad = 3.0 * kde.bandwidth
@@ -279,7 +276,6 @@ def _cmd_density(args):
     out = _artifact(args, args.output)
     _write_table(out, ["y", "pdf", "cdf"], [grid, pdf, cdf])
     results = {
-        "kernel": kde.kernel,
         "bandwidth": kde.bandwidth,
         "count": int(kde.values.size),
         "grid_lo": float(lo),
@@ -610,10 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inputs CSV for the zero anchor term")
     p.add_argument("--out", "--model-out", dest="model_out", default="model.json")
 
-    p = add("density", help="KDE of surrogate outputs on an input sample")
+    p = add("density", help="box-kernel KDE of surrogate outputs on an input sample")
     p.add_argument("--model", required=True)
     p.add_argument("--inputs", required=True)
-    p.add_argument("--kernel", choices=["naive", "gauss", "epanechnikov"], default="naive")
     p.add_argument("--bandwidth", default="auto", help="numeric value or 'auto'")
     p.add_argument("--grid", help="lo:hi or lo:hi:steps evaluation span")
     p.add_argument("--grid-steps", type=int, default=201)

@@ -55,6 +55,11 @@ def _check_core(n: int, delta: float, d_delta: float) -> float:
     return delta - d_delta
 
 
+def _check_big_n(big_n: float) -> None:
+    if not (np.isfinite(big_n) and big_n >= 1):
+        raise DomainError(f"N must be finite and >= 1, got {big_n}")
+
+
 def gamma_term(n: int, big_n: float, delta: float, d_delta: float, eps: float) -> float:
     """gamma = sqrt(-log(delta - ddelta - (1-eps)^n) / (2N)).
 
@@ -62,8 +67,7 @@ def gamma_term(n: int, big_n: float, delta: float, d_delta: float, eps: float) -
     constraint (1-eps)^n < delta - ddelta.
     """
     rem = _check_core(n, delta, d_delta)
-    if not (np.isfinite(big_n) and big_n >= 1):
-        raise DomainError(f"N must be finite and >= 1, got {big_n}")
+    _check_big_n(big_n)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     arg = rem - (1.0 - eps) ** n
@@ -158,8 +162,7 @@ def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> Ep
     grid neighbors.
     """
     rem = _check_core(n, delta, d_delta)
-    if not (np.isfinite(big_n) and big_n >= 1):
-        raise DomainError(f"N must be finite and >= 1, got {big_n}")
+    _check_big_n(big_n)
     lb = 1.0 - rem ** (1.0 / n)
     span = 1.0 - lb
 
@@ -230,6 +233,8 @@ def ci_feasibility(
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if big_n is not None:
+        _check_big_n(big_n)
     if d_delta_grid is None:
         d_delta_grid = default_d_delta_grid(delta)
     head = min(alpha, 1.0 - alpha)
@@ -611,7 +616,7 @@ def density_band(
     upper = np.full(grid.size, np.inf)
     lower = np.full(grid.size, -np.inf)
     for h in bandwidths:
-        kde = KdeModel(values=outputs, bandwidth=h, kernel="naive")
+        kde = KdeModel(values=outputs, bandwidth=h)
         fhat = kde_evaluate(kde, grid)
         sup_up, sup_lo = _band_sups(kde, outputs, cand, grid, kappa, beta_hat)
         upper = np.minimum(upper, fhat + corr + sup_up / kappa)

@@ -243,6 +243,11 @@ def write_inputs(sample: InputSample, path) -> None:
 _UINT64_MAX = 2**64 - 1
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are no numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Pipeline configuration: seed, sample sizes and per-method blocks.
@@ -260,9 +265,9 @@ class RunConfig:
 
     def validate(self) -> None:
         problems = []
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _UINT64_MAX:
+        if not _is_int(self.seed) or not 0 <= self.seed <= _UINT64_MAX:
             problems.append(f"seed: must be an integer in [0, 2^64-1], got {self.seed!r}")
-        if self.l_n is not None and (not isinstance(self.l_n, int) or self.l_n < 1):
+        if self.l_n is not None and (not _is_int(self.l_n) or self.l_n < 1):
             problems.append(f"l_n: must be a positive integer, got {self.l_n!r}")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             problems.append(f"out_dir: must be a string, got {self.out_dir!r}")

@@ -5,10 +5,10 @@ sample v_1..v_N as
 
     g_hat(y) = (1/(N h)) sum_i K((y - v_i)/h)
 
-with the naive (box) kernel K(u) = 1/2 on [-1, 1] by default; Gaussian and
-Epanechnikov kernels are also available.  Quantiles are plug-in order
-statistics of the evaluation sample.  All evaluators work off a sorted copy
-of the sample, so a point query costs O(log N); sorted queries close
+with the naive (box) kernel K(u) = 1/2 on [-1, 1], the kernel of the
+density band (:func:`uqim.confidence.density_band`).  Quantiles are plug-in
+order statistics of the evaluation sample.  Both evaluators work off a sorted
+copy of the sample, so a point query costs O(log N); sorted queries close
 together are merged with the sample instead (:func:`_searchsorted_blocks`).
 """
 
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ZeroSpreadError
-
-KERNELS = ("naive", "gauss", "epanechnikov")
 
 # queries per block of the elementwise KDE CDF and the density band's
 # searches: each temporary of a block is 512 KB and stays in cache
@@ -71,11 +69,10 @@ def _searchsorted_blocks(haystack, needles, side, out=None, shift=None):
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Sample, bandwidth and kernel tag; values are stored sorted."""
+    """Sample and bandwidth of a box-kernel KDE; values are stored sorted."""
 
     values: np.ndarray
     bandwidth: float
-    kernel: str = "naive"
 
     def __post_init__(self):
         v = np.sort(np.asarray(self.values, dtype=float).ravel())
@@ -85,8 +82,6 @@ class KdeModel:
             raise DomainError("kde values must be finite")
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.kernel not in KERNELS:
-            raise DomainError(f"unknown kernel {self.kernel!r}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -96,71 +91,42 @@ class KdeModel:
 
 
 def kde_evaluate(model: KdeModel, y) -> np.ndarray:
-    """Density estimate at ``y`` (scalar or array)."""
+    """Density estimate at ``y`` (scalar or array): the count of values
+    within h of ``y``, over 2Nh."""
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     t = np.atleast_1d(y)
     v, h, n = model.values, model.bandwidth, model.n
-    if model.kernel == "naive":
-        lo = np.searchsorted(v, t - h, side="left")
-        hi = np.searchsorted(v, t + h, side="right")
-        out = (hi - lo) / (2.0 * n * h)
-    elif model.kernel == "epanechnikov":
-        out = np.empty(t.shape)
-        for i, ti in enumerate(t):
-            a = np.searchsorted(v, ti - h, side="left")
-            b = np.searchsorted(v, ti + h, side="right")
-            u = (ti - v[a:b]) / h
-            out[i] = 0.75 * np.sum(1.0 - u * u) / (n * h)
-    else:  # gauss
-        out = np.empty(t.shape)
-        step = max(1, 2**22 // max(n, 1))
-        for a in range(0, t.size, step):
-            u = (t[a : a + step, None] - v[None, :]) / h
-            out[a : a + step] = np.exp(-0.5 * u * u).sum(axis=1) / (
-                n * h * math.sqrt(2.0 * math.pi)
-            )
+    lo = np.searchsorted(v, t - h, side="left")
+    hi = np.searchsorted(v, t + h, side="right")
+    out = (hi - lo) / (2.0 * n * h)
     return float(out[0]) if scalar else out
 
 
 def kde_cdf(model: KdeModel, y) -> np.ndarray:
-    """Integral of the density estimate over (-inf, y]; exact per kernel."""
+    """Integral of the density estimate over (-inf, y], exactly.
+
+    The sum of clip(t - v + h, 0, 2h) comes from sorted prefix sums, taken
+    relative to v[0] so that a large common offset does not cancel.  Blocks
+    of BLOCK queries keep the temporaries in cache, and a sorted block is
+    searched by merge.
+    """
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     t = np.atleast_1d(y)
     v, h, n = model.values, model.bandwidth, model.n
-    if model.kernel == "naive":
-        # sum of clip(t - v + h, 0, 2h) via sorted prefix sums; taken relative
-        # to v[0] so that a large common offset does not cancel.  Blocks of
-        # BLOCK queries keep the temporaries in cache, and a sorted block
-        # is searched by merge
-        prefix = np.zeros(n + 1)
-        np.cumsum(v - v[0], out=prefix[1:])
-        flat = t.ravel()
-        out = np.empty(flat.shape)
-        for a in range(0, flat.size, BLOCK):
-            tb = flat[a : a + BLOCK]
-            full = _searchsorted_blocks(v, tb - h, "right")
-            part = _searchsorted_blocks(v, tb + h, "left")
-            mid = (part - full) * (tb + h - v[0]) - (prefix[part] - prefix[full])
-            out[a : a + BLOCK] = (2.0 * h * full + mid) / (2.0 * n * h)
-        out = out.reshape(t.shape)
-        np.clip(out, 0.0, 1.0, out=out)  # the prefix sums round
-    elif model.kernel == "epanechnikov":
-        out = np.empty(t.shape)
-        for i, ti in enumerate(t):
-            a = np.searchsorted(v, ti - h, side="left")
-            b = np.searchsorted(v, ti + h, side="right")
-            u = np.clip((ti - v[a:b]) / h, -1.0, 1.0)
-            out[i] = (a + np.sum(0.75 * (u - u**3 / 3.0) + 0.5)) / n
-    else:
-        from scipy.special import ndtr
-
-        out = np.empty(t.shape)
-        step = max(1, 2**22 // max(n, 1))
-        for a in range(0, t.size, step):
-            u = (t[a : a + step, None] - v[None, :]) / h
-            out[a : a + step] = ndtr(u).sum(axis=1) / n
+    prefix = np.zeros(n + 1)
+    np.cumsum(v - v[0], out=prefix[1:])
+    flat = t.ravel()
+    out = np.empty(flat.shape)
+    for a in range(0, flat.size, BLOCK):
+        tb = flat[a : a + BLOCK]
+        full = _searchsorted_blocks(v, tb - h, "right")
+        part = _searchsorted_blocks(v, tb + h, "left")
+        mid = (part - full) * (tb + h - v[0]) - (prefix[part] - prefix[full])
+        out[a : a + BLOCK] = (2.0 * h * full + mid) / (2.0 * n * h)
+    out = out.reshape(t.shape)
+    np.clip(out, 0.0, 1.0, out=out)  # the prefix sums round
     return float(out[0]) if scalar else out
 
 
@@ -219,9 +185,7 @@ def mc_quantile(values, alpha: float) -> QuantileEstimate:
     return QuantileEstimate(level=float(alpha), value=val, size=v.size)
 
 
-def surrogate_density(
-    model, inputs, kernel: str = "naive", bandwidth: float | None = None
-) -> KdeModel:
+def surrogate_density(model, inputs, *, bandwidth: float | None = None) -> KdeModel:
     """KDE of m(X) from a surrogate and an input sample.
 
     ``inputs`` may be an :class:`~uqim.data.InputSample` or a plain array.
@@ -233,4 +197,4 @@ def surrogate_density(
     values = np.asarray(model(pts), dtype=float)
     if bandwidth is None:
         bandwidth = select_bandwidth(values)
-    return KdeModel(values=values, bandwidth=bandwidth, kernel=kernel)
+    return KdeModel(values=values, bandwidth=bandwidth)

@@ -21,20 +21,23 @@ _SYM_TOL = 1e-8
 _PSD_TOL = 1e-10
 
 
-def make_rng(seed) -> np.random.Generator:
-    """Philox generator for ``seed`` (int or SeedSequence)."""
+def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(int(seed))
-    return np.random.Generator(np.random.Philox(ss))
+        return seed
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
+def make_rng(seed) -> np.random.Generator:
+    """Philox generator for ``seed`` (int >= 0 or SeedSequence)."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 def spawn_seeds(seed, count: int) -> list[np.random.SeedSequence]:
     """Independent child seeds for per-task streams."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(count)
-    return np.random.SeedSequence(int(seed)).spawn(count)
+    return _seed_sequence(seed).spawn(count)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ quantities anyone should tune.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,6 +110,16 @@ class SyntheticSystem:
         return self._oracle(self.density_fn, "density")(np.asarray(y, dtype=float))
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _check_bias_noise(bias_scale: float, sigma_obs: float) -> None:
+    if not math.isfinite(bias_scale):
+        raise DomainError(f"bias_scale must be finite, got {bias_scale}")
+    if not (math.isfinite(sigma_obs) and sigma_obs >= 0.0):
+        raise DomainError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
+
+
 def _bias_1d(kind: str, scale: float, mean: float, sd: float) -> Callable:
     if kind == "constant":
         return lambda x: np.full(np.shape(x)[0], scale)
@@ -132,6 +143,7 @@ def make_mafds_like(
     cdf(y) = Phi(((y/0.37)^2 - mu)/sd) for y >= 0,
     density(y) = phi(((y/0.37)^2 - mu)/sd)/sd * 2 y / 0.37^2.
     """
+    _check_bias_noise(bias_scale, sigma_obs)
     mean, sd, amp = 0.05, 0.0057, 0.37
     params = MvnParams(mean=np.array([mean]), cov=np.array([[sd**2]]))
 
@@ -152,10 +164,10 @@ def make_mafds_like(
         return amp * np.sqrt(max(mean + sd * NormalDist().inv_cdf(alpha), 0.0))
 
     def cdf_fn(y):
-        from scipy.special import ndtr
-
+        # Phi(z) = erfc(-z / sqrt 2) / 2 keeps the lower tail's relative accuracy
         y = np.asarray(y, dtype=float)
-        return np.where(y < 0.0, 0.0, ndtr(((y / amp) ** 2 - mean) / sd))
+        z = ((y / amp) ** 2 - mean) / sd
+        return np.where(y < 0.0, 0.0, 0.5 * _erfc(-z / math.sqrt(2.0)))
 
     def density_fn(y):
         y = np.asarray(y, dtype=float)
@@ -194,6 +206,7 @@ def make_hidim_like(
     the average standardized coordinate.  No closed-form output law; use
     :func:`mc_truth_quantile` for reference values.
     """
+    _check_bias_noise(bias_scale, sigma_obs)
     params = estimate_mvn(field_measurements().inputs)
     mean = params.mean
     sd = np.sqrt(np.diag(params.cov))

@@ -89,7 +89,7 @@ def test_criterion_03_kde_normalization():
         else:
             values = np.round(rng.exponential(2.0, n), 1)
         h = float(10.0 ** rng.uniform(-2, 1))
-        kde = KdeModel(values=np.sort(values), bandwidth=h, kernel="naive")
+        kde = KdeModel(values=np.sort(values), bandwidth=h)
         breaks = np.unique(np.concatenate([kde.values - h, kde.values + h]))
         mids = 0.5 * (breaks[:-1] + breaks[1:])
         total = float(np.sum(kde_evaluate(kde, mids) * np.diff(breaks)))

@@ -168,12 +168,16 @@ def test_config_n1_n2_are_not_scalars(tmp_path):
 
 
 def test_config_supplies_defaults_flags_win(tmp_path, workspace):
+    from uqim.data import parse_dataset
+    from uqim.surrogate import load_model
+
     ws = workspace["dir"]
     cfg = tmp_path / "cfg.json"
     # method blocks sit flat next to the scalar keys in the config file
     cfg.write_text(json.dumps({
         "seed": 99,
-        "density": {"kernel": "gauss", "grid-steps": 21},
+        "density": {"grid-steps": 21},
+        "gp-error": {"beta-mode": "empirical", "restarts": 2, "reps": 200},
     }))
     rc, rep, _ = run_cli([
         "density", "--model", ws / "model.json", "--inputs", ws / "inputs.csv",
@@ -181,24 +185,37 @@ def test_config_supplies_defaults_flags_win(tmp_path, workspace):
     ])
     assert rc == 0
     assert rep["seed"] == 99
-    assert rep["results"]["kernel"] == "gauss"
     assert rep["results"]["grid_steps"] == 21
     rc, rep, _ = run_cli([
         "density", "--model", ws / "model.json", "--inputs", ws / "inputs.csv",
-        "--config", cfg, "--kernel", "naive", "--seed", "3",
+        "--config", cfg, "--grid-steps", "7", "--seed", "3",
         "--out-dir", tmp_path, "--out", "d2.csv",
     ])
     assert rc == 0
     assert rep["seed"] == 3
-    assert rep["results"]["kernel"] == "naive"
+    assert rep["results"]["grid_steps"] == 7
+    # a choice from the config reaches the handler: the empirical beta is the
+    # mean discrepancy; a --beta-mode flag beats it
+    exp = parse_dataset(ws / "exp.csv", ["x1"], "y")
+    mean_gap = float(np.mean(exp.outputs - load_model(ws / "model.json")(exp.inputs)))
+    gp = ["gp-error", "--exp", ws / "exp.csv", "--model", ws / "model.json",
+          "--config", cfg, "--out-dir", tmp_path]
+    rc, rep, _ = run_cli(gp)
+    assert rc == 0
+    assert rep["settings"]["beta_mode"] == "empirical"
+    assert rep["results"]["beta"] == mean_gap
+    rc, rep, _ = run_cli(gp + ["--beta-mode", "closed_form"])
+    assert rc == 0
+    assert rep["settings"]["beta_mode"] == "closed_form"
+    assert rep["results"]["beta"] != mean_gap
 
 
 @pytest.mark.parametrize("argv, block, fields", [
     (["avm", "--exp", "e.csv", "--sim", "s.csv"],
      {"avm": {"grid_steps": [3]}}, ["methods.avm.grid_steps"]),
     (["synth"], {"synth": {"n_exp": "x"}}, ["methods.synth.n_exp"]),
-    (["density", "--model", "m.json", "--inputs", "i.csv"],
-     {"density": {"kernel": "box"}}, ["methods.density.kernel"]),
+    (["gp-error", "--exp", "e.csv", "--model", "m.json"],
+     {"gp-error": {"beta_mode": "mcmc"}}, ["methods.gp-error.beta_mode"]),
     (["fit-surrogate", "--sim", "s.csv"],
      {"fit-surrogate": {"weighted": 1}}, ["methods.fit-surrogate.weighted"]),
     (["synth"], {"synth": {"n-exp": 5, "bandwidth": 0.1, "seed": 3}},
@@ -241,7 +258,8 @@ def test_config_blocks_of_every_subcommand_are_checked(tmp_path):
 def test_config_method_values_convert_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "density": {"grid-steps": "21", "bandwidth": 0.05, "kernel": "gauss"},
+        "density": {"grid-steps": "21", "bandwidth": 0.05},
+        "gp-error": {"beta-mode": "free"},
         "fit-surrogate": {"weighted": True, "folds": 3},
     }))
     rc, rep, _ = run_cli([
@@ -249,8 +267,14 @@ def test_config_method_values_convert_like_flags(tmp_path):
         "--config", cfg, "--out-dir", tmp_path,
     ])
     assert rc == 0
-    got = {k: rep["settings"][k] for k in ("grid_steps", "bandwidth", "kernel")}
-    assert got == {"grid_steps": 21, "bandwidth": "0.05", "kernel": "gauss"}
+    got = {k: rep["settings"][k] for k in ("grid_steps", "bandwidth")}
+    assert got == {"grid_steps": 21, "bandwidth": "0.05"}
+    rc, rep, _ = run_cli([
+        "gp-error", "--exp", "e.csv", "--model", "m.json", "--dry-run",
+        "--config", cfg, "--out-dir", tmp_path,
+    ])
+    assert rc == 0
+    assert rep["settings"]["beta_mode"] == "free"
     rc, rep, _ = run_cli([
         "fit-surrogate", "--sim", "s.csv", "--dry-run", "--config", cfg,
         "--out-dir", tmp_path,
@@ -353,6 +377,24 @@ def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
     ])
     assert rc == 1
     assert json.loads(err) == {"error": "DomainError", "message": "count must be >= 1, got 0"}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["synth", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["synth", "--sigma-obs", "-1"], "sigma_obs must be finite and >= 0, got -1.0"),
+    (["synth", "--system", "hidim", "--bias-scale", "nan"],
+     "bias_scale must be finite, got nan"),
+    (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+      "--delta", "0.05", "--big-n", "0"], "N must be finite and >= 1, got 0.0"),
+    (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+      "--delta", "0.05", "--big-n", "-5"], "N must be finite and >= 1, got -5.0"),
+], ids=["negative_seed", "negative_sigma_obs", "nan_bias_scale", "zero_big_n",
+        "negative_big_n"])
+def test_bad_number_is_one_domain_error_line(tmp_path, flags, message):
+    rc, _, err = run_cli([*flags, "--out-dir", tmp_path])
+    assert rc == 1
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 subcommand loads scipy or numpy.ma.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -103,6 +104,23 @@ def _probe(argvs, cwd):
     return json.loads(
         _run_python(_PROBE, json.dumps([[str(a) for a in v] for v in argvs]), cwd=cwd)
     )
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test-only oracle, so no import
+    # of it may sit anywhere in the package, not even inside a function
+    found = []
+    for path in sorted(Path(uqim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            found += [(path.name, node.lineno, n) for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_import_loads_no_numpy_ma():

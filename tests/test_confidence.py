@@ -381,7 +381,7 @@ def test_band_clean_limit_half_width_tracks_correction():
         outputs, data, model, kappa=kappa, delta=0.05, bandwidths=[0.35],
         interval=(-1.5, 1.5), grid_steps=41,
     )
-    kde = KdeModel(values=np.sort(outputs), bandwidth=0.35, kernel="naive")
+    kde = KdeModel(values=np.sort(outputs), bandwidth=0.35)
     from uqim.density import kde_evaluate
 
     fhat = kde_evaluate(kde, band.grid)
@@ -455,7 +455,7 @@ def test_sup_mismatch_exhaustive_oracle():
         beta = float(rng.uniform(0.0, 0.5))
         kappa = float(rng.uniform(0.05, 0.6))
         h = float(rng.uniform(0.2, 0.8))
-        kde = KdeModel(values=outputs, bandwidth=h, kernel="naive")
+        kde = KdeModel(values=outputs, bandwidth=h)
         for y in rng.uniform(outputs.min() - 0.3, outputs.max() + 0.3, size=4):
             for direction in ("upper", "lower"):
                 got = sup_interval_mismatch(
@@ -492,7 +492,7 @@ def test_band_sups_grid_exhaustive_oracle(case):
         outputs = np.sort(rng.normal(size=n))
         if case.startswith("lattice"):
             outputs = np.round(outputs, 2)
-        kde = KdeModel(values=outputs, bandwidth=h, kernel="naive")
+        kde = KdeModel(values=outputs, bandwidth=h)
         grid = np.linspace(outputs[0] - 0.5, outputs[-1] + 0.5, 21)
         cand = np.unique(
             np.concatenate([outputs, outputs - beta, outputs + beta, grid])
@@ -562,7 +562,7 @@ def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
     assert np.array_equal(got.lower, want.lower)
     assert np.array_equal(got.upper, want.upper)
     monkeypatch.undo()
-    kde = KdeModel(values=outputs, bandwidth=0.1, kernel="naive")
+    kde = KdeModel(values=outputs, bandwidth=0.1)
     vals = kde.values
     beta = got.beta_hat
     for y in (-1.3, 0.0, 0.004, 2.2):
@@ -604,7 +604,7 @@ def test_window_max_matches_loop():
 def test_sup_mismatch_nonnegative_for_matching_density():
     rng = make_rng(25)
     outputs = rng.random(20_000)
-    kde = KdeModel(values=outputs, bandwidth=0.05, kernel="naive")
+    kde = KdeModel(values=outputs, bandwidth=0.05)
     val = sup_interval_mismatch("upper", 0.5, 0.2, 0.0, kde, outputs=outputs)
     assert val >= -1e-12
     # the full-range interval forces a small positive sup here
@@ -614,7 +614,7 @@ def test_sup_mismatch_nonnegative_for_matching_density():
 def test_sup_mismatch_single_point_full_mass():
     v = 1.0
     kappa, beta, h = 0.1, 0.2, 1.0
-    kde = KdeModel(values=[v], bandwidth=h, kernel="naive")
+    kde = KdeModel(values=[v], bandwidth=h)
     got = sup_interval_mismatch(
         "upper", v, kappa, beta, kde, outputs=[v], grid=[v - 0.06, v + 0.06]
     )

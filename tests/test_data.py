@@ -189,3 +189,11 @@ def test_run_config_lists_every_bad_field():
     assert "seed" in joined and "l_n" in joined and "out_dir" in joined
     assert len(err.value.fields) == 3
 
+
+
+@pytest.mark.parametrize("key", ["seed", "l_n"])
+def test_run_config_rejects_bool_integers(key):
+    # JSON true is a Python int; as a seed or a learn size it is no number
+    with pytest.raises(ValidationError) as err:
+        RunConfig.from_dict({key: True})
+    assert err.value.fields == [key]

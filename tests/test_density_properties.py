@@ -1,16 +1,16 @@
 """Property tests of the KDE CDF and the order-statistic index.
 
-``kde_cdf`` must be a distribution function for every kernel: nondecreasing
-up to rounding and within [0, 1], with exact 0 and 1 outside the support of
-the compact kernels.  ``_order_index`` must equal its definition, the smallest k in
-1..n with k / n >= alpha, found by brute force.
+``kde_cdf`` must be a distribution function: nondecreasing up to rounding
+and within [0, 1], with exact 0 and 1 outside the support of the box kernel.
+``_order_index`` must equal its definition, the smallest k in 1..n with
+k / n >= alpha, found by brute force.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uqim.density import KERNELS, KdeModel, _order_index, kde_cdf
+from uqim.density import KdeModel, _order_index, kde_cdf
 
 EPS = np.finfo(float).eps
 SETTINGS = settings(
@@ -33,9 +33,9 @@ def _grid(v: np.ndarray, h: float, count: int) -> np.ndarray:
 
 
 @SETTINGS
-@given(samples, offsets, bandwidths, st.sampled_from(KERNELS), st.integers(2, 400))
-def test_cdf_nondecreasing_in_unit_interval(vals, offset, h, kernel, count):
-    model = KdeModel(values=np.asarray(vals) + offset, bandwidth=h, kernel=kernel)
+@given(samples, offsets, bandwidths, st.integers(2, 400))
+def test_cdf_nondecreasing_in_unit_interval(vals, offset, h, count):
+    model = KdeModel(values=np.asarray(vals) + offset, bandwidth=h)
     v = model.values
     cdf = kde_cdf(model, _grid(v, h, count))
     # the box kernel's prefix sums over v - v[0] round: recursive summation
@@ -47,9 +47,9 @@ def test_cdf_nondecreasing_in_unit_interval(vals, offset, h, kernel, count):
 
 
 @SETTINGS
-@given(samples, offsets, bandwidths, st.sampled_from(["naive", "epanechnikov"]))
-def test_compact_kernel_cdf_exact_outside_support(vals, offset, h, kernel):
-    model = KdeModel(values=np.asarray(vals) + offset, bandwidth=h, kernel=kernel)
+@given(samples, offsets, bandwidths)
+def test_compact_kernel_cdf_exact_outside_support(vals, offset, h):
+    model = KdeModel(values=np.asarray(vals) + offset, bandwidth=h)
     v = model.values
     # one float past the rounded edge lies past the exact edge
     below = np.array([np.nextafter(v[0] - h, -np.inf), v[0] - 3.0 * h])

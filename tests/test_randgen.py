@@ -157,3 +157,12 @@ def test_spawned_streams_differ_and_are_stable():
     first = spawn_seeds(ss, 2)
     second = spawn_seeds(ss, 2)
     assert [k.spawn_key for k in first] != [k.spawn_key for k in second]
+
+
+def test_negative_seed_is_a_domain_error():
+    with pytest.raises(DomainError, match="seed"):
+        make_rng(-1)
+    with pytest.raises(DomainError, match="seed"):
+        spawn_seeds(-5, 2)
+    # 0 is the smallest seed
+    assert np.array_equal(make_rng(0).random(3), make_rng(0).random(3))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from uqim.avm import avm
 from uqim.errors import DomainError
@@ -56,6 +56,19 @@ def test_true_quantile_matches_ndtri_formula():
     assert system.true_quantile(0.95) == 0.09015835308344447
 
 
+def test_true_cdf_matches_ndtr_formula():
+    # Phi through the stdlib erfc against scipy's ndtr, the formula the
+    # closed form used before, from far below the mean to far above it
+    system = make_mafds_like()
+    ys = np.concatenate([[-0.01, 0.0], np.linspace(0.04, 0.12, 801)])
+    z = ((ys / 0.37) ** 2 - 0.05) / 0.0057
+    want = np.where(ys < 0.0, 0.0, ndtr(z))
+    got = system.true_cdf(ys)
+    assert got.shape == ys.shape
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert np.ndim(system.true_cdf(0.09)) == 0
+
+
 def test_oracle_cdf_density_consistency():
     system = make_mafds_like()
     for a in (0.1, 0.5, 0.9):
@@ -99,6 +112,25 @@ def test_bias_shapes():
         make_mafds_like("quadratic")
     with pytest.raises(DomainError, match="bias_kind"):
         make_hidim_like("quadratic")
+
+
+@pytest.mark.parametrize("make", [make_mafds_like, make_hidim_like])
+@pytest.mark.parametrize("kwargs, name", [
+    ({"sigma_obs": -1.0}, "sigma_obs"),
+    ({"sigma_obs": math.inf}, "sigma_obs"),
+    ({"sigma_obs": math.nan}, "sigma_obs"),
+    ({"bias_scale": math.nan}, "bias_scale"),
+    ({"bias_scale": -math.inf}, "bias_scale"),
+], ids=["negative_noise", "inf_noise", "nan_noise", "nan_bias", "inf_bias"])
+def test_bias_and_noise_parameters_are_checked(make, kwargs, name):
+    with pytest.raises(DomainError, match=name):
+        make(**kwargs)
+
+
+def test_zero_noise_and_negative_bias_are_allowed():
+    system = make_mafds_like("constant", bias_scale=-0.01, sigma_obs=0.0)
+    ds = system.draw_simulation(5, seed=1)
+    assert np.allclose(ds.outputs, system.truth(ds.inputs) - 0.01)
 
 
 def test_empty_draw_rejected():
