@@ -35,6 +35,7 @@ import numpy as np
 from .data import (
     InputSample,
     RunConfig,
+    _UINT64_MAX,
     _read_dataset,
     _write_table,
     parse_inputs,
@@ -514,16 +515,18 @@ def _cmd_synth(args):
     names = ("bias_kind", "bias_scale", "sigma_obs")
     kwargs = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     sys_ = (make_mafds_like if args.system == "mafds" else make_hidim_like)(**kwargs)
+    # the truth quantile draws from its own stream; computed first, a bad
+    # alpha or mc_count fails before any file is written
+    if sys_.quantile_fn is not None:
+        truth_q = sys_.true_quantile(args.alpha)
+    else:
+        truth_q = mc_truth_quantile(sys_, args.alpha, count=args.mc_count, seed=args.seed)
     seed_exp, seed_sim = spawn_seeds(args.seed, 2)
     expd = sys_.draw_experiment(args.n_exp, seed_exp)
     simd = sys_.draw_simulation(args.n_sim, seed_sim)
     exp_out, sim_out = _artifact(args, args.exp_out), _artifact(args, args.sim_out)
     write_dataset(expd, exp_out)
     write_dataset(simd, sim_out)
-    if sys_.quantile_fn is not None:
-        truth_q = sys_.true_quantile(args.alpha)
-    else:
-        truth_q = mc_truth_quantile(sys_, args.alpha, count=args.mc_count, seed=args.seed)
     results = {
         "system": sys_.name,
         "dim": sys_.dim,
@@ -777,6 +780,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, args, argv)
+        if args.seed > _UINT64_MAX:  # the range a config's seed must lie in
+            raise DomainError(f"seed must be an integer in [0, 2^64 - 1], got {args.seed}")
         settings = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
         settings["dry_run"] = args.dry_run
         results, artifacts = {}, []

@@ -18,9 +18,9 @@ The sup over intervals is approximated over a finite candidate family whose
 endpoints are the sample values, the sample values +/- beta_hat and the
 evaluation grid.  The sup splits into prefix maxima and window maxima over
 the candidates: sorting them costs O(N log N) once, the searches of the
-sorted candidates merge them with the haystack block by block in O(N) per
-bandwidth, and the window maxima for G grid points take O(N + G^2) time and
-O(G) memory.
+sorted candidates merge them with the haystack block by block in O(N) once
+per band, the KDE cdf at the candidates costs O(N) per bandwidth, and the
+window maxima for G grid points take O(N + G^2) time and O(G) memory.
 Boundary conventions are conservative: expanded intervals count their
 endpoints, shrunk intervals do not.
 """
@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import PairedDataset
 from .density import (
-    BLOCK, KdeModel, _order_index, _searchsorted_blocks, kde_cdf, kde_evaluate,
+    BLOCK, KdeModel, _kde_cdf_into, _order_index, _searchsorted_blocks, kde_evaluate,
 )
 from .errors import DomainError, InfeasibleError
 
@@ -424,48 +424,92 @@ def _window_max(s, lo, hi):
     return np.where(first < stop, got, -np.inf)
 
 
+def _fold_window_max(acc, part, start, lo, hi):
+    """acc[q] = max(acc[q], max of ``part`` over its share of [lo[q], hi[q])).
+
+    ``part`` holds entries start, start + 1, ... of a longer array, so the
+    folds of its blocks, in any order, give that array's window maxima.
+    """
+    m = part.size
+    np.maximum(acc, _window_max(part, np.clip(lo - start, 0, m), np.clip(hi - start, 0, m)),
+               out=acc)
+
+
+def _prefix_max_at(w, idx, start, carry):
+    """max(carry, max(w[start:i])) for each i of the nondecreasing ``idx``.
+
+    Every i is >= start.  w[start:idx[-1]] is scanned once, BLOCK values at a
+    time, by a running maximum that starts from ``carry``.
+    """
+    got = np.empty(idx.size)
+    done = np.searchsorted(idx, start, side="right")
+    got[:done] = carry
+    while done < idx.size:
+        stop = min(start + BLOCK, idx[-1])
+        run = np.maximum.accumulate(w[start:stop])
+        np.maximum(run, carry, out=run)  # run[i] = max(carry, max(w[start:start + i + 1]))
+        upto = np.searchsorted(idx, stop, side="right")
+        got[done:upto] = run[idx[done:upto] - (start + 1)]
+        start, carry, done = stop, run[-1], upto
+    return got
+
+
 def _sup_separable(u, w, before, k_y, r_y, k_split):
     """For each y: sup{u[k] + w[j] : cand[j] <= y <= cand[k], j < before[k]}.
 
     ``before`` is nondecreasing with before[k] <= k.  ``k_y`` and ``r_y``
     count the candidates < y and <= y; ``k_split`` splits the k into those
-    with before[k] <= r_y and those from which on before[k] >= r_y.
+    with before[k] <= r_y and those from which on before[k] >= r_y.  With
+    pref[i] = max(w[:i]), a k from k_split on pairs with every j <= y and
+    scores pref[r_y] + u[k]; a nearer k scores pref[before[k]] + u[k].  These
+    near scores are made block by block, pref[before[k]] from a running
+    maximum, and folded into their window maxima at once, so no array of u's
+    length is made.
     """
-    pref = np.empty(w.size + 1)  # pref[i] = max(w[:i]), -inf for i = 0
-    pref[0] = -np.inf
-    np.maximum.accumulate(w, out=pref[1:])
-    # k from k_split on pairs with every j <= y, nearer k with every j < before[k]
-    far = pref[r_y] + _window_max(u, k_split, np.full(k_split.shape, u.size))
-    # near[k] = pref[before[k]] + u[k] overwrites pref[k]: a block reads pref
-    # below its own end only (before[k] <= k), so from the top block down
-    # nothing is overwritten before it is read
-    near = pref[:-1]
-    for a in reversed(range(0, u.size, BLOCK)):
-        part = pref[before[a : a + BLOCK]]
-        part += u[a : a + BLOCK]
-        near[a : a + BLOCK] = part
-    return np.maximum(far, _window_max(near, k_y, k_split))
+    far = _window_max(w, np.zeros_like(r_y), r_y)
+    far += _window_max(u, k_split, np.full(k_split.shape, u.size))
+    near_max = np.full(k_y.shape, -np.inf)
+    start, carry = 0, -np.inf
+    for a in range(0, u.size, BLOCK):
+        idx = before[a : a + BLOCK]
+        near = _prefix_max_at(w, idx, start, carry)
+        start, carry = idx[-1], near[-1]
+        near += u[a : a + BLOCK]
+        _fold_window_max(near_max, near, a, k_y, k_split)
+    return np.maximum(far, near_max)
 
 
-def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
-    """(sup_upper, sup_lower) arrays over the evaluation points.
+def _band_sups_all(kdes, sorted_outputs, cand, y_grid, kappa, beta):
+    """[(sup_upper, sup_lower) for each KDE of ``kdes``] over the points y_grid.
 
-    Only intervals [a, b] longer than kappa count, in both directions, and
-    "longer" means a < fl(b - kappa), the rounded ends of the one
-    ``cand - kappa`` search.  With F the KDE cdf and mu the empirical
-    measure, an interval scores e_hi[b] + e_lo[a] upward, where
-    e_hi = mu(-inf, t + beta] - F(t) and e_lo = F(t) - mu(-inf, t - beta).
+    Every KDE is over ``sorted_outputs``; ``cand`` holds the sorted distinct
+    candidates and is overwritten.  Only intervals [a, b] longer than kappa
+    count, in both directions, and "longer" means a < fl(b - kappa), the
+    rounded ends of the one ``cand - kappa`` search.  With F the KDE cdf and
+    mu the empirical measure, an interval scores e_hi[b] + e_lo[a] upward,
+    where e_hi = mu(-inf, t + beta] - F(t) and e_lo = F(t) - mu(-inf, t - beta).
     Downward it scores e_lo[b] + e_hi[a] when its shrunk interval
     (a + beta, b - beta), with both ends rounded as computed, is nonempty,
     and F(b) - F(a) when it is empty, so no interval counts a negative
     number of samples.
 
-    Besides ``cand``, at most three float arrays of its length are alive at
-    once: ``cdf``, the ``cand + beta`` buffer that becomes ``e_hi``, and one
-    of ``short``, ``e_lo``; then, with ``cdf`` freed, ``e_hi``, ``e_lo`` and
-    the prefix maxima of ``_sup_separable``.  The index arrays are 32-bit
-    below 2**31 candidates.  The needles of every full-candidate search are
-    sorted, so ``_searchsorted_blocks`` merges them block by block.
+    Only F depends on the bandwidth.  The grid searches, the ``cand - kappa``
+    and shrunk-interval index arrays and the two ECDF ranks of every
+    candidate are made once per call; each KDE then takes one ``kde_cdf`` of
+    the candidates.  The needles of every full-candidate search are sorted,
+    so ``_searchsorted_blocks`` merges them block by block.
+
+    Arrays alive at once, in candidate arrays of 8 bytes per candidate:
+    ``cand`` (1); ``past_kappa`` and ``before`` (1/2 each, 32-bit below
+    2**31 candidates); the ``cand + beta`` haystack of the ``before`` search
+    (1), freed before the rank pairs (1) are searched.  The last KDE's cdf
+    overwrites ``cand`` block by block, its e_lo then the cdf and its e_hi
+    the rank pairs, so it adds no candidate array; each earlier KDE adds its
+    cdf and e_hi (2) while it is scored.  The short-interval term and the
+    near scores of ``_sup_separable`` are never whole: each block of them is
+    folded into the G window maxima.  So with one KDE at most three
+    candidate arrays are alive, plus arrays of the N outputs: the sorted
+    outputs and kde_cdf's prefix sums.
     """
     n, size = sorted_outputs.size, cand.size
     index = np.int32 if size < 2**31 else np.intp
@@ -473,41 +517,87 @@ def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
     r_y = np.searchsorted(cand, y_grid, side="right")
     k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
     past_kappa = _searchsorted_blocks(cand, cand, "left", np.empty(size, index), -kappa)
-    cdf = kde_cdf(kde, cand)
-    e_hi = cand + beta
     # once kappa exceeds 2 beta by more than the rounding of the interval
     # ends, every interval longer than kappa has a nonempty shrunk interval
     ends = max(abs(cand[0]), abs(cand[-1])) + max(kappa, beta)
     has_short = not kappa - 2.0 * beta > 2.0 * np.spacing(ends)
+    before, k_long = past_kappa, k_kappa
     if has_short:
         # the a < before[b] are exactly the partners of b with b - a > kappa
         # and a nonempty shrunk interval, its ends rounded as in e_hi and
         # e_lo; before is nondecreasing
-        before = _searchsorted_blocks(e_hi, cand, "left", np.empty(size, index), -beta)
+        before = _searchsorted_blocks(cand + beta, cand, "left", np.empty(size, index), -beta)
         np.minimum(before, past_kappa, out=before)
         # the b below k_long[q] have only partners a <= y[q], the b from it
         # on every a <= y[q]; needles of int64 would copy before to int64
         k_long = np.searchsorted(before, r_y.astype(index), side="left")
-        # an empty shrunk interval with b - a > kappa scores F(b) - F(a), best
-        # at the smallest such a = cand[before[b]], which must be <= y:
-        # b < k_long
-        short = cdf[before]
-        np.subtract(cdf, short, out=short)
-        short[before == past_kappa] = -np.inf
-        short_max = _window_max(short, k_y, k_long)
-        del short
-    _searchsorted_blocks(sorted_outputs, e_hi, "right", e_hi)  # needles cand + beta
-    e_hi /= n
-    e_hi -= cdf
-    e_lo = _searchsorted_blocks(sorted_outputs, cand, "left", np.empty(size), -beta)
-    e_lo /= n
-    np.subtract(cdf, e_lo, out=e_lo)
-    del cdf
-    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
-    if not has_short:
-        return sup_up, _sup_separable(e_lo, e_hi, past_kappa, k_y, r_y, k_kappa)
-    sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
-    return sup_up, np.maximum(sup_lo, short_max)
+    # the ECDF ranks at cand + beta and cand - beta, a pair per candidate in
+    # the 8 bytes (16 for 64-bit indices) that its e_hi takes for the last KDE
+    ranks = np.empty((size, 2), index)
+    _searchsorted_blocks(sorted_outputs, cand, "right", ranks[:, 0], beta)
+    _searchsorted_blocks(sorted_outputs, cand, "left", ranks[:, 1], -beta)
+    sups = []
+    for i, kde in enumerate(kdes):
+        last = i == len(kdes) - 1
+        cdf = _kde_cdf_into(kde, cand, cand if last else np.empty(size))
+        short_max = np.full(k_y.shape, -np.inf)
+        if has_short:
+            # an empty shrunk interval with b - a > kappa scores F(b) - F(a),
+            # best at the smallest such a = cand[before[b]], which must be
+            # <= y: b < k_long
+            for a in range(0, size, BLOCK):
+                j = before[a : a + BLOCK]
+                short = cdf[a : a + BLOCK] - cdf[j]
+                short[j == past_kappa[a : a + BLOCK]] = -np.inf
+                _fold_window_max(short_max, short, a, k_y, k_long)
+        e_hi = ranks.view(np.float64)[:, 0] if last else np.empty(size)
+        e_lo = cdf
+        for a in range(0, size, BLOCK):
+            hi = ranks[a : a + BLOCK, 0] / n
+            lo = ranks[a : a + BLOCK, 1] / n
+            hi -= cdf[a : a + BLOCK]
+            np.subtract(cdf[a : a + BLOCK], lo, out=lo)
+            e_hi[a : a + BLOCK] = hi  # the last KDE's overwrites this block's ranks
+            e_lo[a : a + BLOCK] = lo
+        sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
+        sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
+        sups.append((sup_up, np.maximum(sup_lo, short_max)))
+        del cdf, e_hi, e_lo
+    return sups
+
+
+def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
+    """(sup_upper, sup_lower) of one KDE; see :func:`_band_sups_all`."""
+    return _band_sups_all([kde], sorted_outputs, cand, y_grid, kappa, beta)[0]
+
+
+def _candidates(sorted_outputs, beta, extra):
+    """np.unique(np.concatenate([v, v - beta, v + beta, extra])), in one buffer.
+
+    The buffer is filled in that order and sorted in place by the sort
+    np.unique uses, so equal values (0.0 and -0.0) end in the same order;
+    then each run of equal values keeps its first, and the kept values move
+    down block by block.
+    """
+    v = sorted_outputs
+    n = v.size
+    cand = np.empty(3 * n + extra.size)
+    cand[:n] = v
+    np.subtract(v, beta, out=cand[n : 2 * n])
+    np.add(v, beta, out=cand[2 * n : 3 * n])
+    cand[3 * n :] = extra
+    cand.sort()
+    size, prev = 0, np.nan  # nan equals nothing: the first value is kept
+    for a in range(0, cand.size, BLOCK):
+        part = cand[a : a + BLOCK]
+        keep = np.empty(part.size, bool)
+        keep[0] = part[0] != prev
+        np.not_equal(part[1:], part[:-1], out=keep[1:])
+        prev = part[-1]
+        kept = part[keep]
+        cand[size : size + kept.size] = kept  # ends at or before a + BLOCK
+        size += kept.size
+    return cand[:size]
 
 
 def sup_interval_mismatch(
@@ -535,11 +625,11 @@ def sup_interval_mismatch(
     vals = kde.values if outputs is None else np.sort(
         np.asarray(outputs, dtype=float).ravel()
     )
-    pieces = [vals, vals - beta_hat, vals + beta_hat, [float(y)]]
+    extra = np.array([float(y)])
     if grid is not None:
-        pieces.append(np.asarray(grid, dtype=float).ravel())
-    cand = np.unique(np.concatenate(pieces))
-    sup_up, sup_lo = _band_sups(kde, vals, cand, np.array([float(y)]), kappa, beta_hat)
+        extra = np.concatenate([extra, np.asarray(grid, dtype=float).ravel()])
+    cand = _candidates(vals, beta_hat, extra)
+    sup_up, sup_lo = _band_sups(kde, vals, cand, extra[:1], kappa, beta_hat)
     return float(sup_up[0] if direction == "upper" else sup_lo[0])
 
 
@@ -582,8 +672,17 @@ def density_band(
     Guarantees hold for integrals over intervals of length > kappa inside
     ``interval``.  Multiple bandwidths combine by pointwise min of uppers
     and max of lowers.  Requires 2/N^2 < delta.
+
+    Memory: one sorted copy of the outputs serves every KDE.  The 3N + G
+    candidates fill one buffer, sorted and deduplicated in place, which
+    ``_band_sups_all`` then overwrites.  With one bandwidth about four
+    candidate arrays are alive at once: ``cand``, the two index arrays, the
+    rank pairs (or, before them, the ``before`` haystack), and the sorted
+    outputs with kde_cdf's prefix sums.  Each bandwidth before the last adds
+    two while it is scored.
     """
     outputs = np.sort(np.asarray(outputs, dtype=float).ravel())
+    outputs.flags.writeable = False  # so that every KDE shares this copy
     big_n = outputs.size
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
@@ -609,16 +708,15 @@ def density_band(
     eg = minimize_eps_gamma(n, big_n, delta, slack)
     corr = (eg.eps + eg.gamma + 2.0 * math.sqrt(math.log(big_n)) / math.sqrt(big_n)) / kappa
 
+    kdes = [KdeModel(values=outputs, bandwidth=h) for h in bandwidths]
     grid = np.linspace(lo, hi, grid_steps)
-    cand = np.unique(
-        np.concatenate([outputs, outputs - beta_hat, outputs + beta_hat, grid])
-    )
+    cand = _candidates(outputs, beta_hat, grid)
     upper = np.full(grid.size, np.inf)
     lower = np.full(grid.size, -np.inf)
-    for h in bandwidths:
-        kde = KdeModel(values=outputs, bandwidth=h)
+    for kde, (sup_up, sup_lo) in zip(
+        kdes, _band_sups_all(kdes, outputs, cand, grid, kappa, beta_hat)
+    ):
         fhat = kde_evaluate(kde, grid)
-        sup_up, sup_lo = _band_sups(kde, outputs, cand, grid, kappa, beta_hat)
         upper = np.minimum(upper, fhat + corr + sup_up / kappa)
         lower = np.maximum(lower, fhat - corr - sup_lo / kappa)
     lower = np.clip(lower, 0.0, None)

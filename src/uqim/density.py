@@ -75,7 +75,11 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float).ravel())
+        v = np.asarray(self.values, dtype=float).ravel()
+        # a read-only sorted array, such as another model's values, is shared
+        # rather than copied
+        if v.flags.writeable or not np.all(v[:-1] <= v[1:]):
+            v = np.sort(v)
         if v.size < 1:
             raise InsufficientDataError("kde needs at least one value")
         if not np.all(np.isfinite(v)):
@@ -112,22 +116,28 @@ def kde_cdf(model: KdeModel, y) -> np.ndarray:
     searched by merge.
     """
     y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
     t = np.atleast_1d(y)
+    out = _kde_cdf_into(model, t.ravel(), np.empty(t.size)).reshape(t.shape)
+    return float(out[0]) if y.ndim == 0 else out
+
+
+def _kde_cdf_into(model: KdeModel, t, out):
+    """:func:`kde_cdf` of the 1-d queries ``t``, written into ``out``.
+
+    ``out`` may be ``t`` itself: each block of queries is read in full
+    before its results are written.
+    """
     v, h, n = model.values, model.bandwidth, model.n
     prefix = np.zeros(n + 1)
     np.cumsum(v - v[0], out=prefix[1:])
-    flat = t.ravel()
-    out = np.empty(flat.shape)
-    for a in range(0, flat.size, BLOCK):
-        tb = flat[a : a + BLOCK]
+    for a in range(0, t.size, BLOCK):
+        tb = t[a : a + BLOCK]
         full = _searchsorted_blocks(v, tb - h, "right")
         part = _searchsorted_blocks(v, tb + h, "left")
         mid = (part - full) * (tb + h - v[0]) - (prefix[part] - prefix[full])
         out[a : a + BLOCK] = (2.0 * h * full + mid) / (2.0 * n * h)
-    out = out.reshape(t.shape)
     np.clip(out, 0.0, 1.0, out=out)  # the prefix sums round
-    return float(out[0]) if scalar else out
+    return out
 
 
 def select_bandwidth(values) -> float:

@@ -109,14 +109,17 @@ def sample_mvn(params: MvnParams, count: int, seed) -> np.ndarray:
     """Draw ``count`` vectors X = A Z + mean with Z iid standard normal.
 
     Z is drawn as ``rng.standard_normal((count, dim))`` so the identity
-    covariance reproduces the raw normal stream exactly.
+    covariance reproduces the raw normal stream exactly.  Z is dropped once
+    A Z is formed and the mean is added in place, so two (count, dim)
+    arrays are alive at most.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     a = _transform(params)
     rng = make_rng(seed)
-    z = rng.standard_normal((count, params.dim))
-    return z @ a.T + params.mean
+    x = rng.standard_normal((count, params.dim)) @ a.T
+    x += params.mean
+    return x
 
 
 def latin_hypercube(ranges, count: int, seed) -> np.ndarray:

@@ -379,8 +379,24 @@ def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
     assert json.loads(err) == {"error": "DomainError", "message": "count must be >= 1, got 0"}
 
 
+@pytest.mark.parametrize("flags", [
+    ["synth", "--alpha", "1.5"],
+    ["synth", "--system", "hidim", "--mc-count", "0"],
+], ids=["alpha", "mc_count"])
+def test_synth_bad_value_writes_nothing(tmp_path, flags):
+    rc, _, err = run_cli([*flags, "--out-dir", tmp_path])
+    assert rc == 1
+    assert json.loads(err)["error"] == "DomainError"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flags, message", [
     (["synth", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["synth", "--seed", str(2**64)],
+     f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
+    # the field table draws nothing, and the seed is checked all the same
+    (["synth", "--system", "field", "--seed", str(2**64)],
+     f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
     (["synth", "--sigma-obs", "-1"], "sigma_obs must be finite and >= 0, got -1.0"),
     (["synth", "--system", "hidim", "--bias-scale", "nan"],
      "bias_scale must be finite, got nan"),
@@ -388,7 +404,8 @@ def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
       "--delta", "0.05", "--big-n", "0"], "N must be finite and >= 1, got 0.0"),
     (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
       "--delta", "0.05", "--big-n", "-5"], "N must be finite and >= 1, got -5.0"),
-], ids=["negative_seed", "negative_sigma_obs", "nan_bias_scale", "zero_big_n",
+], ids=["negative_seed", "too_large_seed", "too_large_field_seed",
+        "negative_sigma_obs", "nan_bias_scale", "zero_big_n",
         "negative_big_n"])
 def test_bad_number_is_one_domain_error_line(tmp_path, flags, message):
     rc, _, err = run_cli([*flags, "--out-dir", tmp_path])

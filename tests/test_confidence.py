@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uqim import confidence
+from uqim import confidence, density
 from uqim.confidence import (
     DensityBand,
     _band_sups,
@@ -572,12 +572,91 @@ def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
             assert sup_interval_mismatch(direction, y, kappa, beta, kde) == sup[0]
 
 
+def _band_sups_all_whole(kdes, sorted_outputs, cand, y_grid, kappa, beta):
+    return [_band_sups_whole(k, sorted_outputs, cand, y_grid, kappa, beta) for k in kdes]
+
+
+def _band_data(shape, err, big_n, seed):
+    outputs, data, model = _band_inputs(n_exp=30, big_n=big_n, err=err, seed=seed)
+    if shape == "lattice":
+        outputs = np.round(outputs, 2)
+    elif shape == "clusters":
+        # two clusters 0.003 wide: the candidates just past a cluster's end
+        # plus kappa have every candidate of the cluster before them, so
+        # before[k] jumps by thousands between neighbours
+        outputs = 0.001 * outputs + np.where(outputs > 0.0, 1.0, -1.0)
+    return outputs, data, model
+
+
+# kappa > 2 beta leaves only long shrunk intervals (long_only); kappa <= 2 beta
+# adds the short-interval term (short, short_lattice, clusters)
+@pytest.mark.parametrize("kappa, err, shape", [
+    (0.3, 0.05, "normal"), (0.3, 0.2, "normal"), (0.2, 0.1, "lattice"),
+    (0.3, 0.2, "clusters"),
+], ids=["long_only", "short", "short_lattice", "clusters"])
+def test_band_small_blocks_match_whole_searches(kappa, err, shape, monkeypatch):
+    # 25,000 outputs make about 75,000 candidates: 2 blocks of 2**16 and 74
+    # of 2**10, so the blocked dedupe, prefix maxima and window maxima cross
+    # many block edges
+    outputs, data, model = _band_data(shape, err, 25_000, seed=65)
+    kw = dict(kappa=kappa, delta=0.05, bandwidths=[0.05, 0.2], interval=(-3.0, 3.0),
+              grid_steps=200)
+    monkeypatch.setattr(confidence, "_band_sups_all", _band_sups_all_whole)
+    want = density_band(outputs, data, model, **kw)
+    monkeypatch.undo()
+    kde = KdeModel(values=outputs, bandwidth=0.1)
+    vals, beta = kde.values, want.beta_hat
+    grid = np.linspace(-3.0, 3.0, 200)
+    cand = np.unique(np.concatenate([vals, vals - beta, vals + beta, grid]))
+    whole = _band_sups_whole(kde, vals, cand, grid, kappa, beta)
+    for block in (density.BLOCK, 2**10):
+        monkeypatch.setattr(density, "BLOCK", block)
+        monkeypatch.setattr(confidence, "BLOCK", block)
+        got = density_band(outputs, data, model, **kw)
+        assert np.array_equal(got.lower, want.lower)
+        assert np.array_equal(got.upper, want.upper)
+        blocked = _band_sups(kde, vals, cand.copy(), grid, kappa, beta)
+        for w, b in zip(whole, blocked):
+            assert np.array_equal(w, b)
+
+
+def test_candidates_match_unique(monkeypatch):
+    monkeypatch.setattr(confidence, "BLOCK", 2**6)
+    rng = np.random.default_rng(67)
+    # runs of ties longer than a block, zeros of both signs and a tie that
+    # straddles the fill order (v + beta of one value is another value)
+    v = np.sort(np.concatenate([
+        np.round(rng.normal(size=500), 1), np.zeros(70), -np.zeros(70), [0.5, 0.75],
+    ]))
+    for beta in (0.0, 0.25, 0.1):
+        extra = np.concatenate([[-0.0, 0.0], np.linspace(-1.0, 1.0, 9)])
+        got = confidence._candidates(v, beta, extra)
+        want = np.unique(np.concatenate([v, v - beta, v + beta, extra]))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("kappa, err", [(0.3, 0.05), (0.3, 0.2)], ids=["long_only", "short"])
-def test_band_memory_peak(kappa, err):
-    # in multiples of the candidate array (3N + G floats), the band peaks at
-    # 5.6 (long only) and 6.6 (short) here; searching all candidates at once
-    # with 64-bit indices and a separate near array it peaked at 7.7 and 9.1
-    outputs, data, model = _band_inputs(n_exp=40, big_n=100_000, err=err, seed=63)
+def test_band_two_bandwidths_match_one_at_a_time(kappa, err):
+    # the two-bandwidth band shares the searches and ranks between the KDEs
+    outputs, data, model = _band_inputs(n_exp=30, big_n=20_000, err=err, seed=66)
+    kw = dict(kappa=kappa, delta=0.05, interval=(-3.0, 3.0), grid_steps=150)
+    both = density_band(outputs, data, model, bandwidths=[0.05, 0.2], **kw)
+    one = [density_band(outputs, data, model, bandwidths=[h], **kw) for h in (0.05, 0.2)]
+    assert np.array_equal(both.upper, np.minimum(one[0].upper, one[1].upper))
+    assert np.array_equal(both.lower, np.maximum(one[0].lower, one[1].lower))
+
+
+@pytest.mark.parametrize("kappa, err, big_n, bound", [
+    (0.3, 0.05, 100_000, 5.4), (0.3, 0.2, 100_000, 5.9), (0.3, 0.2, 1_000_000, 4.5),
+], ids=["long_only", "short", "short_1e6"])
+def test_band_memory_peak(kappa, err, big_n, bound):
+    # in multiples of the candidate array (3N + G floats), one bandwidth
+    # peaks at 5.0 (long only) and 5.5 (short) at N = 1e5, where the block
+    # temporaries weigh most, and at 4.0 at N = 1e6.  Holding the full
+    # short, near and prefix arrays, the np.unique copies and two sorted
+    # outputs, it peaked at 7.0 at N = 1e5 and 5.8 at N = 1e6
+    outputs, data, model = _band_inputs(n_exp=40, big_n=big_n, err=err, seed=63)
     grid_steps = 200
     tracemalloc.start()
     try:
@@ -586,7 +665,7 @@ def test_band_memory_peak(kappa, err):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.5 * 8 * (3 * outputs.size + grid_steps)
+    assert peak < bound * 8 * (3 * outputs.size + grid_steps)
 
 
 def test_window_max_matches_loop():

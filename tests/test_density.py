@@ -231,6 +231,21 @@ def test_kde_translation_equivariance():
     assert np.allclose(kde_evaluate(b, ys + c), kde_evaluate(a, ys), atol=1e-12)
 
 
+def test_kde_shares_only_read_only_sorted_values():
+    v = np.array([0.3, -1.0, 2.0, 0.0])
+    a = KdeModel(values=v, bandwidth=0.5)
+    # another model's values are shared, so several bandwidths hold one copy
+    assert np.shares_memory(KdeModel(values=a.values, bandwidth=0.1).values, a.values)
+    # a writeable array is copied: changing it later leaves the model as it was
+    s = np.sort(v)
+    b = KdeModel(values=s, bandwidth=0.5)
+    s[:] = 9.0
+    assert np.array_equal(b.values, np.sort(v))
+    # a read-only array out of order is sorted
+    v.flags.writeable = False
+    assert np.array_equal(KdeModel(values=v, bandwidth=0.5).values, np.sort(v))
+
+
 def test_kde_validation():
     with pytest.raises(DomainError, match="bandwidth"):
         KdeModel(values=[1.0], bandwidth=0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from uqim.errors import DomainError, InsufficientDataError, InvalidCovarianceError
 from uqim.randgen import (
     MvnParams,
+    _transform,
     estimate_mvn,
     latin_hypercube,
     make_rng,
@@ -113,6 +115,28 @@ def test_sample_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+def test_sample_matches_product_plus_mean():
+    # fixed seed: the draws keep the bits of z @ a.T + mean
+    params = MvnParams(mean=[1.5, -2.0, 1e6], cov=[[2.0, 0.6, 0.0], [0.6, 0.5, 0.1],
+                                                   [0.0, 0.1, 3e4]])
+    z = make_rng(31).standard_normal((1000, 3))
+    want = z @ _transform(params).T + params.mean
+    assert np.array_equal(sample_mvn(params, 1000, seed=31), want)
+
+
+def test_sample_memory_peak():
+    # z and z @ a.T are alive together; the sum no longer makes a third
+    # (count, dim) array, so the peak is twice the result, not three times
+    params = MvnParams(mean=np.arange(5.0), cov=np.eye(5) + 0.3)
+    tracemalloc.start()
+    try:
+        draws = sample_mvn(params, 200_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * draws.nbytes
+
+
 def test_sample_count_validation():
     params = MvnParams(mean=[0.0], cov=[[1.0]])
     with pytest.raises(DomainError):
@@ -166,3 +190,4 @@ def test_negative_seed_is_a_domain_error():
         spawn_seeds(-5, 2)
     # 0 is the smallest seed
     assert np.array_equal(make_rng(0).random(3), make_rng(0).random(3))
+
