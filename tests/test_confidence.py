@@ -581,9 +581,9 @@ def _band_data(shape, err, big_n, seed):
     if shape == "lattice":
         outputs = np.round(outputs, 2)
     elif shape == "clusters":
-        # two clusters 0.003 wide: the candidates just past a cluster's end
-        # plus kappa have every candidate of the cluster before them, so
-        # before[k] jumps by thousands between neighbours
+        # two clusters about 0.004 wide: the candidates just past a
+        # cluster's end plus kappa have every candidate of the cluster
+        # before them, so before[k] jumps by thousands between neighbours
         outputs = 0.001 * outputs + np.where(outputs > 0.0, 1.0, -1.0)
     return outputs, data, model
 
