@@ -780,7 +780,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, args, argv)
-        if args.seed > _UINT64_MAX:  # the range a config's seed must lie in
+        if not 0 <= args.seed <= _UINT64_MAX:  # the range a config's seed must lie in
             raise DomainError(f"seed must be an integer in [0, 2^64 - 1], got {args.seed}")
         settings = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
         settings["dry_run"] = args.dry_run

@@ -681,8 +681,7 @@ def density_band(
     outputs with kde_cdf's prefix sums.  Each bandwidth before the last adds
     two while it is scored.
     """
-    outputs = np.sort(np.asarray(outputs, dtype=float).ravel())
-    outputs.flags.writeable = False  # so that every KDE shares this copy
+    outputs = np.asarray(outputs, dtype=float).ravel()
     big_n = outputs.size
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
@@ -708,7 +707,9 @@ def density_band(
     eg = minimize_eps_gamma(n, big_n, delta, slack)
     corr = (eg.eps + eg.gamma + 2.0 * math.sqrt(math.log(big_n)) / math.sqrt(big_n)) / kappa
 
-    kdes = [KdeModel(values=outputs, bandwidth=h) for h in bandwidths]
+    kde = KdeModel(values=outputs, bandwidth=bandwidths[0])
+    outputs = kde.values  # the one sorted copy, shared by every KDE
+    kdes = [kde] + [kde._with_bandwidth(h) for h in bandwidths[1:]]
     grid = np.linspace(lo, hi, grid_steps)
     cand = _candidates(outputs, beta_hat, grid)
     upper = np.full(grid.size, np.inf)

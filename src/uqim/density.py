@@ -14,6 +14,7 @@ together are merged with the sample instead (:func:`_searchsorted_blocks`).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -75,23 +76,30 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        # a read-only sorted array, such as another model's values, is shared
-        # rather than copied
-        if v.flags.writeable or not np.all(v[:-1] <= v[1:]):
-            v = np.sort(v)
+        v = np.sort(np.asarray(self.values, dtype=float).ravel())
         if v.size < 1:
             raise InsufficientDataError("kde needs at least one value")
         if not np.all(np.isfinite(v)):
             raise DomainError("kde values must be finite")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
+        _check_bandwidth(self.bandwidth)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    def _with_bandwidth(self, bandwidth: float) -> KdeModel:
+        """This sample at another bandwidth; the sorted values are shared."""
+        _check_bandwidth(bandwidth)
+        kde = copy.copy(self)
+        object.__setattr__(kde, "bandwidth", bandwidth)
+        return kde
 
     @property
     def n(self) -> int:
         return self.values.size
+
+
+def _check_bandwidth(bandwidth) -> None:
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise DomainError(f"bandwidth must be positive, got {bandwidth}")
 
 
 def kde_evaluate(model: KdeModel, y) -> np.ndarray:
@@ -129,7 +137,8 @@ def _kde_cdf_into(model: KdeModel, t, out):
     """
     v, h, n = model.values, model.bandwidth, model.n
     prefix = np.zeros(n + 1)
-    np.cumsum(v - v[0], out=prefix[1:])
+    np.subtract(v, v[0], out=prefix[1:])
+    np.cumsum(prefix[1:], out=prefix[1:])  # in place: no temporary of n values
     for a in range(0, t.size, BLOCK):
         tb = t[a : a + BLOCK]
         full = _searchsorted_blocks(v, tb - h, "right")

@@ -391,7 +391,12 @@ def test_synth_bad_value_writes_nothing(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["synth", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["synth", "--seed", "-1"], "seed must be an integer in [0, 2^64 - 1], got -1"),
+    # a dry run draws nothing, and both ends of the range are checked all the same
+    (["synth", "--dry-run", "--seed", "-1"],
+     "seed must be an integer in [0, 2^64 - 1], got -1"),
+    (["synth", "--dry-run", "--seed", str(2**64)],
+     f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
     (["synth", "--seed", str(2**64)],
      f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
     # the field table draws nothing, and the seed is checked all the same
@@ -404,7 +409,8 @@ def test_synth_bad_value_writes_nothing(tmp_path, flags):
       "--delta", "0.05", "--big-n", "0"], "N must be finite and >= 1, got 0.0"),
     (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
       "--delta", "0.05", "--big-n", "-5"], "N must be finite and >= 1, got -5.0"),
-], ids=["negative_seed", "too_large_seed", "too_large_field_seed",
+], ids=["negative_seed", "negative_dry_run_seed", "too_large_dry_run_seed",
+        "too_large_seed", "too_large_field_seed",
         "negative_sigma_obs", "nan_bias_scale", "zero_big_n",
         "negative_big_n"])
 def test_bad_number_is_one_domain_error_line(tmp_path, flags, message):

@@ -589,11 +589,13 @@ def _band_data(shape, err, big_n, seed):
 
 
 # kappa > 2 beta leaves only long shrunk intervals (long_only); kappa <= 2 beta
-# adds the short-interval term (short, short_lattice, clusters)
+# adds the short-interval term (the others).  The first four cases are those
+# of test_band_blocks_match_whole_searches, under the same ids; its lattices
+# make ties at b - a = kappa and at 2 beta, the has_short boundary
 @pytest.mark.parametrize("kappa, err, shape", [
-    (0.3, 0.05, "normal"), (0.3, 0.2, "normal"), (0.2, 0.1, "lattice"),
-    (0.3, 0.2, "clusters"),
-], ids=["long_only", "short", "short_lattice", "clusters"])
+    (0.3, 0.05, "normal"), (0.3, 0.2, "normal"), (0.3, 0.15, "lattice"),
+    (0.2, 0.1, "lattice"), (0.3, 0.2, "clusters"),
+], ids=["long_only", "short", "short_lattice", "tie_lattice", "clusters"])
 def test_band_small_blocks_match_whole_searches(kappa, err, shape, monkeypatch):
     # 25,000 outputs make about 75,000 candidates: 2 blocks of 2**16 and 74
     # of 2**10, so the blocked dedupe, prefix maxima and window maxima cross
@@ -653,7 +655,7 @@ def test_band_two_bandwidths_match_one_at_a_time(kappa, err):
 def test_band_memory_peak(kappa, err, big_n, bound):
     # in multiples of the candidate array (3N + G floats), one bandwidth
     # peaks at 5.0 (long only) and 5.5 (short) at N = 1e5, where the block
-    # temporaries weigh most, and at 4.0 at N = 1e6.  Holding the full
+    # temporaries weigh most, and at 3.85 at N = 1e6.  Holding the full
     # short, near and prefix arrays, the np.unique copies and two sorted
     # outputs, it peaked at 7.0 at N = 1e5 and 5.8 at N = 1e6
     outputs, data, model = _band_inputs(n_exp=40, big_n=big_n, err=err, seed=63)

@@ -231,19 +231,29 @@ def test_kde_translation_equivariance():
     assert np.allclose(kde_evaluate(b, ys + c), kde_evaluate(a, ys), atol=1e-12)
 
 
-def test_kde_shares_only_read_only_sorted_values():
-    v = np.array([0.3, -1.0, 2.0, 0.0])
-    a = KdeModel(values=v, bandwidth=0.5)
-    # another model's values are shared, so several bandwidths hold one copy
-    assert np.shares_memory(KdeModel(values=a.values, bandwidth=0.1).values, a.values)
-    # a writeable array is copied: changing it later leaves the model as it was
-    s = np.sort(v)
-    b = KdeModel(values=s, bandwidth=0.5)
-    s[:] = 9.0
-    assert np.array_equal(b.values, np.sort(v))
-    # a read-only array out of order is sorted
-    v.flags.writeable = False
-    assert np.array_equal(KdeModel(values=v, bandwidth=0.5).values, np.sort(v))
+def test_kde_copies_its_values():
+    # a read-only view of a writable array is copied too: changing the base
+    # later leaves the model as it was
+    base = np.array([-1.0, 0.0, 0.3, 2.0])
+    view = base.view()
+    view.flags.writeable = False
+    kde = KdeModel(values=view, bandwidth=0.5)
+    base[:] = 9.0
+    assert np.array_equal(kde.values, [-1.0, 0.0, 0.3, 2.0])
+    assert not kde.values.flags.writeable
+    # another model's values are copied as well
+    assert not np.shares_memory(KdeModel(values=kde.values, bandwidth=0.1).values,
+                                kde.values)
+
+
+def test_kde_with_bandwidth_shares_values():
+    kde = KdeModel(values=[0.3, -1.0, 2.0], bandwidth=0.5)
+    other = kde._with_bandwidth(0.1)
+    assert other.values is kde.values and other.bandwidth == 0.1
+    assert kde.bandwidth == 0.5
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="bandwidth"):
+            kde._with_bandwidth(bad)
 
 
 def test_kde_validation():
