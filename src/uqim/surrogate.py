@@ -634,16 +634,13 @@ def select_weight_and_penalty(
 
     # one system per fold serves all the cells; a cell's squared errors add
     # up in fold order, and it fails (None, scored inf) at its first fold
-    # that cannot be fitted
+    # whose system cannot be solved; a fold whose basis cannot be built
+    # raises the basis's DataError
     cells = [(w, pen) for w in w_grid for pen in penalty_grid]
     sse = [0.0] * len(cells)
     for hold in np.array_split(perm, folds):
         train = np.setdiff1d(perm, hold, assume_unique=True)
-        try:
-            fit = _System.on_data(family, x[train], eps[train], extra)
-        except DataError:
-            sse = [None] * len(cells)
-            break
+        fit = _System.on_data(family, x[train], eps[train], extra)
         # rbf and poly score each fold with one table and predict's product
         xh, eh, basis = x[hold], eps[hold], fit.basis
         th = None if isinstance(basis, SplineBasis) else basis._table(_columns(xh))

@@ -121,7 +121,7 @@ def test_minimize_eps_gamma_random_settings_oracle():
 
 
 def _scipy_bounded_eps_gamma(n, big_n, delta, d_delta):
-    """minimize_eps_gamma's grid and bracket, refined by scipy's bounded method."""
+    """Log-spaced plus uniform grid, then scipy's bounded method in its argmin's bracket."""
     from scipy.optimize import minimize_scalar
 
     rem = delta - d_delta
@@ -165,11 +165,16 @@ def test_minimize_eps_gamma_matches_scipy_bounded():
     ]
     # the README's density band: ddelta = 2/N^2
     settings.append((50, 1e6, 0.05, 2.0 / 1e6**2))
+    # the narrowing grid is no worse than scipy's bounded minimum beyond the
+    # rounding of the objective at its flat minimum, and beats it where that
+    # minimum lies near eps = 1 (n = 1, small N)
     for n, big_n, delta, dd in settings:
         eg = minimize_eps_gamma(n, big_n, delta, dd)
-        got = (eg.eps, eg.gamma, eg.objective)
-        assert got == _scipy_bounded_eps_gamma(n, big_n, delta, dd), (n, big_n, delta, dd)
-        assert [type(v) for v in got] == [float] * 3
+        _, _, ref = _scipy_bounded_eps_gamma(n, big_n, delta, dd)
+        assert eg.objective <= ref * (1.0 + 1e-13), (n, big_n, delta, dd)
+        assert (1.0 - eg.eps) ** n < delta - dd
+        assert eg.gamma == gamma_term(n, big_n, delta, dd, eg.eps)
+        assert [type(v) for v in (eg.eps, eg.gamma, eg.objective)] == [float] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +312,30 @@ def test_quantile_ci_sweep_matches_per_candidate_order_statistics():
             best = (lower, upper, dd)
     assert best is not None and best[2] > 0.02 * 1.5
     assert (ci.lower, ci.upper, ci.d_delta) == best
+
+
+def test_feasibility_screen_agrees_with_quantile_ci_at_the_level_edge():
+    # alphas within a few ulp of where a level leaves (0, 1): the screen
+    # calls a ddelta feasible exactly when the interval uses it
+    outputs = make_rng(14).standard_normal(1000)
+    disagreed = []
+    for n, delta in [(20, 0.5), (35, 0.8), (62, 0.06), (170, 0.28)]:
+        data, model = _exp_with_error(n, 0.0, seed=n)
+        dd = delta / 2.0
+        eg = minimize_eps_gamma(n, 1000, delta, dd)
+        shift = math.sqrt(-math.log(dd / 2.0) / 2000.0) + eg.objective
+        for edge in (shift, 1.0 - shift):
+            for k in range(-3, 4):
+                alpha = edge + k * math.ulp(edge)
+                screen = ci_feasibility(n, alpha, delta, [dd], big_n=1000.0).feasible
+                try:
+                    quantile_ci(data, model, outputs, alpha, delta, d_delta=dd)
+                    used = True
+                except InfeasibleError:
+                    used = False
+                if screen != used:
+                    disagreed.append((n, delta, alpha, screen))
+    assert disagreed == []
 
 
 def test_quantile_ci_validation():
@@ -465,6 +494,16 @@ def test_sup_mismatch_exhaustive_oracle():
                 assert got == pytest.approx(want, abs=1e-10), (
                     trial, direction, y, kappa, beta, h,
                 )
+    # a shrunk interval that is empty only as rounded: the -inf mask of the
+    # short-interval term keeps its F(b) - F(a) out of the lower sup
+    outputs = np.array([0.648900057577607, 0.7175154168372763,
+                        0.8936967985054493, 0.9890924047511652])
+    beta, kappa, y = 0.29170208999812425, 0.5612204389725656, 1.2090282890266457
+    kde = KdeModel(values=outputs, bandwidth=0.001836918653662482)
+    want = _brute_sup("lower", y, kappa, beta, kde, outputs)
+    assert want == pytest.approx(0.75, abs=1e-10)
+    got = sup_interval_mismatch("lower", y, kappa, beta, kde, outputs=outputs)
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize(

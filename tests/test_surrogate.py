@@ -248,6 +248,18 @@ def test_select_rejects_too_few_rows():
         )
 
 
+def test_select_reports_a_fold_basis_data_error():
+    # at seed 8 both x = 1 rows are held out together, so one fold trains on
+    # a single distinct point, where no rbf basis can be built
+    x = np.array([0.0] * 8 + [1.0] * 2)
+    exp = _data(x, np.zeros(10), kind="experimental")
+    with pytest.raises(DataError, match="two distinct points"):
+        select_weight_and_penalty(
+            FunctionFamily("rbf", 3), exp, np.zeros(10), InputSample(points=[[0.0]]),
+            seed=8,
+        )
+
+
 def test_select_deterministic_per_seed():
     rng = np.random.default_rng(5)
     x = rng.random(10)
