@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedDataset
-from .density import _order_index
+from .data import PairedDataset, _readonly
+from .density import _order_statistic
 from .errors import DataError, DomainError
 from .randgen import make_rng, spawn_seeds
 from .surrogate import (
@@ -54,9 +54,7 @@ class BootstrapErrorReport:
     n_learn: int
 
     def __post_init__(self):
-        q = np.asarray(self.quantiles, dtype=float)
-        q.flags.writeable = False
-        object.__setattr__(self, "quantiles", q)
+        object.__setattr__(self, "quantiles", _readonly(self.quantiles))
 
     @property
     def b_reps(self) -> int:
@@ -98,7 +96,7 @@ def bootstrap_error_quantile(
     x = experimental.inputs
     w = _check_weight(1.0 if weight is None else weight)
     extra = None if extra_inputs is None else _extra_points(extra_inputs, experimental.dim)
-    m, k = n - n_learn, _order_index(n - n_learn, alpha)
+    m = n - n_learn
 
     # a poly basis does not look at the rows it is fitted on: build it, the
     # design of all n rows and that of the extra rows once, gather each
@@ -125,7 +123,7 @@ def bootstrap_error_quantile(
         else:
             fit = _System.on_data(family, x[learn[0]], residuals[learn[0]], extra)
             pred = fit.basis.predict(fit.solve(family.penalty, w), x[rest[0]])[None]
-        quantiles[a : a + len(idx)] = np.partition(np.abs(pred), k - 1, axis=1)[:, k - 1]
+        quantiles[a : a + len(idx)] = _order_statistic(np.abs(pred), alpha)
     return BootstrapErrorReport(
         quantiles=quantiles,
         median=float(np.median(quantiles)),

@@ -111,18 +111,21 @@ def _parse_ranges(text: str) -> list[tuple[float, float]]:
     return [_parse_span(part) for part in _names(text)]
 
 
-def _load_dataset(path, input_columns, output_column, kind):
+def _load_dataset(args, role):
+    """The --exp or --sim (``role``) dataset, as --input-columns and --output-column pick."""
+    path = getattr(args, role)
+
     def pick(header):
-        out_col = output_column if output_column else header[-1]
-        if input_columns:
-            cols = _names(input_columns)
+        out_col = args.output_column or header[-1]
+        if args.input_columns:
+            cols = _names(args.input_columns)
         else:
             cols = [c for c in header if c != out_col]
         if not cols:
             raise DataError(f"{path}: no input columns left besides {out_col!r}")
         return cols + [out_col]
 
-    return _read_dataset(path, pick, kind)
+    return _read_dataset(path, pick, "experimental" if role == "exp" else "simulated")
 
 
 def _single_column(path) -> np.ndarray:
@@ -192,7 +195,7 @@ def _cmd_fit_surrogate(args):
         select_weight_and_penalty,
     )
 
-    sim = _load_dataset(args.sim, args.input_columns, args.output_column, "simulated")
+    sim = _load_dataset(args, "sim")
     if args.penalty is None:
         grid = np.asarray(_floats(args.penalty_grid)) if args.penalty_grid else None
         base = fit_with_gcv(FunctionFamily(args.family, args.size), sim, grid=grid)
@@ -207,7 +210,7 @@ def _cmd_fit_surrogate(args):
         "gcv": base.cv_score,
     }
     if args.exp:
-        expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
+        expd = _load_dataset(args, "exp")
         residuals = compute_residuals(base, expd)
         # the residual family defaults to the base's kind and size
         res_family = FunctionFamily(
@@ -309,8 +312,8 @@ def _cmd_quantile(args):
 def _cmd_avm(args):
     from .avm import avm
 
-    expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
-    simd = _load_dataset(args.sim, args.input_columns, args.output_column, "simulated")
+    expd = _load_dataset(args, "exp")
+    simd = _load_dataset(args, "sim")
     res = avm(expd.outputs, simd.outputs, grid_steps=args.grid_steps)
     results = {
         "riemann": res.riemann,
@@ -327,7 +330,7 @@ def _cmd_gp_error(args):
     from .randgen import spawn_seeds
     from .surrogate import load_model
 
-    expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
+    expd = _load_dataset(args, "exp")
     model = load_model(args.model)
     data = DiscrepancyData(
         inputs=expd.inputs,
@@ -362,7 +365,7 @@ def _cmd_bootstrap_error(args):
     from .bootstrap import bootstrap_error_quantile
     from .surrogate import FunctionFamily, load_model
 
-    expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
+    expd = _load_dataset(args, "exp")
     model = load_model(args.model)
     extra = parse_inputs(args.extra_inputs).points if args.extra_inputs else None
     report = bootstrap_error_quantile(
@@ -397,7 +400,7 @@ def _cmd_ci_quantile(args):
         if args.n is not None:
             n = args.n
         elif args.exp:
-            n = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental").n
+            n = _load_dataset(args, "exp").n
         else:
             raise DomainError("--check-only needs --n or --exp")
         grid = _floats(args.d_delta) if args.d_delta else None
@@ -407,15 +410,7 @@ def _cmd_ci_quantile(args):
             "feasible": rep.feasible,
             "best_d_delta": rep.best_d_delta,
             "best_objective": rep.best_objective,
-            "entries": [
-                {
-                    "d_delta": e.d_delta,
-                    "feasible": e.feasible,
-                    "objective": e.objective,
-                    "hoeffding": e.hoeffding,
-                }
-                for e in rep.entries
-            ],
+            "entries": [vars(e) for e in rep.entries],
         }
         return results, []
     for name in ("exp", "model", "inputs"):
@@ -424,7 +419,7 @@ def _cmd_ci_quantile(args):
     d_delta = _float(args.d_delta, "--d-delta") if args.d_delta and not args.sweep else None
     from .surrogate import load_model
 
-    expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
+    expd = _load_dataset(args, "exp")
     model = load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
     ci = quantile_ci(
@@ -457,7 +452,7 @@ def _cmd_density_band(args):
     from .density import select_bandwidth
     from .surrogate import load_model
 
-    expd = _load_dataset(args.exp, args.input_columns, args.output_column, "experimental")
+    expd = _load_dataset(args, "exp")
     model = load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
     if args.bandwidths:

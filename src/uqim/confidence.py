@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedDataset
+from .data import PairedDataset, _readonly
 from .density import (
     BLOCK, KdeModel, _kde_cdf_into, _order_index, _searchsorted_blocks, kde_evaluate,
 )
@@ -159,6 +159,26 @@ def _levels(n, big_n, alpha, delta, d_delta):
     return 0.0 < low and high < 1.0, hoeff, eg, low, high
 
 
+def _screen(n, big_n, alpha, delta, d_deltas):
+    """(ddelta, ok, objective, hoeffding) per ddelta, ascending, once all pass
+    their checks.  ``ok`` is the rule of ``_levels``; with ``big_n=None`` it is
+    the N -> infinity limit: no shift, objective 1 - (delta-ddelta)^(1/n)."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if big_n is not None:
+        _check_big_n(big_n)
+    d_deltas = sorted(float(v) for v in np.atleast_1d(d_deltas))
+    for dd in d_deltas:
+        _check_core(n, delta, dd)
+    for dd in d_deltas:
+        if big_n is None:
+            obj = 1.0 - (delta - dd) ** (1.0 / n)
+            yield dd, obj < min(alpha, 1.0 - alpha), obj, 0.0
+        else:
+            ok, hoeff, eg, _, _ = _levels(n, big_n, alpha, delta, dd)
+            yield dd, ok, eg.objective, hoeff
+
+
 def ci_feasibility(
     n: int,
     alpha: float,
@@ -170,39 +190,22 @@ def ci_feasibility(
 
     For each ddelta in the sweep the minimal achievable eps + gamma (plus
     the Hoeffding level shift) must keep both order-statistic levels inside
-    (0, 1).  ``big_n=None`` screens in the N -> infinity limit, where the
-    shift vanishes and the infimum objective is 1 - (delta-ddelta)^(1/n).
+    (0, 1).  ``big_n=None`` screens in the N -> infinity limit.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if big_n is not None:
-        _check_big_n(big_n)
     if d_delta_grid is None:
         d_delta_grid = default_d_delta_grid(delta)
-    entries = []
-    best = None
-    for dd in sorted(float(v) for v in np.atleast_1d(d_delta_grid)):
-        if big_n is None:
-            obj = 1.0 - _check_core(n, delta, dd) ** (1.0 / n)
-            hoeff = 0.0
-            ok = obj < min(alpha, 1.0 - alpha)
-        else:
-            ok, hoeff, eg, _, _ = _levels(n, big_n, alpha, delta, dd)
-            obj = eg.objective
-        entries.append(
-            FeasibilityEntry(d_delta=dd, feasible=ok, objective=obj, hoeffding=hoeff)
-        )
-        if best is None or obj + hoeff < best[0]:
-            best = (obj + hoeff, dd)
+    rows = _screen(n, big_n, alpha, delta, d_delta_grid)
+    entries = tuple(FeasibilityEntry(*row) for row in rows)
+    best = min(entries, key=lambda e: e.objective + e.hoeffding, default=None)
     return FeasibilityReport(
         feasible=any(e.feasible for e in entries),
         n=int(n),
         alpha=float(alpha),
         delta=float(delta),
         big_n=big_n,
-        best_d_delta=best[1] if best else None,
-        best_objective=best[0] if best else None,
-        entries=tuple(entries),
+        best_d_delta=None if best is None else best.d_delta,
+        best_objective=None if best is None else best.objective + best.hoeffding,
+        entries=entries,
     )
 
 
@@ -222,13 +225,15 @@ def minimal_feasible_delta(
     """Smallest delta at which the construction becomes feasible.
 
     ``ratio_grid`` holds ddelta/delta ratios (default 0.1 .. 0.9) so the
-    sweep scales with the trial delta during the bisection.
+    sweep scales with the trial delta during the bisection.  A trial delta
+    is screened as :func:`ci_feasibility` screens it, up to its first
+    feasible ddelta.
     """
     ratios = np.linspace(0.1, 0.9, 9) if ratio_grid is None else np.atleast_1d(ratio_grid)
 
     def ok(d: float) -> bool:
         try:
-            return ci_feasibility(n, alpha, d, d * ratios, big_n).feasible
+            return any(row[1] for row in _screen(n, big_n, alpha, d, d * ratios))
         except DomainError:
             return False
 
@@ -319,12 +324,7 @@ def quantile_ci(
         if best is None or ci.width < best.width:
             best = ci
     if best is None:
-        if sweep:
-            ratios = None
-        elif d_delta is None:
-            ratios = [0.5]
-        else:
-            ratios = [d_delta / delta]
+        ratios = None if sweep else [candidates[0] / delta]
         try:
             min_delta = minimal_feasible_delta(n, alpha, ratio_grid=ratios, big_n=big_n)
         except InfeasibleError:
@@ -588,9 +588,7 @@ class DensityBand:
 
     def __post_init__(self):
         for name in ("grid", "lower", "upper"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 def density_band(

@@ -22,7 +22,13 @@ from .errors import DataError, ValidationError
 DATASET_KINDS = ("experimental", "simulated")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of ``a``: every container takes its caller's
+    arrays through it, so they stay writeable and later writes to them do not
+    reach the container.  What a container builds itself (a sorted copy, an
+    average) it freezes in place, with no second copy.  The one intended
+    sharing: the models ``KdeModel._with_bandwidth`` makes share one array.
+    """
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -46,10 +52,10 @@ class PairedDataset:
     output_name: str = "y"
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
+        inputs = np.atleast_2d(_readonly(self.inputs))
         if inputs.ndim != 2:
             raise DataError("inputs must be a 2-d array of shape (n, d)")
-        outputs = np.asarray(self.outputs, dtype=float).ravel()
+        outputs = _readonly(self.outputs).ravel()
         if inputs.shape[0] != outputs.shape[0]:
             raise DataError(
                 f"row mismatch: {inputs.shape[0]} input rows vs "
@@ -68,8 +74,8 @@ class PairedDataset:
             raise DataError(
                 f"{len(names)} input names for {inputs.shape[1]} columns"
             )
-        object.__setattr__(self, "inputs", _readonly(inputs))
-        object.__setattr__(self, "outputs", _readonly(outputs))
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "input_names", names)
 
     @property
@@ -89,7 +95,7 @@ class InputSample:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _readonly(self.points)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
@@ -101,7 +107,7 @@ class InputSample:
         )
         if len(names) != pts.shape[1]:
             raise DataError(f"{len(names)} names for {pts.shape[1]} columns")
-        object.__setattr__(self, "points", _readonly(pts))
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "names", names)
 
     @property

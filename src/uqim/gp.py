@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import PairedDataset
-from .density import _order_index
+from .data import PairedDataset, _readonly
+from .density import _order_statistic
 from .errors import ConditioningError, DataError, DomainError, FitError
 from .randgen import make_rng
 
@@ -157,9 +157,9 @@ class DiscrepancyData:
     observed: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        m = np.asarray(self.model_outputs, dtype=float).ravel()
-        y = np.asarray(self.observed, dtype=float).ravel()
+        x = np.atleast_2d(_readonly(self.inputs))
+        m = _readonly(self.model_outputs).ravel()
+        y = _readonly(self.observed).ravel()
         if x.shape[0] != m.shape[0] or x.shape[0] != y.shape[0]:
             raise DataError(
                 f"mismatched lengths: {x.shape[0]} inputs, {m.shape[0]} model "
@@ -170,7 +170,6 @@ class DiscrepancyData:
         for a in (x, m, y):
             if not np.all(np.isfinite(a)):
                 raise DataError("discrepancy data contains non-finite values")
-            a.flags.writeable = False
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "model_outputs", m)
         object.__setattr__(self, "observed", y)
@@ -641,9 +640,7 @@ class ErrorQuantileResult:
     reps: int
 
     def __post_init__(self):
-        q = np.asarray(self.quantiles, dtype=float)
-        q.flags.writeable = False
-        object.__setattr__(self, "quantiles", q)
+        object.__setattr__(self, "quantiles", _readonly(self.quantiles))
 
 
 def gp_error_quantile(
@@ -671,8 +668,7 @@ def gp_error_quantile(
     else:
         fac, _ = _chol_jitter(cov)
         draws = make_rng(seed).standard_normal((reps, data.n)) @ fac.T + params.beta
-    k = _order_index(data.n, alpha)
-    vals = np.partition(np.abs(draws), k - 1, axis=1)[:, k - 1]
+    vals = _order_statistic(np.abs(draws), alpha)
     return ErrorQuantileResult(
         median=float(np.median(vals)),
         quantiles=vals,

@@ -49,7 +49,7 @@ class MvnParams:
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).ravel()
-        cov = np.atleast_2d(np.array(self.cov, dtype=float))
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         d = mean.shape[0]
         if cov.shape != (d, d):
             raise InvalidCovarianceError(
@@ -61,7 +61,7 @@ class MvnParams:
         if np.max(np.abs(cov - cov.T)) > _SYM_TOL * scale:
             raise InvalidCovarianceError("covariance is not symmetric")
         mean.flags.writeable = False
-        cov = np.array((cov + cov.T) / 2.0)
+        cov = (cov + cov.T) / 2.0
         cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

@@ -204,6 +204,55 @@ def test_minimal_feasible_delta_small_n():
     assert not ci_feasibility(10, 0.95, d_min * 0.999).feasible
 
 
+def _full_screen_min_delta(n, alpha, big_n, tol=1e-9):
+    """The bisection with every trial delta's full feasibility report."""
+    ratios = np.linspace(0.1, 0.9, 9)
+
+    def ok(d):
+        try:
+            return ci_feasibility(n, alpha, d, d * ratios, big_n).feasible
+        except DomainError:
+            return False
+
+    lo, hi = tol, 1.0 - 1e-12
+    assert ok(hi) and not ok(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("n, alpha, big_n", [
+    (50, 0.95, 1e5), (50, 0.95, 1e6), (20, 0.9, 1e4), (100, 0.99, 1e5),
+])
+def test_minimal_feasible_delta_stops_at_the_first_feasible_d_delta(n, alpha, big_n,
+                                                                    monkeypatch):
+    calls = []
+    real = confidence.minimize_eps_gamma
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(confidence, "minimize_eps_gamma", counted)
+    reference = _full_screen_min_delta(n, alpha, big_n)
+    full = len(calls)
+    calls.clear()
+    assert minimal_feasible_delta(n, alpha, big_n=big_n) == reference
+    assert len(calls) < full
+
+
+def test_minimal_feasible_delta_bad_ratio_makes_every_delta_infeasible():
+    # ratio 0.1 alone is feasible from delta ~ 0.15; a ratio of 1 gives
+    # ddelta = delta, out of bounds for every trial delta
+    assert minimal_feasible_delta(50, 0.95, ratio_grid=[0.1], big_n=1e5) < 0.5
+    with pytest.raises(InfeasibleError):
+        minimal_feasible_delta(50, 0.95, ratio_grid=[0.1, 1.0], big_n=1e5)
+
+
 def test_feasibility_loose_settings():
     rep = ci_feasibility(100, 0.5, 0.5)
     assert rep.feasible
