@@ -37,8 +37,7 @@ _EXPORTS = {
     "confidence": (
         "DensityBand", "EpsGamma", "FeasibilityReport", "QuantileCi", "ci_feasibility",
         "density_band", "gamma_term", "minimal_feasible_delta", "minimal_feasible_n",
-        "minimize_eps_gamma", "quantile_ci", "sup_interval_mismatch",
-        "surrogate_error_bound",
+        "minimize_eps_gamma", "quantile_ci", "surrogate_error_bound",
     ),
     "data": (
         "InputSample", "PairedDataset", "RunConfig", "parse_dataset", "parse_inputs",
@@ -50,9 +49,8 @@ _EXPORTS = {
     ),
     "gp": (
         "DiscrepancyData", "ErrorQuantileResult", "GpDiscrepancyParams", "GpFitResult",
-        "GpHyperParams", "gp_beta_closed_form", "gp_beta_empirical", "gp_cov_matrix",
-        "gp_covariance", "gp_error_quantile", "gp_fit_map", "gp_log_posterior",
-        "gp_loglikelihood", "gp_loglikelihood_grad",
+        "GpHyperParams", "gp_beta_closed_form", "gp_cov_matrix", "gp_error_quantile",
+        "gp_fit_map", "gp_loglikelihood",
     ),
     "randgen": (
         "MvnParams", "estimate_mvn", "latin_hypercube", "make_rng", "sample_mvn",
@@ -60,8 +58,7 @@ _EXPORTS = {
     ),
     "surrogate": (
         "FunctionFamily", "ImprovedSurrogate", "SurrogateModel", "WeightSelection",
-        "compute_residuals", "fit_penalized_ls", "fit_residual_model",
-        "fit_residual_model_weighted", "fit_with_gcv", "improved_surrogate",
+        "compute_residuals", "fit_penalized_ls", "fit_with_gcv", "improved_surrogate",
         "load_model", "save_model", "select_weight_and_penalty",
     ),
     "synthetic": (

@@ -502,11 +502,6 @@ def _band_sups_all(kdes, sorted_outputs, cand, y_grid, kappa, beta):
     return sups
 
 
-def _band_sups(kde, sorted_outputs, cand, y_grid, kappa, beta):
-    """(sup_upper, sup_lower) of one KDE; see :func:`_band_sups_all`."""
-    return _band_sups_all([kde], sorted_outputs, cand, y_grid, kappa, beta)[0]
-
-
 def _candidates(sorted_outputs, beta, extra):
     """np.unique(np.concatenate([v, v - beta, v + beta, extra])), in one buffer.
 
@@ -534,39 +529,6 @@ def _candidates(sorted_outputs, beta, extra):
         cand[size : size + kept.size] = kept  # ends at or before a + BLOCK
         size += kept.size
     return cand[:size]
-
-
-def sup_interval_mismatch(
-    direction: str,
-    y: float,
-    kappa: float,
-    beta_hat: float,
-    kde: KdeModel,
-    outputs=None,
-    grid=None,
-) -> float:
-    """Worst measure/KDE mismatch over intervals containing ``y``.
-
-    ``direction="upper"`` takes sup of mu(J^beta) - integral of the KDE
-    over J; ``"lower"`` takes sup of the KDE integral minus mu(J_beta).
-    Candidate endpoints are the sample values, the sample values
-    +/- beta_hat, the optional extra ``grid`` and ``y`` itself.
-    """
-    if direction not in ("upper", "lower"):
-        raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    if not (np.isfinite(kappa) and kappa > 0):
-        raise DomainError(f"kappa must be positive, got {kappa}")
-    if not (np.isfinite(beta_hat) and beta_hat >= 0):
-        raise DomainError(f"beta_hat must be >= 0, got {beta_hat}")
-    vals = kde.values if outputs is None else np.sort(
-        np.asarray(outputs, dtype=float).ravel()
-    )
-    extra = np.array([float(y)])
-    if grid is not None:
-        extra = np.concatenate([extra, np.asarray(grid, dtype=float).ravel()])
-    cand = _candidates(vals, beta_hat, extra)
-    sup_up, sup_lo = _band_sups(kde, vals, cand, extra[:1], kappa, beta_hat)
-    return float(sup_up[0] if direction == "upper" else sup_lo[0])
 
 
 @dataclass(frozen=True)

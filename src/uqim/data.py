@@ -311,14 +311,3 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_dict(obj)
-
-    def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in self._SCALARS if getattr(self, k) is not None}
-        out.update(self.methods)
-        return out
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-

@@ -199,15 +199,17 @@ def mc_quantile(values, alpha: float) -> QuantileEstimate:
         raise InsufficientDataError("quantile of an empty sample")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    val = float(_order_statistic(v, alpha))
+    val = float(_order_statistic(v.copy(), alpha))
     return QuantileEstimate(level=float(alpha), value=val, size=v.size)
 
 
 def _order_statistic(values: np.ndarray, alpha: float) -> np.ndarray:
     """The ceil(n*alpha)-th ascending value of each row of n values (the
-    last axis), in an array of its own rather than a view of the partition."""
+    last axis), in an array of its own rather than a view of the partition.
+    ``values`` is partitioned in place."""
     k = _order_index(values.shape[-1], alpha)
-    return np.partition(values, k - 1)[..., k - 1].copy()
+    values.partition(k - 1)
+    return values[..., k - 1].copy()
 
 
 def surrogate_density(model, inputs, *, bandwidth: float | None = None) -> KdeModel:

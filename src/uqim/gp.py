@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import PairedDataset, _readonly
+from .data import _readonly
 from .density import _order_statistic
 from .errors import ConditioningError, DataError, DomainError, FitError
 from .randgen import make_rng
@@ -181,39 +181,6 @@ class DiscrepancyData:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
-
-    @classmethod
-    def from_datasets(
-        cls, experimental: PairedDataset, simulated: PairedDataset
-    ) -> "DiscrepancyData":
-        """Pair an experimental set with model runs at the same inputs."""
-        if experimental.kind != "experimental":
-            raise DataError("first dataset must have kind 'experimental'")
-        if simulated.kind != "simulated":
-            raise DataError("second dataset must have kind 'simulated'")
-        if not np.array_equal(experimental.inputs, simulated.inputs):
-            raise DataError(
-                "experimental and simulated inputs differ; the discrepancy "
-                "model needs model runs at the experimental input points"
-            )
-        return cls(
-            inputs=experimental.inputs,
-            model_outputs=simulated.outputs,
-            observed=experimental.outputs,
-        )
-
-
-def gp_covariance(z1, z2, params: GpDiscrepancyParams) -> float:
-    """sigma2 * exp(-sum_j omega_j (z1_j - z2_j)^2) for two points."""
-    z1 = np.asarray(z1, dtype=float).ravel()
-    z2 = np.asarray(z2, dtype=float).ravel()
-    if z1.shape != z2.shape or z1.shape[0] != params.dim:
-        raise DomainError(
-            f"points of dimension {z1.shape} / {z2.shape} for "
-            f"{params.dim} inverse length scales"
-        )
-    d2 = (z1 - z2) ** 2
-    return params.sigma2 * float(np.exp(-np.dot(params.omegas, d2)))
 
 
 def _sqdists(x: np.ndarray) -> np.ndarray:
@@ -361,41 +328,6 @@ def _evaluate_at(
 def gp_loglikelihood(params: GpDiscrepancyParams, data: DiscrepancyData) -> float:
     """Exact MVN log likelihood of the residuals under Theta."""
     return _evaluate_at(params, data).loglik
-
-
-def gp_loglikelihood_grad(
-    params: GpDiscrepancyParams, data: DiscrepancyData
-) -> tuple[float, dict]:
-    """Log likelihood and its analytic gradient.
-
-    Gradient keys: ``lam``, ``beta``, ``sigma2`` and ``omegas`` (a vector).
-    """
-    ev = _evaluate_at(params, data)
-    g = ev.grad
-    return ev.loglik, {
-        "beta": float(g[-1]), "lam": float(g[0]), "sigma2": float(g[1]),
-        "omegas": g[2:-1],
-    }
-
-
-def gp_log_posterior(
-    params: GpDiscrepancyParams, hyper: GpHyperParams, data: DiscrepancyData
-) -> float:
-    """Unnormalized log posterior: likelihood plus log priors.
-
-    Parameters outside the truncated prior supports yield ``-inf`` (the
-    explicit out-of-support flag), never an exception.
-    """
-    if len(hyper.c_omegas) != params.dim:
-        raise DomainError(
-            f"{len(hyper.c_omegas)} omega priors for {params.dim} omegas"
-        )
-    return _evaluate_at(params, data, hyper).logpost
-
-
-def gp_beta_empirical(data: DiscrepancyData) -> float:
-    """Mean observed-minus-model discrepancy."""
-    return float(np.mean(data.observed - data.model_outputs))
 
 
 def gp_beta_closed_form(data: DiscrepancyData, theta: np.ndarray) -> float:
@@ -667,8 +599,9 @@ def gp_error_quantile(
         draws = np.full((reps, data.n), params.beta)
     else:
         fac, _ = _chol_jitter(cov)
-        draws = make_rng(seed).standard_normal((reps, data.n)) @ fac.T + params.beta
-    vals = _order_statistic(np.abs(draws), alpha)
+        draws = make_rng(seed).standard_normal((reps, data.n)) @ fac.T
+        draws += params.beta
+    vals = _order_statistic(np.abs(draws, out=draws), alpha)
     return ErrorQuantileResult(
         median=float(np.median(vals)),
         quantiles=vals,

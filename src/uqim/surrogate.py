@@ -466,15 +466,6 @@ def fit_penalized_ls(family: FunctionFamily, data: PairedDataset) -> SurrogateMo
     )
 
 
-def penalized_objective(model: SurrogateModel, points, targets) -> float:
-    """The fitted criterion: mean squared error plus penalty term."""
-    resid = model(points) - np.asarray(targets, dtype=float).ravel()
-    pen = model.family.penalty * float(
-        model.coef @ model.basis.roughness() @ model.coef
-    )
-    return float(np.mean(resid**2) + pen)
-
-
 def default_gcv_grid(scale: float) -> np.ndarray:
     return scale * np.logspace(-8, 2, 21)
 
@@ -527,18 +518,6 @@ def compute_residuals(model, experimental: PairedDataset) -> np.ndarray:
     return experimental.outputs - model(experimental.inputs)
 
 
-def fit_residual_model(
-    family: FunctionFamily, experimental: PairedDataset, residuals
-) -> SurrogateModel:
-    """Fit the residual correction to (X_i, eps_i)."""
-    residuals = np.asarray(residuals, dtype=float).ravel()
-    if residuals.shape[0] != experimental.n:
-        raise DataError(
-            f"{residuals.shape[0]} residuals for {experimental.n} rows"
-        )
-    return fit_penalized_ls(family, replace(experimental, outputs=residuals))
-
-
 def _extra_points(extra_inputs, dim: int) -> np.ndarray:
     pts = extra_inputs.points if isinstance(extra_inputs, InputSample) else extra_inputs
     extra = _as_points(pts, dim)
@@ -552,29 +531,6 @@ def _check_weight(weight) -> float:
     if not 0.0 <= w <= 1.0:
         raise DomainError(f"weight must lie in [0, 1], got {weight}")
     return w
-
-
-def fit_residual_model_weighted(
-    family: FunctionFamily,
-    experimental: PairedDataset,
-    residuals,
-    extra_inputs,
-    weight: float,
-) -> SurrogateModel:
-    """Residual fit with zero-anchoring on extra inputs.
-
-    Minimizes  (w/n) sum |f(X_i) - eps_i|^2
-             + ((1-w)/N1) sum |f(Xtilde_j)|^2  + pen * c^T R c.
-    """
-    w = _check_weight(weight)
-    residuals = np.asarray(residuals, dtype=float).ravel()
-    if residuals.shape[0] != experimental.n:
-        raise DataError(f"{residuals.shape[0]} residuals for {experimental.n} rows")
-    extra = _extra_points(extra_inputs, experimental.dim)
-    fit = _System.on_data(family, experimental.inputs, residuals, extra)
-    return SurrogateModel(
-        family, fit.basis, fit.solve(family.penalty, w), train_size=experimental.n
-    )
 
 
 DEFAULT_W_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))

@@ -17,9 +17,10 @@ from uqim.errors import (
 from uqim.randgen import make_rng, spawn_seeds
 from uqim.surrogate import (
     FunctionFamily,
+    SurrogateModel,
+    _System,
     compute_residuals,
-    fit_residual_model,
-    fit_residual_model_weighted,
+    fit_penalized_ls,
 )
 from uqim.synthetic import make_hidim_like, make_mafds_like
 
@@ -121,10 +122,11 @@ def _replicates_oracle(exp, base, family, b_reps, n_learn, alpha, seed,
         learn = PairedDataset(inputs=exp.inputs[idx[:n_learn]],
                               outputs=eps[idx[:n_learn]], kind="experimental")
         if extra is None:
-            model = fit_residual_model(family, learn, learn.outputs)
+            model = fit_penalized_ls(family, learn)
         else:
-            model = fit_residual_model_weighted(family, learn, learn.outputs,
-                                                extra, weight)
+            fit = _System.on_data(family, learn.inputs, learn.outputs, extra)
+            model = SurrogateModel(family, fit.basis, fit.solve(family.penalty, weight),
+                                   train_size=learn.n)
         absvals = np.sort(np.abs(model(exp.inputs[idx[n_learn:]])))
         m = absvals.size
         out.append(absvals[np.argmax(np.arange(1, m + 1) / m >= alpha)])

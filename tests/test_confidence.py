@@ -7,7 +7,8 @@ import pytest
 from uqim import confidence, density
 from uqim.confidence import (
     DensityBand,
-    _band_sups,
+    _band_sups_all,
+    _candidates,
     _window_max,
     EpsGamma,
     QuantileCi,
@@ -19,7 +20,6 @@ from uqim.confidence import (
     minimal_feasible_n,
     minimize_eps_gamma,
     quantile_ci,
-    sup_interval_mismatch,
     surrogate_error_bound,
 )
 from uqim.data import PairedDataset
@@ -490,6 +490,39 @@ def test_band_feasibility_and_validation():
 # interval-mismatch supremum
 
 
+def sup_interval_mismatch(
+    direction: str,
+    y: float,
+    kappa: float,
+    beta_hat: float,
+    kde: KdeModel,
+    outputs=None,
+    grid=None,
+) -> float:
+    """Worst measure/KDE mismatch over intervals containing ``y``.
+
+    ``direction="upper"`` takes sup of mu(J^beta) - integral of the KDE
+    over J; ``"lower"`` takes sup of the KDE integral minus mu(J_beta).
+    Candidate endpoints are the sample values, the sample values
+    +/- beta_hat, the optional extra ``grid`` and ``y`` itself.
+    """
+    if direction not in ("upper", "lower"):
+        raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    if not (np.isfinite(kappa) and kappa > 0):
+        raise DomainError(f"kappa must be positive, got {kappa}")
+    if not (np.isfinite(beta_hat) and beta_hat >= 0):
+        raise DomainError(f"beta_hat must be >= 0, got {beta_hat}")
+    vals = kde.values if outputs is None else np.sort(
+        np.asarray(outputs, dtype=float).ravel()
+    )
+    extra = np.array([float(y)])
+    if grid is not None:
+        extra = np.concatenate([extra, np.asarray(grid, dtype=float).ravel()])
+    cand = _candidates(vals, beta_hat, extra)
+    sup_up, sup_lo = _band_sups_all([kde], vals, cand, extra[:1], kappa, beta_hat)[0]
+    return float(sup_up[0] if direction == "upper" else sup_lo[0])
+
+
 def _brute_sup(direction, y, kappa, beta, kde, outputs, extra=()):
     """Exhaustive enumeration over all candidate endpoint pairs; ``extra``
     adds endpoints (the evaluation grid) to the candidates."""
@@ -585,7 +618,7 @@ def test_band_sups_grid_exhaustive_oracle(case):
         cand = np.unique(
             np.concatenate([outputs, outputs - beta, outputs + beta, grid])
         )
-        sups = _band_sups(kde, outputs, cand, grid, kappa, beta)
+        sups = _band_sups_all([kde], outputs, cand, grid, kappa, beta)[0]
         for direction, got in zip(("upper", "lower"), sups):
             want = [
                 _brute_sup(direction, float(y), kappa, beta, kde, outputs, grid)
@@ -605,8 +638,8 @@ def _sup_separable_whole(u, w, before, k_y, r_y, k_split):
 
 
 def _band_sups_whole(kde, sorted_outputs, cand, y_grid, kappa, beta):
-    """_band_sups with every search over all candidates at once, 64-bit
-    index arrays and near in an array of its own."""
+    """One KDE's sups of _band_sups_all with every search over all
+    candidates at once, 64-bit index arrays and near in an array of its own."""
     n = sorted_outputs.size
     cdf = kde_cdf(kde, cand)
     e_hi = np.searchsorted(sorted_outputs, cand + beta, side="right") / n
@@ -631,6 +664,10 @@ def _band_sups_whole(kde, sorted_outputs, cand, y_grid, kappa, beta):
     return sup_up, np.maximum(sup_lo, _window_max(short, k_y, k_long))
 
 
+def _band_sups_all_whole(kdes, sorted_outputs, cand, y_grid, kappa, beta):
+    return [_band_sups_whole(k, sorted_outputs, cand, y_grid, kappa, beta) for k in kdes]
+
+
 # kappa > 2 beta leaves only long shrunk intervals; kappa <= 2 beta adds the
 # short-interval term.  The lattice rounds the outputs to 2 decimals, which
 # makes ties at b - a = kappa and at 2 beta
@@ -645,7 +682,7 @@ def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
     kw = dict(kappa=kappa, delta=0.05, bandwidths=[0.05, 0.2],
               interval=(-3.0, 3.0), grid_steps=200)
     got = density_band(outputs, data, model, **kw)
-    monkeypatch.setattr(confidence, "_band_sups", _band_sups_whole)
+    monkeypatch.setattr(confidence, "_band_sups_all", _band_sups_all_whole)
     want = density_band(outputs, data, model, **kw)
     assert np.array_equal(got.lower, want.lower)
     assert np.array_equal(got.upper, want.upper)
@@ -658,10 +695,6 @@ def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
         whole = _band_sups_whole(kde, vals, cand, np.array([y]), kappa, beta)
         for direction, sup in zip(("upper", "lower"), whole):
             assert sup_interval_mismatch(direction, y, kappa, beta, kde) == sup[0]
-
-
-def _band_sups_all_whole(kdes, sorted_outputs, cand, y_grid, kappa, beta):
-    return [_band_sups_whole(k, sorted_outputs, cand, y_grid, kappa, beta) for k in kdes]
 
 
 def _band_data(shape, err, big_n, seed):
@@ -705,7 +738,7 @@ def test_band_small_blocks_match_whole_searches(kappa, err, shape, monkeypatch):
         got = density_band(outputs, data, model, **kw)
         assert np.array_equal(got.lower, want.lower)
         assert np.array_equal(got.upper, want.upper)
-        blocked = _band_sups(kde, vals, cand.copy(), grid, kappa, beta)
+        blocked = _band_sups_all([kde], vals, cand.copy(), grid, kappa, beta)[0]
         for w, b in zip(whole, blocked):
             assert np.array_equal(w, b)
 
@@ -790,12 +823,3 @@ def test_sup_mismatch_single_point_full_mass():
     # mu of the expanded interval is 1; kde integral over [v-0.06, v+0.06]
     assert got == pytest.approx(1.0 - 0.12 / (2.0 * h), abs=1e-12)
 
-
-def test_sup_mismatch_validation():
-    kde = KdeModel(values=[0.0], bandwidth=1.0)
-    with pytest.raises(DomainError):
-        sup_interval_mismatch("sideways", 0.0, 0.1, 0.0, kde)
-    with pytest.raises(DomainError):
-        sup_interval_mismatch("upper", 0.0, 0.0, 0.0, kde)
-    with pytest.raises(DomainError):
-        sup_interval_mismatch("upper", 0.0, 0.1, -1.0, kde)

@@ -342,6 +342,15 @@ def test_quantile_translation_equivariance():
         assert mc_quantile(v + 2.5, a).value == mc_quantile(v, a).value + 2.5
 
 
+def test_quantile_leaves_the_callers_array_in_order():
+    # the order statistic partitions its array in place, so mc_quantile
+    # hands it a copy of the values it was given
+    v = np.random.default_rng(8).normal(size=(101, 1))
+    before = v.copy()
+    assert mc_quantile(v, 0.9).value == np.sort(before.ravel())[90]
+    assert np.array_equal(v, before)
+
+
 def test_quantile_errors():
     with pytest.raises(InsufficientDataError):
         mc_quantile([], 0.5)

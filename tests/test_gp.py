@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,22 +11,19 @@ from scipy.stats import foldnorm, multivariate_normal
 
 import uqim.gp as gp_mod
 from uqim.cli import main
-from uqim.data import PairedDataset, parse_dataset, write_dataset
+from uqim.data import parse_dataset, write_dataset
 from uqim.errors import ConditioningError, DataError, DomainError, FitError
 from uqim.gp import (
     DiscrepancyData,
     GpDiscrepancyParams,
     GpHyperParams,
     _chol_jitter,
+    _evaluate_at,
     gp_beta_closed_form,
-    gp_beta_empirical,
     gp_cov_matrix,
-    gp_covariance,
     gp_error_quantile,
     gp_fit_map,
-    gp_log_posterior,
     gp_loglikelihood,
-    gp_loglikelihood_grad,
 )
 from uqim.randgen import MvnParams, make_rng, sample_mvn, spawn_seeds
 from uqim.surrogate import (
@@ -61,20 +59,36 @@ def _flat_hyper(dim=1, eps=1e-12):
     )
 
 
+def gp_covariance(z1, z2, params: GpDiscrepancyParams) -> float:
+    """sigma2 * exp(-sum_j omega_j (z1_j - z2_j)^2) for two points."""
+    z1 = np.asarray(z1, dtype=float).ravel()
+    z2 = np.asarray(z2, dtype=float).ravel()
+    if z1.shape != z2.shape or z1.shape[0] != params.dim:
+        raise DomainError(
+            f"points of dimension {z1.shape} / {z2.shape} for "
+            f"{params.dim} inverse length scales"
+        )
+    d2 = (z1 - z2) ** 2
+    return params.sigma2 * float(np.exp(-np.dot(params.omegas, d2)))
+
+
+# the covariance of two points is the off-diagonal entry of Theta on them
+
+
 def test_covariance_same_point():
     params = GpDiscrepancyParams(lam=0.1, beta=0.0, sigma2=2.5, omegas=(3.0, 0.5))
     z = [0.4, -1.0]
-    assert gp_covariance(z, z, params) == 2.5
+    assert gp_cov_matrix([z, z], params)[0, 1] == 2.5
 
 
 def test_covariance_zero_omegas():
     params = GpDiscrepancyParams(lam=0.0, beta=0.0, sigma2=1.7, omegas=(0.0, 0.0))
-    assert gp_covariance([0.0, 0.0], [5.0, -9.0], params) == 1.7
+    assert gp_cov_matrix([[0.0, 0.0], [5.0, -9.0]], params)[0, 1] == 1.7
 
 
 def test_covariance_unit_distance():
     params = GpDiscrepancyParams(lam=0.0, beta=0.0, sigma2=1.0, omegas=(1.0,))
-    val = gp_covariance([0.0], [1.0], params)
+    val = gp_cov_matrix([[0.0], [1.0]], params)[0, 1]
     assert val == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert val == pytest.approx(0.367879, abs=1e-6)
 
@@ -82,7 +96,7 @@ def test_covariance_unit_distance():
 def test_covariance_dimension_mismatch():
     params = GpDiscrepancyParams(lam=0.0, beta=0.0, sigma2=1.0, omegas=(1.0,))
     with pytest.raises(DomainError):
-        gp_covariance([0.0, 1.0], [1.0, 2.0], params)
+        gp_cov_matrix([[0.0, 1.0], [1.0, 2.0]], params)
 
 
 def test_cov_matrix_structure():
@@ -158,7 +172,8 @@ def test_loglik_gradient_matches_finite_differences():
     y = m + 0.2 + 0.1 * rng.standard_normal(12)
     data = DiscrepancyData(inputs=x, model_outputs=m, observed=y)
     params = GpDiscrepancyParams(lam=0.01, beta=0.25, sigma2=0.04, omegas=(3.0, 1.5))
-    _, grad = gp_loglikelihood_grad(params, data)
+    # d loglik / d (lam, sigma2, omegas..., beta)
+    grad = _evaluate_at(params, data).grad
 
     def shifted(name, idx, v):
         kw = {
@@ -178,11 +193,11 @@ def test_loglik_gradient_matches_finite_differences():
 
     h = 1e-6
     for name, idx, want in [
-        ("lam", None, grad["lam"]),
-        ("beta", None, grad["beta"]),
-        ("sigma2", None, grad["sigma2"]),
-        ("omegas", 0, grad["omegas"][0]),
-        ("omegas", 1, grad["omegas"][1]),
+        ("lam", None, grad[0]),
+        ("beta", None, grad[-1]),
+        ("sigma2", None, grad[1]),
+        ("omegas", 0, grad[2]),
+        ("omegas", 1, grad[3]),
     ]:
         fd = (
             gp_loglikelihood(shifted(name, idx, h), data)
@@ -226,7 +241,7 @@ def test_log_posterior_adds_hand_computed_priors():
     hyper = _flat_hyper()
     params = GpDiscrepancyParams(lam=0.01, beta=0.2, sigma2=0.5, omegas=(2.0,))
     ll = gp_loglikelihood(params, data)
-    lp = gp_log_posterior(params, hyper, data)
+    lp = _evaluate_at(params, data, hyper).logpost
 
     def log_normal(v, mu, var):
         return -0.5 * (math.log(2.0 * math.pi * var) + (v - mu) ** 2 / var)
@@ -249,12 +264,12 @@ def test_log_posterior_support_flags():
     data = _toy_data(rng, 5)
     hyper = _flat_hyper(eps=1e-6)
     below = GpDiscrepancyParams(lam=0.01, beta=0.0, sigma2=1e-7, omegas=(1.0,))
-    assert gp_log_posterior(below, hyper, data) == -math.inf
+    assert _evaluate_at(below, data, hyper).logpost == -math.inf
     lo, hi = hyper.support(hyper.c_omegas[0])
     above = GpDiscrepancyParams(
         lam=0.01, beta=0.0, sigma2=1.0, omegas=(math.exp(hi) * 2.0,)
     )
-    assert gp_log_posterior(above, hyper, data) == -math.inf
+    assert _evaluate_at(above, data, hyper).logpost == -math.inf
 
 
 def test_reciprocal_prior_integrates_to_one():
@@ -285,25 +300,30 @@ def test_hyper_validation():
 
 
 def test_beta_empirical_trivial_cases():
+    # beta_mode="empirical" holds beta at the mean observed-minus-model value
+    def beta(data):
+        fit = gp_fit_map(data, hyper=_flat_hyper(), beta_mode="empirical", restarts=1)
+        return fit.params.beta
+
     data = DiscrepancyData(
         inputs=[[0.0], [1.0]], model_outputs=[1.0, 2.0], observed=[3.0, 4.0]
     )
-    assert gp_beta_empirical(data) == 2.0
+    assert beta(data) == 2.0
     same = DiscrepancyData(
         inputs=[[0.0], [1.0]], model_outputs=[1.0, 2.0], observed=[1.0, 2.0]
     )
-    assert gp_beta_empirical(same) == 0.0
+    assert beta(same) == 0.0
     two = DiscrepancyData(
         inputs=[[0.0], [1.0]], model_outputs=[0.0, 0.0], observed=[1.0, 2.0]
     )
-    assert gp_beta_empirical(two) == 1.5
+    assert beta(two) == 1.5
 
 
 def test_beta_closed_form_identity_theta():
     rng = make_rng(35)
     data = _toy_data(rng, 8)
     beta = gp_beta_closed_form(data, np.eye(8))
-    assert beta == pytest.approx(gp_beta_empirical(data), rel=1e-12)
+    assert beta == pytest.approx(np.mean(data.observed - data.model_outputs), rel=1e-12)
 
 
 def test_beta_closed_form_constant_shift():
@@ -368,7 +388,7 @@ def test_fit_map_init_at_truth_does_not_decrease():
     y = sample_mvn(MvnParams(mean=np.full(20, truth.beta), cov=cov), 1, seed=5)[0]
     data = DiscrepancyData(inputs=x, model_outputs=m, observed=y)
     hyper = _flat_hyper()
-    start = gp_log_posterior(truth, hyper, data)
+    start = _evaluate_at(truth, data, hyper).logpost
     fit = gp_fit_map(
         data, hyper=hyper, beta_mode="free", restarts=1, seed=0, init=truth
     )
@@ -701,6 +721,26 @@ def test_error_quantile_median_is_sample_median():
     assert np.array_equal(res.quantiles, again.quantiles)
 
 
+def test_error_quantile_holds_one_result_array():
+    # 1-d, n = 50, 10,000 replications: a (reps, n) array is 3.8 MiB.  Only
+    # the normal draws and their product with L^T are alive at once; beta,
+    # abs and the partition work in place on the product
+    data = _toy_data(make_rng(46), 50)
+    params = GpDiscrepancyParams(lam=0.01, beta=0.3, sigma2=0.05, omegas=(3.0,))
+    reps, alpha = 10_000, 0.95
+    tracemalloc.start()
+    try:
+        res = gp_error_quantile(params, data, alpha=alpha, reps=reps, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * reps * data.n
+    fac, _ = _chol_jitter(gp_cov_matrix(data.inputs, params))
+    draws = make_rng(4).standard_normal((reps, data.n)) @ fac.T + params.beta
+    k = math.ceil(alpha * data.n)
+    assert np.array_equal(res.quantiles, np.sort(np.abs(draws), axis=1)[:, k - 1])
+
+
 def test_error_quantile_validation():
     data = DiscrepancyData(inputs=[[0.0]], model_outputs=[0.0], observed=[0.0])
     params = GpDiscrepancyParams(lam=0.1, beta=0.0, sigma2=0.0, omegas=(0.0,))
@@ -716,16 +756,3 @@ def test_discrepancy_data_validation():
     with pytest.raises(DataError, match="non-finite"):
         DiscrepancyData(inputs=[[np.inf]], model_outputs=[0.0], observed=[0.0])
 
-
-def test_discrepancy_data_from_datasets():
-    x = np.array([[0.0], [1.0]])
-    exp = PairedDataset(inputs=x, outputs=[1.0, 2.0], kind="experimental")
-    sim = PairedDataset(inputs=x, outputs=[0.9, 2.1], kind="simulated")
-    data = DiscrepancyData.from_datasets(exp, sim)
-    assert np.array_equal(data.observed, [1.0, 2.0])
-    assert np.array_equal(data.model_outputs, [0.9, 2.1])
-    with pytest.raises(DataError, match="experimental"):
-        DiscrepancyData.from_datasets(sim, sim)
-    other = PairedDataset(inputs=x + 0.5, outputs=[0.9, 2.1], kind="simulated")
-    with pytest.raises(DataError, match="differ"):
-        DiscrepancyData.from_datasets(exp, other)

@@ -28,14 +28,12 @@ from uqim.surrogate import (
     build_basis,
     compute_residuals,
     fit_penalized_ls,
-    fit_residual_model,
-    fit_residual_model_weighted,
+    _System,
     fit_with_gcv,
     improved_surrogate,
     load_model,
     model_from_dict,
     model_to_dict,
-    penalized_objective,
     save_model,
     select_weight_and_penalty,
 )
@@ -44,6 +42,23 @@ from uqim.synthetic import make_hidim_like, make_mafds_like
 
 def _data(x, y, kind="simulated"):
     return PairedDataset(inputs=np.asarray(x, float)[:, None], outputs=y, kind=kind)
+
+
+def _anchored_fit(family, exp, eps, extra, w):
+    """The residual fit of ``eps`` at ``exp``'s inputs, anchored to zero on
+    the ``extra`` points with weight 1 - w: the system that
+    select_weight_and_penalty solves for its cells and its final model."""
+    fit = _System.on_data(family, exp.inputs, np.asarray(eps, dtype=float), extra)
+    return SurrogateModel(family, fit.basis, fit.solve(family.penalty, w), train_size=exp.n)
+
+
+def penalized_objective(model: SurrogateModel, points, targets) -> float:
+    """The fitted criterion: mean squared error plus penalty term."""
+    resid = model(points) - np.asarray(targets, dtype=float).ravel()
+    pen = model.family.penalty * float(
+        model.coef @ model.basis.roughness() @ model.coef
+    )
+    return float(np.mean(resid**2) + pen)
 
 
 def test_poly_line_exact():
@@ -112,9 +127,7 @@ def test_underdetermined_without_penalty_rejected():
     exp = _data([0.0, 1.0], [0.0, 0.0], kind="experimental")
     for w in (1.0, 0.5):
         with pytest.raises(RankDeficiencyError, match="positive penalty"):
-            fit_residual_model_weighted(
-                FunctionFamily("poly", 3), exp, [0.0, 1.0], [[0.5]], weight=w
-            )
+            _anchored_fit(FunctionFamily("poly", 3), exp, [0.0, 1.0], np.array([[0.5]]), w)
 
 
 def test_compute_residuals_trivial_cases():
@@ -141,19 +154,23 @@ def test_compute_residuals_rejects_simulated():
 
 def test_residual_model_trivial_cases():
     x = np.linspace(0.0, 1.0, 6)
-    exp = _data(x, np.zeros(6), kind="experimental")
-    const = fit_residual_model(FunctionFamily("poly", 0), exp, np.full(6, 4.5))
+    # the residuals are the outputs of the fitted experimental set
+    const = fit_penalized_ls(
+        FunctionFamily("poly", 0), _data(x, np.full(6, 4.5), kind="experimental")
+    )
     assert np.allclose(const(x), 4.5, atol=1e-12)
-    zero = fit_residual_model(FunctionFamily("poly", 1, penalty=0.3), exp, np.zeros(6))
+    zero = fit_penalized_ls(
+        FunctionFamily("poly", 1, penalty=0.3), _data(x, np.zeros(6), kind="experimental")
+    )
     assert np.allclose(zero(x), 0.0, atol=1e-12)
-    lin = fit_residual_model(FunctionFamily("poly", 1), exp, 2.0 * x + 1.0)
+    lin = fit_penalized_ls(FunctionFamily("poly", 1), _data(x, 2.0 * x + 1.0, kind="experimental"))
     assert np.allclose(lin.coef, [1.0, 2.0], atol=1e-10)
 
 
 def test_residual_model_single_row():
     # n=1 with a constant family and no penalty: the constant eps_1
-    exp = _data([0.5], [0.0], kind="experimental")
-    model = fit_residual_model(FunctionFamily("poly", 0), exp, [7.5])
+    exp = _data([0.5], [7.5], kind="experimental")
+    model = fit_penalized_ls(FunctionFamily("poly", 0), exp)
     assert np.allclose(model(np.array([0.0, 9.0])), 7.5, atol=1e-12)
 
 
@@ -161,11 +178,11 @@ def test_weighted_w1_matches_unweighted():
     rng = np.random.default_rng(1)
     x = rng.random(12)
     eps = rng.normal(size=12)
-    exp = _data(x, np.zeros(12), kind="experimental")
+    exp = _data(x, eps, kind="experimental")
     extra = InputSample(points=rng.random(30))
     fam = FunctionFamily("poly", 2, penalty=1e-4)
-    plain = fit_residual_model(fam, exp, eps)
-    weighted = fit_residual_model_weighted(fam, exp, eps, extra, weight=1.0)
+    plain = fit_penalized_ls(fam, exp)
+    weighted = _anchored_fit(fam, exp, eps, extra.points, 1.0)
     assert np.allclose(weighted.coef, plain.coef, atol=1e-8)
 
 
@@ -173,9 +190,7 @@ def test_weighted_w0_is_zero():
     x = np.linspace(0.0, 1.0, 8)
     exp = _data(x, np.zeros(8), kind="experimental")
     extra = InputSample(points=np.linspace(-0.2, 1.2, 20))
-    model = fit_residual_model_weighted(
-        FunctionFamily("poly", 1), exp, np.ones(8), extra, weight=0.0
-    )
+    model = _anchored_fit(FunctionFamily("poly", 1), exp, np.ones(8), extra.points, 0.0)
     assert np.allclose(model(np.linspace(-1.0, 2.0, 50)), 0.0, atol=1e-12)
 
 
@@ -184,9 +199,7 @@ def test_weighted_half_constant_halves():
     exp = _data(x, np.zeros(5), kind="experimental")
     extra = InputSample(points=x)  # co-located, N1 = n
     c = 3.0
-    model = fit_residual_model_weighted(
-        FunctionFamily("poly", 0), exp, np.full(5, c), extra, weight=0.5
-    )
+    model = _anchored_fit(FunctionFamily("poly", 0), exp, np.full(5, c), extra.points, 0.5)
     assert np.allclose(model(x), c / 2.0, atol=1e-12)
 
 
@@ -194,10 +207,13 @@ def test_weighted_validation():
     x = np.array([0.0, 1.0])
     exp = _data(x, x, kind="experimental")
     extra = InputSample(points=[0.5])
+    fam = FunctionFamily("poly", 0)
     with pytest.raises(DomainError, match="weight"):
-        fit_residual_model_weighted(
-            FunctionFamily("poly", 0), exp, [0.0, 0.0], extra, weight=1.5
-        )
+        select_weight_and_penalty(fam, exp, [0.0, 0.0], extra, w_grid=[1.5], folds=2)
+    with pytest.raises(DataError, match="3 residuals for 2 rows"):
+        select_weight_and_penalty(fam, exp, [0.0, 0.0, 0.0], extra, folds=2)
+    with pytest.raises(DataError, match="extra input point"):
+        select_weight_and_penalty(fam, exp, [0.0, 0.0], np.empty((0, 1)), folds=2)
 
 
 def test_select_single_weight():
@@ -314,7 +330,7 @@ def test_fits_solve_the_documented_normal_equations_exactly():
         b = plain.basis.design(exp.inputs)
         a = b.T @ b / n + fam.penalty * plain.basis.roughness()
         assert np.array_equal(plain.coef, np.linalg.solve(a, b.T @ eps / n))
-        model = fit_residual_model_weighted(fam, exp, eps, extra, w)
+        model = _anchored_fit(fam, exp, eps, extra, w)
         b1, b2 = model.basis.design(exp.inputs), model.basis.design(extra)
         gram = (w / n) * (b1.T @ b1) + ((1.0 - w) / n1) * (b2.T @ b2)
         a = gram + fam.penalty * model.basis.roughness()
@@ -334,9 +350,7 @@ def _weighted_cv_oracle(family, exp, eps, extra, w_grid, penalty_grid, folds, se
                 sub = PairedDataset(inputs=exp.inputs[train],
                                     outputs=exp.outputs[train], kind="experimental")
                 try:
-                    model = fit_residual_model_weighted(
-                        family.with_penalty(pen), sub, eps[train], extra, w
-                    )
+                    model = _anchored_fit(family.with_penalty(pen), sub, eps[train], extra, w)
                 except (RankDeficiencyError, ConditioningError, DataError):
                     sse = np.inf
                     break
@@ -421,9 +435,7 @@ def test_select_fits_one_full_data_system(family, dim, monkeypatch):
     assert [p for _, p, _ in sel.table[:11]] == _old_default_penalty_grid(
         family, exp.inputs, sim.inputs
     )
-    refit = fit_residual_model_weighted(
-        family.with_penalty(sel.penalty), exp, eps, sim.inputs, sel.weight
-    )
+    refit = _anchored_fit(family.with_penalty(sel.penalty), exp, eps, sim.inputs, sel.weight)
     assert np.array_equal(sel.model.coef, refit.coef)
     assert sel.model.family == refit.family
     assert sel.model.cv_score == sel.cv_risk
@@ -492,7 +504,7 @@ def test_bias_correction_exact_family():
     xe = np.linspace(0.05, 0.95, 9)
     exp = _data(xe, truth(xe), kind="experimental")
     eps = compute_residuals(base, exp)
-    resid = fit_residual_model(FunctionFamily("poly", 1), exp, eps)
+    resid = fit_penalized_ls(FunctionFamily("poly", 1), _data(xe, eps, kind="experimental"))
     improved = improved_surrogate(base, resid)
     t = np.linspace(0.0, 1.0, 200)
     assert np.max(np.abs(improved(t) - truth(t))) < 1e-6
