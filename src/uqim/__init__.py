@@ -40,7 +40,7 @@ _EXPORTS = {
         "minimize_eps_gamma", "quantile_ci", "surrogate_error_bound",
     ),
     "data": (
-        "InputSample", "PairedDataset", "RunConfig", "parse_dataset", "parse_inputs",
+        "InputSample", "PairedDataset", "parse_dataset", "parse_inputs",
         "write_dataset", "write_inputs",
     ),
     "density": (

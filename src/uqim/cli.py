@@ -10,14 +10,14 @@ Failures print a one-line JSON error object to stderr and exit 1.  Relative
 artifact paths are resolved under ``--out-dir``.
 
 The parser declares every option's type and default once.  A ``--config``
-JSON file (see :class:`uqim.data.RunConfig`) supplies seed/out-dir, ``l_n``
-for the bootstrap learn size, and per-subcommand values through its
-``methods`` blocks.  Every block must name a subcommand and every value is
-checked like the command-line value of its option; the running subcommand's
-block becomes its parser defaults and ``argv`` is parsed again, so a flag
-beats the config, which beats the parser's default.  ``settings`` echoes the
-resolved options, the same with and without ``--dry-run``; each handler
-returns only its results and artifacts.
+JSON file supplies seed/out-dir, ``l_n`` for the bootstrap learn size, and
+per-subcommand values through its method blocks; :func:`_config_defaults`
+alone reads and checks it, and reports every problem in the file in one
+error.  The running subcommand's block becomes its parser defaults and
+``argv`` is parsed again, so a flag beats the config, which beats the
+parser's default.  ``settings`` echoes the resolved options, the same with
+and without ``--dry-run``; each handler returns only its results and
+artifacts.
 """
 
 from __future__ import annotations
@@ -32,15 +32,9 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .data import (
-    InputSample,
-    RunConfig,
-    _UINT64_MAX,
-    _read_dataset,
-    _write_table,
-    parse_inputs,
-    write_dataset,
-    write_inputs,
+    InputSample, _write_table, parse_dataset, parse_inputs, write_dataset, write_inputs,
 )
 from .errors import DataError, DomainError, InfeasibleError, UqError, ValidationError
 
@@ -51,17 +45,12 @@ from .errors import DataError, DomainError, InfeasibleError, UqError, Validation
 
 def __getattr__(name: str):
     # the layer functions this module once imported at its top still resolve
-    # as uqim.cli.<name>, through the package, which loads them on first use
+    # as uqim.cli.<name>, through the package, which loads them on first use;
+    # perfbench's span test still calls uqim.cli.mc_quantile
     package = sys.modules[__package__]
     if name in package.__all__:
         return getattr(package, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +73,7 @@ def _floats(text: str) -> list[float]:
         values = [float(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError:
         values = None
-    if values is None or not all(map(math.isfinite, values)):
+    if not values or not all(map(math.isfinite, values)):
         raise DomainError(f"expected comma-separated finite numbers, got {text!r}")
     return values
 
@@ -113,19 +102,9 @@ def _parse_ranges(text: str) -> list[tuple[float, float]]:
 
 def _load_dataset(args, role):
     """The --exp or --sim (``role``) dataset, as --input-columns and --output-column pick."""
-    path = getattr(args, role)
-
-    def pick(header):
-        out_col = args.output_column or header[-1]
-        if args.input_columns:
-            cols = _names(args.input_columns)
-        else:
-            cols = [c for c in header if c != out_col]
-        if not cols:
-            raise DataError(f"{path}: no input columns left besides {out_col!r}")
-        return cols + [out_col]
-
-    return _read_dataset(path, pick, "experimental" if role == "exp" else "simulated")
+    cols = _names(args.input_columns) if args.input_columns else None
+    kind = "experimental" if role == "exp" else "simulated"
+    return parse_dataset(getattr(args, role), cols, args.output_column, kind)
 
 
 def _single_column(path) -> np.ndarray:
@@ -564,11 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uqim",
         description="Uncertainty quantification with imperfect simulation models.",
     )
-    top.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out-dir", default=".", help="directory for artifacts")
-    common.add_argument("--config", default=None, help="RunConfig JSON file")
+    common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--report", default=None, help="also write the report here")
     common.add_argument("--dry-run", action="store_true",
                         help="print settings without computing")
@@ -697,22 +676,52 @@ def _subparsers(parser) -> dict:
     return subs.choices
 
 
-def _method_defaults(parser, command: str, methods: dict) -> dict:
-    """Check every config method block; return the running subcommand's
-    block as option defaults.
+def _config_defaults(parser, command: str, path) -> dict:
+    """Read and check the JSON config at ``path``; return the running
+    subcommand's option defaults.
 
-    A block must be named after a subcommand.  Each value goes through its
-    option's own ``type`` and ``choices``, as a command-line string would; a
+    The top-level keys ``seed``, ``l_n`` (the bootstrap learn size) and
+    ``out_dir`` are scalars; every other key is a method block, an object
+    named after a subcommand.  Each block value goes through its option's own
+    ``type`` and ``choices``, as a command-line string would; a
     ``store_true`` flag takes a JSON bool.  A key that names no option of its
     subcommand is an error.  The blocks of the other subcommands are checked
-    alike but set nothing, and every problem is reported at once.  The
-    global flags are no keys here: seed and out_dir are top-level config keys.
+    alike but set nothing, a block beats ``l_n``, and every problem in the
+    file is reported in one ValidationError.  The global flags are no block
+    keys: seed and out_dir are top-level keys.
     """
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ValidationError("configuration root must be a JSON object")
+
+    def whole(value):  # a JSON integer; true and false are no numbers here
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    seed = config.pop("seed", 0)
+    problems, defaults = [], {"seed": seed}
+    if not whole(seed) or not 0 <= seed <= _UINT64_MAX:
+        problems.append(("seed", f"must be an integer in [0, 2^64-1], got {seed!r}"))
+    l_n = config.pop("l_n", None)
+    if l_n is not None and (not whole(l_n) or l_n < 1):
+        problems.append(("l_n", f"must be a positive integer, got {l_n!r}"))
+    elif l_n and command == "bootstrap-error":
+        defaults["n_learn"] = l_n
+    out_dir = config.pop("out_dir", None)
+    if out_dir is not None and not isinstance(out_dir, str):
+        problems.append(("out_dir", f"must be a string, got {out_dir!r}"))
+    elif out_dir:
+        defaults["out_dir"] = out_dir
     subs = _subparsers(parser)
-    problems, defaults = [], {}
-    for name, block in methods.items():
-        if name not in subs:
-            problems.append((f"methods.{name}", "names no subcommand"))
+    for name, block in config.items():
+        if name not in subs or not isinstance(block, dict):
+            problem = "must be an object" if name in subs else "names no subcommand"
+            problems.append((f"methods.{name}", problem))
             continue
         options = {
             a.dest: a
@@ -751,20 +760,7 @@ def _method_defaults(parser, command: str, methods: dict) -> dict:
     return defaults
 
 
-def _parse_with_config(parser, args, argv) -> argparse.Namespace:
-    """Parse ``argv`` again over the config's values: a flag beats the
-    config, which beats the parser's default."""
-    config = RunConfig.from_json(args.config)
-    defaults = {"seed": config.seed}
-    if config.out_dir:
-        defaults["out_dir"] = config.out_dir
-    if config.l_n and args.command == "bootstrap-error":
-        defaults["n_learn"] = config.l_n
-    defaults.update(_method_defaults(parser, args.command, config.methods))
-    _subparsers(parser)[args.command].set_defaults(**defaults)
-    return parser.parse_args(argv)
-
-
+_UINT64_MAX = 2**64 - 1
 _PRIVATE_ARGS = ("command", "config", "report", "dry_run", "seed", "out_dir")
 
 
@@ -774,7 +770,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         if args.config:
-            args = _parse_with_config(parser, args, argv)
+            defaults = _config_defaults(parser, args.command, args.config)
+            _subparsers(parser)[args.command].set_defaults(**defaults)
+            args = parser.parse_args(argv)
         if not 0 <= args.seed <= _UINT64_MAX:  # the range a config's seed must lie in
             raise DomainError(f"seed must be an integer in [0, 2^64 - 1], got {args.seed}")
         settings = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
@@ -784,7 +782,7 @@ def main(argv=None) -> int:
             results, artifacts = _HANDLERS[args.command](args)
         report = {
             "command": args.command,
-            "version": _version(),
+            "version": __version__,
             "seed": args.seed,
             "settings": settings,
             "results": results,

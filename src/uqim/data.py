@@ -1,4 +1,4 @@
-"""Dataset containers, CSV ingestion and run configuration.
+"""Dataset containers and CSV ingestion.
 
 Containers are frozen dataclasses holding read-only numpy arrays, so they can
 be shared freely across threads.  A CSV table is read in two steps: numpy's
@@ -6,18 +6,19 @@ C parser (``np.loadtxt``) converts a well-formed numeric body in one call,
 and only a file it rejects is tokenized again with ``csv.reader``, which
 decides acceptance and reports the exact row and column of the first
 offending cell; data rows are numbered from 1 (the header is row 0).
+:func:`parse_dataset` alone picks a paired table's default columns, for the
+CLI and the API alike.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError
 
 DATASET_KINDS = ("experimental", "simulated")
 
@@ -61,8 +62,8 @@ class PairedDataset:
                 f"row mismatch: {inputs.shape[0]} input rows vs "
                 f"{outputs.shape[0]} outputs"
             )
-        if inputs.shape[0] < 1:
-            raise DataError("dataset needs at least one row")
+        if inputs.shape[0] < 1 or inputs.shape[1] < 1:
+            raise DataError("dataset needs at least one row and one input column")
         if self.kind not in DATASET_KINDS:
             raise DataError(f"unknown dataset kind {self.kind!r}")
         if not np.all(np.isfinite(inputs)) or not np.all(np.isfinite(outputs)):
@@ -98,7 +99,7 @@ class InputSample:
         pts = _readonly(self.points)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DataError("input sample must be a nonempty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise DataError("input sample contains non-finite values")
@@ -195,21 +196,26 @@ def _raise_bad_cell(path, cells: list[str], names: list[str]) -> None:
             ) from None
 
 
-def _read_dataset(path, pick, kind) -> PairedDataset:
-    """Read a :class:`PairedDataset`; ``pick(header)`` lists inputs, then output."""
+def parse_dataset(path, input_columns=None, output_column=None, kind="experimental"):
+    """Parse a CSV file with a header row into a :class:`PairedDataset`.
+
+    The output is ``output_column``, by default the last column; the inputs
+    are ``input_columns``, by default every column but the output.
+    """
+
+    def pick(header):
+        out = output_column or header[-1]
+        if input_columns is None:
+            cols = [c for c in header if c != out]
+        else:
+            cols = list(input_columns)
+        if not cols:
+            raise DataError(f"{path}: no input columns left besides {out!r}")
+        return cols + [out]
+
     names, raw = _read_table(path, pick)
-    return PairedDataset(
-        inputs=raw[:, :-1],
-        outputs=raw[:, -1],
-        kind=kind,
-        input_names=tuple(names[:-1]),
-        output_name=names[-1],
-    )
-
-
-def parse_dataset(path, input_columns, output_column, kind="experimental"):
-    """Parse a CSV file with a header row into a :class:`PairedDataset`."""
-    return _read_dataset(path, lambda header: [*input_columns, output_column], kind)
+    return PairedDataset(inputs=raw[:, :-1], outputs=raw[:, -1], kind=kind,
+                         input_names=tuple(names[:-1]), output_name=names[-1])
 
 
 def parse_inputs(path, columns=None) -> InputSample:
@@ -244,70 +250,3 @@ def write_dataset(dataset: PairedDataset, path) -> None:
 
 def write_inputs(sample: InputSample, path) -> None:
     _write_table(path, sample.names, [sample.points])
-
-
-_UINT64_MAX = 2**64 - 1
-
-
-def _is_int(value) -> bool:
-    """A JSON integer; ``true`` and ``false`` are no numbers here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass
-class RunConfig:
-    """Pipeline configuration: seed, sample sizes and per-method blocks.
-
-    ``methods`` maps a method name (CLI subcommand) to a dict of its
-    parameters; the CLI checks every block against its subcommand's options.
-    """
-
-    seed: int = 0
-    l_n: int | None = None
-    out_dir: str | None = None
-    methods: dict = field(default_factory=dict)
-
-    _SCALARS = ("seed", "l_n", "out_dir")
-
-    def validate(self) -> None:
-        problems = []
-        if not _is_int(self.seed) or not 0 <= self.seed <= _UINT64_MAX:
-            problems.append(f"seed: must be an integer in [0, 2^64-1], got {self.seed!r}")
-        if self.l_n is not None and (not _is_int(self.l_n) or self.l_n < 1):
-            problems.append(f"l_n: must be a positive integer, got {self.l_n!r}")
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            problems.append(f"out_dir: must be a string, got {self.out_dir!r}")
-        if not isinstance(self.methods, dict):
-            problems.append("methods: must be an object")
-        else:
-            for key, block in self.methods.items():
-                if not isinstance(block, dict):
-                    problems.append(f"methods.{key}: must be an object")
-        if problems:
-            raise ValidationError(
-                "invalid configuration: " + "; ".join(problems),
-                fields=[p.split(":", 1)[0] for p in problems],
-            )
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunConfig":
-        if not isinstance(obj, dict):
-            raise ValidationError("configuration root must be a JSON object")
-        known = {k: obj[k] for k in cls._SCALARS if k in obj}
-        methods = {
-            k: v for k, v in obj.items() if k not in cls._SCALARS
-        }
-        cfg = cls(methods=methods, **known)
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(obj)

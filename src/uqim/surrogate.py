@@ -593,6 +593,8 @@ def select_weight_and_penalty(
     # whose system cannot be solved; a fold whose basis cannot be built
     # raises the basis's DataError
     cells = [(w, pen) for w in w_grid for pen in penalty_grid]
+    if not cells:
+        raise DomainError("the weight and penalty grids must not be empty")
     sse = [0.0] * len(cells)
     for hold in np.array_split(perm, folds):
         train = np.setdiff1d(perm, hold, assume_unique=True)

@@ -120,13 +120,14 @@ def _check_bias_noise(bias_scale: float, sigma_obs: float) -> None:
         raise DomainError(f"sigma_obs must be finite and >= 0, got {sigma_obs}")
 
 
-def _bias_1d(kind: str, scale: float, mean: float, sd: float) -> Callable:
+def _bias(kind: str, scale: float, offset: Callable, sd: float) -> Callable:
+    """The bias shape ``kind`` in the centred coordinate ``offset(x)`` of SD ``sd``."""
     if kind == "constant":
         return lambda x: np.full(np.shape(x)[0], scale)
     if kind == "linear":
-        return lambda x: scale * (0.5 + (x[:, 0] - mean) / (4.0 * sd))
+        return lambda x: scale * (0.5 + offset(x) / (4.0 * sd))
     if kind == "smooth":
-        return lambda x: scale * np.cos(2.0 * np.pi * (x[:, 0] - mean) / (6.0 * sd))
+        return lambda x: scale * np.cos(2.0 * np.pi * offset(x) / (6.0 * sd))
     raise DomainError(f"bias_kind must be one of {BIAS_KINDS}, got {kind!r}")
 
 
@@ -151,7 +152,7 @@ def make_mafds_like(
         x = np.asarray(x, dtype=float)
         return amp * np.sqrt(np.clip(x[:, 0], 0.0, None))
 
-    bias = _bias_1d(bias_kind, bias_scale, mean, sd)
+    bias = _bias(bias_kind, bias_scale, lambda x: x[:, 0] - mean, sd)
 
     def model(x):
         x = np.asarray(x, dtype=float)
@@ -219,17 +220,7 @@ def make_hidim_like(
         z = standardize(x)
         return 14.0 + z @ coef + 0.05 * (z[:, 0] ** 2 - 1.0)
 
-    if bias_kind == "constant":
-        def bias(x):
-            return np.full(np.shape(x)[0], bias_scale)
-    elif bias_kind == "linear":
-        def bias(x):
-            return bias_scale * (0.5 + np.mean(standardize(x), axis=1) / 4.0)
-    elif bias_kind == "smooth":
-        def bias(x):
-            return bias_scale * np.cos(2.0 * np.pi * np.mean(standardize(x), axis=1) / 6.0)
-    else:
-        raise DomainError(f"bias_kind must be one of {BIAS_KINDS}, got {bias_kind!r}")
+    bias = _bias(bias_kind, bias_scale, lambda x: np.mean(standardize(x), axis=1), 1.0)
 
     def model(x):
         return truth(x) + bias(x)

@@ -152,7 +152,45 @@ def test_config_errors_list_every_field(tmp_path):
     ])
     assert rc == 1
     payload = json.loads(err)
-    assert set(payload["fields"]) >= {"seed", "out_dir", "l_n"}
+    assert payload["fields"] == ["seed", "l_n", "out_dir"]
+
+
+@pytest.mark.parametrize("config, fields", [
+    ({"seed": -1, "synth": {"n_exp": "x"}, "bogus": {}},
+     ["seed", "methods.synth.n_exp", "methods.bogus"]),
+    # every bad scalar is named, in the order seed, l_n, out_dir
+    ({"seed": -1, "out_dir": 5, "l_n": 0}, ["seed", "l_n", "out_dir"]),
+    # JSON true is a Python int; as a seed or a learn size it is no number
+    ({"seed": True}, ["seed"]),
+    ({"l_n": True}, ["l_n"]),
+], ids=["scalar_and_blocks", "bad_scalars", "bool_seed", "bool_l_n"])
+def test_config_lists_every_problem_in_one_error(tmp_path, config, fields):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    rc, _, err = run_cli(["synth", "--dry-run", "--config", cfg, "--out-dir", tmp_path])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["fields"] == fields
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_config_round_trip(tmp_path):
+    # every scalar key and a method block reach the run they configure
+    out_dir = tmp_path / "runs"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "l_n": 10, "out_dir": str(out_dir),
+                               "gp-error": {"reps": 50}}))
+    rc, rep, err = run_cli(["bootstrap-error", "--exp", "e.csv", "--model", "m.json",
+                            "--dry-run", "--config", cfg, "--report", "rep.json"])
+    assert rc == 0, err
+    assert (rep["seed"], rep["settings"]["n_learn"]) == (7, 10)
+    assert json.loads((out_dir / "rep.json").read_text()) == rep
+    rc, rep, err = run_cli(["gp-error", "--exp", "e.csv", "--model", "m.json",
+                            "--dry-run", "--config", cfg])
+    assert rc == 0, err
+    assert (rep["seed"], rep["settings"]["reps"]) == (7, 50)
 
 
 def test_config_n1_n2_are_not_scalars(tmp_path):
@@ -352,6 +390,41 @@ def test_non_finite_number_is_a_domain_error(tmp_path, workspace, command, flags
     payload = json.loads(err)
     assert payload["error"] == "DomainError"
     assert "finite" in payload["message"]
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-surrogate", "--weight-grid", ","],
+    ["fit-surrogate", "--res-penalty-grid", ","],
+    ["quantile", "--alpha", ","],
+    ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95", "--delta", "0.05",
+     "--d-delta", ","],
+], ids=["weight_grid", "res_penalty_grid", "quantile_alpha", "check_only_d_delta"])
+def test_empty_number_list_is_a_domain_error(tmp_path, workspace, argv):
+    ws = workspace["dir"]
+    args = {
+        "fit-surrogate": ["--sim", ws / "sim.csv", "--exp", ws / "exp.csv"],
+        "quantile": ["--model", ws / "model.json", "--inputs", ws / "inputs.csv"],
+        "ci-quantile": [],
+    }[argv[0]]
+    rc, _, err = run_cli([*argv, *args, "--out-dir", tmp_path])
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "DomainError",
+        "message": "expected comma-separated finite numbers, got ','",
+    }
+    assert os.listdir(tmp_path) == []
+
+
+def test_gen_inputs_zero_columns_is_a_data_error(tmp_path, workspace):
+    rc, _, err = run_cli([
+        "gen-inputs", "--count", "5", "--from", workspace["dir"] / "sim.csv",
+        "--columns", ",", "--out-dir", tmp_path,
+    ])
+    assert rc == 1
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "DataError"
     assert os.listdir(tmp_path) == []
 
 

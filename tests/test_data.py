@@ -1,18 +1,15 @@
-import json
-
 import numpy as np
 import pytest
 
 from uqim.data import (
     InputSample,
     PairedDataset,
-    RunConfig,
     parse_dataset,
     parse_inputs,
     write_dataset,
     write_inputs,
 )
-from uqim.errors import DataError, ValidationError
+from uqim.errors import DataError
 from uqim.synthetic import FIELD_INPUT_NAMES, field_measurements
 
 
@@ -75,6 +72,28 @@ def test_column_selection_follows_schema_order(tmp_path):
     ds = parse_dataset(path, ["b", "a"], "y")
     assert ds.input_names == ("b", "a")
     assert np.array_equal(ds.inputs, [[2.0, 1.0], [5.0, 4.0]])
+
+
+def test_default_columns_are_the_cli_columns(tmp_path):
+    """Without names the output is the last column and the inputs every other
+    column, in header order, as the CLI picks them without its column flags."""
+    import argparse
+
+    from uqim.cli import _load_dataset
+
+    path = tmp_path / "cols.csv"
+    path.write_text("a,b,y\n1,2,3\n4,5,6\n")
+    for out in (None, "a"):
+        args = argparse.Namespace(exp=path, input_columns=None, output_column=out)
+        cli = _load_dataset(args, "exp")
+        ds = parse_dataset(path, output_column=out)
+        assert (ds.input_names, ds.output_name) == (cli.input_names, cli.output_name)
+        assert np.array_equal(ds.inputs, cli.inputs)
+        assert np.array_equal(ds.outputs, cli.outputs)
+    assert parse_dataset(path).input_names == ("a", "b")
+    assert parse_dataset(path, output_column="a").input_names == ("b", "y")
+    with pytest.raises(DataError, match="no input columns left besides 'y'"):
+        parse_dataset(path, [])
 
 
 def test_inputs_round_trip(tmp_path):
@@ -161,39 +180,16 @@ def test_dataset_validation():
         ds.inputs[0, 0] = 9.0
 
 
+def test_zero_columns_are_a_data_error():
+    with pytest.raises(DataError, match="one input column"):
+        PairedDataset(inputs=np.zeros((2, 0)), outputs=[1.0, 2.0], kind="simulated")
+    with pytest.raises(DataError, match="nonempty"):
+        InputSample(points=np.zeros((2, 0)))
+
+
 def test_input_sample_promotes_1d():
     s = InputSample(points=[1.0, 2.0, 3.0])
     assert s.points.shape == (3, 1)
     assert s.n == 3 and s.dim == 1
     with pytest.raises(ValueError):
         s.points[0, 0] = 0.0
-
-
-def test_run_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=7, l_n=10, out_dir="runs",
-                    methods={"quantile": {"alpha": 0.9}})
-    cfg.validate()
-    # method blocks are stored flat, next to the scalar keys
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 7, "l_n": 10, "out_dir": "runs",
-                                "quantile": {"alpha": 0.9}}))
-    back = RunConfig.from_json(path)
-    assert back == cfg
-
-
-def test_run_config_lists_every_bad_field():
-    cfg = RunConfig(seed=-1, l_n=0, out_dir=5)
-    with pytest.raises(ValidationError) as err:
-        cfg.validate()
-    joined = " ".join(err.value.fields)
-    assert "seed" in joined and "l_n" in joined and "out_dir" in joined
-    assert len(err.value.fields) == 3
-
-
-
-@pytest.mark.parametrize("key", ["seed", "l_n"])
-def test_run_config_rejects_bool_integers(key):
-    # JSON true is a Python int; as a seed or a learn size it is no number
-    with pytest.raises(ValidationError) as err:
-        RunConfig.from_dict({key: True})
-    assert err.value.fields == [key]

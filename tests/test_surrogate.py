@@ -264,6 +264,18 @@ def test_select_rejects_too_few_rows():
         )
 
 
+@pytest.mark.parametrize("grids", [{"w_grid": []}, {"penalty_grid": []}],
+                         ids=["weight", "penalty"])
+def test_select_rejects_an_empty_grid(grids):
+    x = np.linspace(0.0, 1.0, 10)
+    exp = _data(x, np.zeros(10), kind="experimental")
+    with pytest.raises(DomainError, match="grids must not be empty"):
+        select_weight_and_penalty(
+            FunctionFamily("poly", 1), exp, np.zeros(10), InputSample(points=[0.5]),
+            seed=0, **grids,
+        )
+
+
 def test_select_reports_a_fold_basis_data_error():
     # at seed 8 both x = 1 rows are held out together, so one fold trains on
     # a single distinct point, where no rbf basis can be built
