@@ -1,5 +1,8 @@
 """Dataset containers and CSV ingestion.
 
+The package's two rules for arrays of points live here: :func:`_points` says
+what an array means, (n, d) points with a 1-d array a column, and
+:func:`_rows` checks and copies a container's points and columns.
 Containers are frozen dataclasses holding read-only numpy arrays, so they can
 be shared freely across threads.  A CSV table is read in two steps: numpy's
 C parser (``np.loadtxt``) converts a well-formed numeric body in one call,
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 
 DATASET_KINDS = ("experimental", "simulated")
 
@@ -35,13 +38,60 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
+def _points(x, dim=None) -> np.ndarray:
+    """``x`` (an array or an :class:`InputSample`) as an (n, d) float array.
+
+    A 1-d array is a column of n points, except that with ``dim > 1`` it is
+    one point, as ``model(point)`` reads it; a scalar is one point.  When
+    ``dim`` is given, d must equal it.
+    """
+    a = x.points if isinstance(x, InputSample) else np.asarray(x, dtype=float)
+    if a.ndim < 2:
+        a = a.reshape((1, -1) if dim is not None and dim > 1 else (-1, 1))
+    if a.ndim != 2 or dim is not None and a.shape[1] != dim:
+        raise DomainError(f"expected points of dimension {dim or 'd'}, got shape {a.shape}")
+    return a
+
+
+def _rows(points, *columns) -> tuple[np.ndarray, ...]:
+    """Read-only copies of ``points``, read by :func:`_points`, and of each
+    1-d column: at least one row and one coordinate, n values in every
+    column, every value finite.  Every data container takes its arrays here."""
+    try:
+        x = _readonly(_points(points))
+    except DomainError as exc:
+        raise DataError(str(exc)) from None
+    cols = [_readonly(np.ravel(c)) for c in columns]
+    if x.shape[0] < 1 or x.shape[1] < 1:
+        raise DataError(
+            f"need a nonempty (n, d) array, at least one row and one input column, "
+            f"got shape {x.shape}"
+        )
+    if any(c.shape[0] != x.shape[0] for c in cols):
+        raise DataError(
+            f"row mismatch: {x.shape[0]} input rows, mismatched column lengths "
+            f"{[c.shape[0] for c in cols]}"
+        )
+    if not all(np.isfinite(a).all() for a in (x, *cols)):
+        raise DataError("data contains non-finite values")
+    return (x, *cols)
+
+
+def _names(names, dim: int) -> tuple[str, ...]:
+    """``names``, or ``x1..xd`` when there are none; one per coordinate."""
+    names = tuple(names) or tuple(f"x{j + 1}" for j in range(dim))
+    if len(names) != dim:
+        raise DataError(f"{len(names)} input names for {dim} columns")
+    return names
+
+
 @dataclass(frozen=True)
 class PairedDataset:
     """Input/output pairs (X_i, Y_i) with a provenance tag.
 
     Parameters
     ----------
-    inputs : (n, d) array
+    inputs : (n, d) array; a 1-d array is n points of one coordinate
     outputs : (n,) array
     kind : {"experimental", "simulated"}
     """
@@ -53,31 +103,12 @@ class PairedDataset:
     output_name: str = "y"
 
     def __post_init__(self):
-        inputs = np.atleast_2d(_readonly(self.inputs))
-        if inputs.ndim != 2:
-            raise DataError("inputs must be a 2-d array of shape (n, d)")
-        outputs = _readonly(self.outputs).ravel()
-        if inputs.shape[0] != outputs.shape[0]:
-            raise DataError(
-                f"row mismatch: {inputs.shape[0]} input rows vs "
-                f"{outputs.shape[0]} outputs"
-            )
-        if inputs.shape[0] < 1 or inputs.shape[1] < 1:
-            raise DataError("dataset needs at least one row and one input column")
         if self.kind not in DATASET_KINDS:
             raise DataError(f"unknown dataset kind {self.kind!r}")
-        if not np.all(np.isfinite(inputs)) or not np.all(np.isfinite(outputs)):
-            raise DataError("dataset contains non-finite values")
-        names = tuple(self.input_names) or tuple(
-            f"x{j + 1}" for j in range(inputs.shape[1])
-        )
-        if len(names) != inputs.shape[1]:
-            raise DataError(
-                f"{len(names)} input names for {inputs.shape[1]} columns"
-            )
+        inputs, outputs = _rows(self.inputs, self.outputs)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "input_names", names)
+        object.__setattr__(self, "input_names", _names(self.input_names, inputs.shape[1]))
 
     @property
     def n(self) -> int:
@@ -96,20 +127,9 @@ class InputSample:
     names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        pts = _readonly(self.points)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise DataError("input sample must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise DataError("input sample contains non-finite values")
-        names = tuple(self.names) or tuple(
-            f"x{j + 1}" for j in range(pts.shape[1])
-        )
-        if len(names) != pts.shape[1]:
-            raise DataError(f"{len(names)} names for {pts.shape[1]} columns")
+        (pts,) = _rows(self.points)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", _names(self.names, pts.shape[1]))
 
     @property
     def n(self) -> int:

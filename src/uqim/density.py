@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _points
 from .errors import DomainError, InsufficientDataError, ZeroSpreadError
 
 # queries per block of the elementwise KDE CDF and the density band's
@@ -215,13 +216,11 @@ def _order_statistic(values: np.ndarray, alpha: float) -> np.ndarray:
 def surrogate_density(model, inputs, *, bandwidth: float | None = None) -> KdeModel:
     """KDE of m(X) from a surrogate and an input sample.
 
-    ``inputs`` may be an :class:`~uqim.data.InputSample` or a plain array.
+    ``inputs`` is an :class:`~uqim.data.InputSample` or an (n, d) array; a
+    1-d array is n points of one coordinate.
     ``bandwidth=None`` applies :func:`select_bandwidth` to the outputs.
     """
-    from .data import InputSample
-
-    pts = inputs.points if isinstance(inputs, InputSample) else np.asarray(inputs)
-    values = np.asarray(model(pts), dtype=float)
+    values = np.asarray(model(_points(inputs)), dtype=float)
     if bandwidth is None:
         bandwidth = select_bandwidth(values)
     return KdeModel(values=values, bandwidth=bandwidth)

@@ -41,9 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _readonly
+from .data import _points, _readonly, _rows
 from .density import _order_statistic
-from .errors import ConditioningError, DataError, DomainError, FitError
+from .errors import ConditioningError, DomainError, FitError
 from .randgen import make_rng
 
 _JITTER_STEPS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -157,19 +157,7 @@ class DiscrepancyData:
     observed: np.ndarray
 
     def __post_init__(self):
-        x = np.atleast_2d(_readonly(self.inputs))
-        m = _readonly(self.model_outputs).ravel()
-        y = _readonly(self.observed).ravel()
-        if x.shape[0] != m.shape[0] or x.shape[0] != y.shape[0]:
-            raise DataError(
-                f"mismatched lengths: {x.shape[0]} inputs, {m.shape[0]} model "
-                f"outputs, {y.shape[0]} observations"
-            )
-        if x.shape[0] < 1:
-            raise DataError("discrepancy data needs at least one row")
-        for a in (x, m, y):
-            if not np.all(np.isfinite(a)):
-                raise DataError("discrepancy data contains non-finite values")
+        x, m, y = _rows(self.inputs, self.model_outputs, self.observed)
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "model_outputs", m)
         object.__setattr__(self, "observed", y)
@@ -194,11 +182,7 @@ def _correlation(d2: np.ndarray, omegas) -> np.ndarray:
 
 def gp_cov_matrix(x: np.ndarray, params: GpDiscrepancyParams) -> np.ndarray:
     """Theta = sigma2 * R + lam * I on the rows of ``x``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != params.dim:
-        raise DomainError(
-            f"inputs of dimension {x.shape[1]} for {params.dim} length scales"
-        )
+    x = _points(x, params.dim)
     r = _correlation(_sqdists(x), params.omegas)
     return params.sigma2 * r + params.lam * np.eye(x.shape[0])
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _points
 from .errors import DomainError, InsufficientDataError, InvalidCovarianceError
 
 # relative tolerances for covariance validation
@@ -75,11 +76,10 @@ def estimate_mvn(points: np.ndarray) -> MvnParams:
     """Maximum-likelihood normal fit: sample mean and 1/N covariance.
 
     The covariance uses the biased 1/N normalizer (the ML estimate), not
-    1/(N-1).  Requires N >= 2 rows.
+    1/(N-1).  Requires N >= 2 rows; a 1-d array is N points of one
+    coordinate.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    if x.ndim != 2:
-        raise DomainError("points must be a (N, d) array")
+    x = _points(points)
     if x.shape[0] < 2:
         raise InsufficientDataError(
             f"need at least 2 rows to estimate a covariance, got {x.shape[0]}"

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import InputSample, PairedDataset
+from .data import PairedDataset, _points
 from .errors import (
     ConditioningError,
     DataError,
@@ -77,18 +77,6 @@ class FunctionFamily:
 
     def with_penalty(self, penalty: float) -> "FunctionFamily":
         return replace(self, penalty=float(penalty))
-
-
-def _as_points(x, dim: int) -> np.ndarray:
-    """Coerce ``x`` to an (m, dim) array; 1-d input is a column when dim=1."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
-    if a.ndim == 1:
-        a = a[:, None] if dim == 1 else a[None, :]
-    if a.ndim != 2 or a.shape[1] != dim:
-        raise DomainError(f"expected points of dimension {dim}, got shape {a.shape}")
-    return a
 
 
 def _bspline(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
@@ -162,7 +150,7 @@ class SplineBasis:
         """The spline with coefficients ``coef`` on the knot span, continued
         linearly beyond either end with the slope it has there."""
         t, k = self.knots, _DEGREE
-        x = _as_points(points, 1).ravel()
+        x = _points(points, 1).ravel()
         out = np.empty(x.shape + coef.shape[1:])
         # chunks of 2**16 values keep each temporary of the recursion at 512 KB
         step = max(1, 2**16 // (coef.shape[1] if coef.ndim > 1 else 1))
@@ -211,13 +199,13 @@ class _TableBasis:
 
     def design(self, points: np.ndarray) -> np.ndarray:
         """The (rows, n_coef) design: ``_table`` in C order."""
-        xt = _as_points(points, self.dim).T.copy()
+        xt = _points(points, self.dim).T.copy()
         return np.ascontiguousarray(self._table(xt).T)
 
     def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
         """``coef @ _table(block.T)`` over blocks of ``_BLOCK_ROWS`` rows: a
         block's table stays in cache, and its ufuncs run along whole rows."""
-        x = _as_points(points, self.dim)
+        x = _points(points, self.dim)
         coef = np.asarray(coef, dtype=float)
         out = np.empty(x.shape[0])
         for a in range(0, x.shape[0], _BLOCK_ROWS):
@@ -237,7 +225,7 @@ class RbfBasis(_TableBasis):
     kind = "rbf"
 
     def __init__(self, centers: np.ndarray, lengthscale: float):
-        self.centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        self.centers = _points(centers)
         if not (np.isfinite(lengthscale) and lengthscale > 0):
             raise DataError(f"lengthscale must be positive, got {lengthscale}")
         self.lengthscale = float(lengthscale)
@@ -246,8 +234,7 @@ class RbfBasis(_TableBasis):
 
     @classmethod
     def from_data(cls, points: np.ndarray, count: int) -> "RbfBasis":
-        x = np.atleast_2d(np.asarray(points, dtype=float))
-        uniq = np.unique(x, axis=0)
+        uniq = np.unique(_points(points), axis=0)
         if uniq.shape[0] < 2:
             raise DataError("rbf basis needs at least two distinct points")
         count = min(count, uniq.shape[0])
@@ -324,9 +311,7 @@ class PolyBasis(_TableBasis):
 
 def build_basis(family: FunctionFamily, points: np.ndarray):
     """Construct the data-dependent basis for ``family`` on ``points``."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    if x.ndim != 2:
-        raise DomainError("points must be (n, d)")
+    x = _points(points)
     if family.kind == "spline1d":
         if x.shape[1] != 1:
             raise DomainError("spline1d requires 1-d inputs")
@@ -483,6 +468,8 @@ def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
     if grid is None:
         grid = default_gcv_grid(fit.penalty_scale())
     grid = np.sort(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise DomainError("the GCV penalty grid must not be empty")
     best = None
     for pen in grid:
         try:
@@ -519,8 +506,7 @@ def compute_residuals(model, experimental: PairedDataset) -> np.ndarray:
 
 
 def _extra_points(extra_inputs, dim: int) -> np.ndarray:
-    pts = extra_inputs.points if isinstance(extra_inputs, InputSample) else extra_inputs
-    extra = _as_points(pts, dim)
+    extra = _points(extra_inputs, dim)
     if extra.shape[0] < 1:
         raise DataError("weighted fit needs at least one extra input point")
     return extra

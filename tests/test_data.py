@@ -9,7 +9,10 @@ from uqim.data import (
     write_dataset,
     write_inputs,
 )
-from uqim.errors import DataError
+from uqim.errors import DataError, DomainError
+from uqim.gp import DiscrepancyData, GpDiscrepancyParams, gp_cov_matrix
+from uqim.randgen import estimate_mvn, make_rng
+from uqim.surrogate import FunctionFamily, build_basis, fit_penalized_ls
 from uqim.synthetic import FIELD_INPUT_NAMES, field_measurements
 
 
@@ -185,6 +188,48 @@ def test_zero_columns_are_a_data_error():
         PairedDataset(inputs=np.zeros((2, 0)), outputs=[1.0, 2.0], kind="simulated")
     with pytest.raises(DataError, match="nonempty"):
         InputSample(points=np.zeros((2, 0)))
+
+
+_X = np.linspace(0.0, 1.0, 6)
+
+# each entry point on the points x: six points of one coordinate, whether
+# x is 1-d or the column _X[:, None]
+_ONE_D_ENTRIES = {
+    "InputSample": lambda x: InputSample(points=x).points,
+    "PairedDataset": lambda x: PairedDataset(
+        inputs=x, outputs=np.sin(_X), kind="simulated").inputs,
+    "DiscrepancyData": lambda x: DiscrepancyData(
+        inputs=x, model_outputs=_X, observed=np.sin(_X)).inputs,
+    "estimate_mvn": lambda x: estimate_mvn(x).cov,
+    "gp_cov_matrix": lambda x: gp_cov_matrix(
+        x, GpDiscrepancyParams(lam=0.1, beta=0.0, sigma2=1.0, omegas=(2.0,))),
+    "spline1d": lambda x: build_basis(FunctionFamily("spline1d", 3), x).design(_X),
+    "rbf": lambda x: build_basis(FunctionFamily("rbf", 4), x).design(_X),
+    "poly": lambda x: build_basis(FunctionFamily("poly", 2), x).design(_X),
+    "fit_penalized_ls": lambda x: fit_penalized_ls(
+        FunctionFamily("poly", 2),
+        PairedDataset(inputs=x, outputs=np.sin(_X), kind="simulated")).coef,
+}
+
+
+@pytest.mark.parametrize("entry", list(_ONE_D_ENTRIES))
+def test_a_1d_array_is_points_of_one_coordinate(entry):
+    got, want = (_ONE_D_ENTRIES[entry](x) for x in (_X, _X[:, None]))
+    assert np.array_equal(got, want)
+    rows = {"estimate_mvn": 1, "fit_penalized_ls": 3}.get(entry, 6)
+    assert got.shape[0] == rows
+
+
+def test_a_1d_point_of_a_5d_model_is_one_point():
+    x = make_rng(5).random((20, 5))
+    model = fit_penalized_ls(FunctionFamily("poly", 1), PairedDataset(
+        inputs=x, outputs=x.sum(axis=1), kind="simulated"))
+    point = np.full(5, 0.5)
+    assert model(point).shape == (1,)
+    assert model(point)[0] == model(point[None, :])[0]
+    for bad in (np.zeros(4), np.zeros((3, 4))):
+        with pytest.raises(DomainError):
+            model(bad)
 
 
 def test_input_sample_promotes_1d():

@@ -276,6 +276,12 @@ def test_select_rejects_an_empty_grid(grids):
         )
 
 
+def test_gcv_rejects_an_empty_grid():
+    x = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(DomainError, match="grid must not be empty"):
+        fit_with_gcv(FunctionFamily("poly", 1), _data(x, np.sin(x)), grid=[])
+
+
 def test_select_reports_a_fold_basis_data_error():
     # at seed 8 both x = 1 rows are held out together, so one fold trains on
     # a single distinct point, where no rbf basis can be built
