@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedDataset, _readonly
-from .density import _order_statistic
+from .density import _check_alpha, _order_statistic
 from .errors import DataError, DomainError
 from .randgen import make_rng, spawn_seeds
 from .surrogate import (
@@ -86,8 +86,7 @@ def bootstrap_error_quantile(
         raise DomainError(f"n_learn must lie in [1, {n - 1}], got {n_learn}")
     if b_reps < 1:
         raise DomainError(f"b_reps must be >= 1, got {b_reps}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if weight is not None and extra_inputs is None:
         raise DomainError("weight given without extra_inputs")
     residuals = compute_residuals(base_model, experimental)

@@ -319,7 +319,6 @@ def _cmd_gp_error(args):
     seed_fit, seed_q = spawn_seeds(args.seed, 2)
     fit = gp_fit_map(
         data,
-        beta_mode=args.beta_mode,
         restarts=args.restarts,
         maxiter=args.maxiter,
         seed=seed_fit,
@@ -607,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp", required=True)
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--beta-mode", choices=["closed_form", "empirical", "free"],
-                   default="closed_form")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--maxiter", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.95)

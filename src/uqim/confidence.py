@@ -17,10 +17,10 @@ with J expanded (upper) or shrunk (lower) by beta_hat.
 The sup over intervals is approximated over a finite candidate family whose
 endpoints are the sample values, the sample values +/- beta_hat and the
 evaluation grid.  The sup splits into prefix maxima and window maxima over
-the candidates: sorting them costs O(N log N) once, the searches of the
-sorted candidates merge them with the haystack block by block in O(N) once
-per band, the KDE cdf at the candidates costs O(N) per bandwidth, and the
-window maxima for G grid points take O(N + G^2) time and O(G) memory.
+the candidates.  Per bandwidth, sorting them costs O(N log N), the searches
+of the sorted candidates merge them with the haystack block by block in
+O(N), the KDE cdf at the candidates costs O(N), and the window maxima for G
+grid points take O(N + G^2) time and O(G) memory.
 Boundary conventions are conservative: expanded intervals count their
 endpoints, shrunk intervals do not.
 """
@@ -34,7 +34,8 @@ import numpy as np
 
 from .data import PairedDataset, _readonly
 from .density import (
-    BLOCK, KdeModel, _kde_cdf_into, _order_index, _searchsorted_blocks, kde_evaluate,
+    BLOCK, KdeModel, _check_alpha, _kde_cdf_into, _order_index, _searchsorted_blocks,
+    kde_evaluate,
 )
 from .errors import DomainError, InfeasibleError
 
@@ -163,8 +164,7 @@ def _screen(n, big_n, alpha, delta, d_deltas):
     """(ddelta, ok, objective, hoeffding) per ddelta, ascending, once all pass
     their checks.  ``ok`` is the rule of ``_levels``; with ``big_n=None`` it is
     the N -> infinity limit: no shift, objective 1 - (delta-ddelta)^(1/n)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if big_n is not None:
         _check_big_n(big_n)
     d_deltas = sorted(float(v) for v in np.atleast_1d(d_deltas))
@@ -301,8 +301,7 @@ def quantile_ci(
     outputs = np.sort(np.asarray(outputs, dtype=float).ravel())
     if outputs.size < 1:
         raise DomainError("need at least one surrogate output")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     n, big_n = experimental.n, outputs.size
     beta_hat = surrogate_error_bound(experimental, model)
     if sweep:
@@ -415,39 +414,33 @@ def _sup_separable(u, w, before, k_y, r_y, k_split):
     return np.maximum(far, near_max)
 
 
-def _band_sups_all(kdes, sorted_outputs, cand, y_grid, kappa, beta):
-    """[(sup_upper, sup_lower) for each KDE of ``kdes``] over the points y_grid.
+def _band_sups(kde, cand, y_grid, kappa, beta):
+    """(sup_upper, sup_lower) of ``kde`` over the points y_grid.
 
-    Every KDE is over ``sorted_outputs``; ``cand`` holds the sorted distinct
-    candidates and is overwritten.  Only intervals [a, b] longer than kappa
-    count, in both directions, and "longer" means a < fl(b - kappa), the
-    rounded ends of the one ``cand - kappa`` search.  With F the KDE cdf and
-    mu the empirical measure, an interval scores e_hi[b] + e_lo[a] upward,
-    where e_hi = mu(-inf, t + beta] - F(t) and e_lo = F(t) - mu(-inf, t - beta).
+    ``cand`` holds the sorted distinct candidates and is overwritten.  Only
+    intervals [a, b] longer than kappa count, in both directions, and
+    "longer" means a < fl(b - kappa), the rounded ends of the one
+    ``cand - kappa`` search.  With F the KDE cdf and mu the empirical measure
+    of the KDE's values, an interval scores e_hi[b] + e_lo[a] upward, where
+    e_hi = mu(-inf, t + beta] - F(t) and e_lo = F(t) - mu(-inf, t - beta).
     Downward it scores e_lo[b] + e_hi[a] when its shrunk interval
     (a + beta, b - beta), with both ends rounded as computed, is nonempty,
     and F(b) - F(a) when it is empty, so no interval counts a negative
-    number of samples.
-
-    Only F depends on the bandwidth.  The grid searches, the ``cand - kappa``
-    and shrunk-interval index arrays and the two ECDF ranks of every
-    candidate are made once per call; each KDE then takes one ``kde_cdf`` of
-    the candidates.  The needles of every full-candidate search are sorted,
-    so ``_searchsorted_blocks`` merges them block by block.
+    number of samples.  The needles of every full-candidate search are
+    sorted, so ``_searchsorted_blocks`` merges them block by block.
 
     Arrays alive at once, in candidate arrays of 8 bytes per candidate:
     ``cand`` (1); ``past_kappa`` and ``before`` (1/2 each, 32-bit below
     2**31 candidates); the ``cand + beta`` haystack of the ``before`` search
-    (1), freed before the rank pairs (1) are searched.  The last KDE's cdf
-    overwrites ``cand`` block by block, its e_lo then the cdf and its e_hi
-    the rank pairs, so it adds no candidate array; each earlier KDE adds its
-    cdf and e_hi (2) while it is scored.  The short-interval term and the
-    near scores of ``_sup_separable`` are never whole: each block of them is
-    folded into the G window maxima.  So with one KDE at most three
-    candidate arrays are alive, plus arrays of the N outputs: the sorted
-    outputs and kde_cdf's prefix sums.
+    (1), freed before the rank pairs (1) are searched.  The cdf overwrites
+    ``cand`` block by block, e_lo then the cdf and e_hi the rank pairs, so
+    scoring adds no candidate array.  The short-interval term and the near
+    scores of ``_sup_separable`` are never whole: each block of them is
+    folded into the G window maxima.  So at most three candidate arrays are
+    alive, plus arrays of the N values: the sorted values and kde_cdf's
+    prefix sums.
     """
-    n, size = sorted_outputs.size, cand.size
+    n, size = kde.n, cand.size
     index = np.int32 if size < 2**31 else np.intp
     k_y = np.searchsorted(cand, y_grid, side="left")
     r_y = np.searchsorted(cand, y_grid, side="right")
@@ -468,38 +461,32 @@ def _band_sups_all(kdes, sorted_outputs, cand, y_grid, kappa, beta):
         # on every a <= y[q]; needles of int64 would copy before to int64
         k_long = np.searchsorted(before, r_y.astype(index), side="left")
     # the ECDF ranks at cand + beta and cand - beta, a pair per candidate in
-    # the 8 bytes (16 for 64-bit indices) that its e_hi takes for the last KDE
+    # the 8 bytes (16 for 64-bit indices) that its e_hi takes
     ranks = np.empty((size, 2), index)
-    _searchsorted_blocks(sorted_outputs, cand, "right", ranks[:, 0], beta)
-    _searchsorted_blocks(sorted_outputs, cand, "left", ranks[:, 1], -beta)
-    sups = []
-    for i, kde in enumerate(kdes):
-        last = i == len(kdes) - 1
-        cdf = _kde_cdf_into(kde, cand, cand if last else np.empty(size))
-        short_max = np.full(k_y.shape, -np.inf)
-        if has_short:
-            # an empty shrunk interval with b - a > kappa scores F(b) - F(a),
-            # best at the smallest such a = cand[before[b]], which must be
-            # <= y: b < k_long
-            for a in range(0, size, BLOCK):
-                j = before[a : a + BLOCK]
-                short = cdf[a : a + BLOCK] - cdf[j]
-                short[j == past_kappa[a : a + BLOCK]] = -np.inf
-                _fold_window_max(short_max, short, a, k_y, k_long)
-        e_hi = ranks.view(np.float64)[:, 0] if last else np.empty(size)
-        e_lo = cdf
+    _searchsorted_blocks(kde.values, cand, "right", ranks[:, 0], beta)
+    _searchsorted_blocks(kde.values, cand, "left", ranks[:, 1], -beta)
+    cdf = _kde_cdf_into(kde, cand, cand)
+    short_max = np.full(k_y.shape, -np.inf)
+    if has_short:
+        # an empty shrunk interval with b - a > kappa scores F(b) - F(a),
+        # best at the smallest such a = cand[before[b]], which must be
+        # <= y: b < k_long
         for a in range(0, size, BLOCK):
-            hi = ranks[a : a + BLOCK, 0] / n
-            lo = ranks[a : a + BLOCK, 1] / n
-            hi -= cdf[a : a + BLOCK]
-            np.subtract(cdf[a : a + BLOCK], lo, out=lo)
-            e_hi[a : a + BLOCK] = hi  # the last KDE's overwrites this block's ranks
-            e_lo[a : a + BLOCK] = lo
-        sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
-        sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
-        sups.append((sup_up, np.maximum(sup_lo, short_max)))
-        del cdf, e_hi, e_lo
-    return sups
+            j = before[a : a + BLOCK]
+            short = cdf[a : a + BLOCK] - cdf[j]
+            short[j == past_kappa[a : a + BLOCK]] = -np.inf
+            _fold_window_max(short_max, short, a, k_y, k_long)
+    e_hi, e_lo = ranks.view(np.float64)[:, 0], cdf
+    for a in range(0, size, BLOCK):
+        hi = ranks[a : a + BLOCK, 0] / n
+        lo = ranks[a : a + BLOCK, 1] / n
+        hi -= cdf[a : a + BLOCK]
+        np.subtract(cdf[a : a + BLOCK], lo, out=lo)
+        e_hi[a : a + BLOCK] = hi  # overwrites this block's ranks
+        e_lo[a : a + BLOCK] = lo
+    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
+    sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
+    return sup_up, np.maximum(sup_lo, short_max)
 
 
 def _candidates(sorted_outputs, beta, extra):
@@ -567,15 +554,15 @@ def density_band(
 
     Guarantees hold for integrals over intervals of length > kappa inside
     ``interval``.  Multiple bandwidths combine by pointwise min of uppers
-    and max of lowers.  Requires 2/N^2 < delta.
+    and max of lowers; each bandwidth's band is computed on its own.
+    Requires 2/N^2 < delta.
 
-    Memory: one sorted copy of the outputs serves every KDE.  The 3N + G
-    candidates fill one buffer, sorted and deduplicated in place, which
-    ``_band_sups_all`` then overwrites.  With one bandwidth about four
-    candidate arrays are alive at once: ``cand``, the two index arrays, the
-    rank pairs (or, before them, the ``before`` haystack), and the sorted
-    outputs with kde_cdf's prefix sums.  Each bandwidth before the last adds
-    two while it is scored.
+    Memory, per bandwidth: the KDE holds one sorted copy of the outputs.
+    The 3N + G candidates fill one buffer, sorted and deduplicated in place,
+    which ``_band_sups`` then overwrites.  About four candidate arrays are
+    alive at once: ``cand``, the two index arrays, the rank pairs (or,
+    before them, the ``before`` haystack), and the sorted outputs with
+    kde_cdf's prefix sums.
     """
     outputs = np.asarray(outputs, dtype=float).ravel()
     big_n = outputs.size
@@ -589,7 +576,7 @@ def density_band(
     if grid_steps < 2:
         raise DomainError(f"grid_steps must be >= 2, got {grid_steps}")
     bandwidths = tuple(float(h) for h in np.atleast_1d(bandwidths))
-    if not bandwidths or any(h <= 0 for h in bandwidths):
+    if not bandwidths or not all(0.0 < h < math.inf for h in bandwidths):
         raise DomainError("bandwidths must be a nonempty list of positive values")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
@@ -603,16 +590,15 @@ def density_band(
     eg = minimize_eps_gamma(n, big_n, delta, slack)
     corr = (eg.eps + eg.gamma + 2.0 * math.sqrt(math.log(big_n)) / math.sqrt(big_n)) / kappa
 
-    kde = KdeModel(values=outputs, bandwidth=bandwidths[0])
-    outputs = kde.values  # the one sorted copy, shared by every KDE
-    kdes = [kde] + [kde._with_bandwidth(h) for h in bandwidths[1:]]
     grid = np.linspace(lo, hi, grid_steps)
-    cand = _candidates(outputs, beta_hat, grid)
     upper = np.full(grid.size, np.inf)
     lower = np.full(grid.size, -np.inf)
-    for kde, (sup_up, sup_lo) in zip(
-        kdes, _band_sups_all(kdes, outputs, cand, grid, kappa, beta_hat)
-    ):
+    for h in bandwidths:
+        kde = KdeModel(values=outputs, bandwidth=h)
+        outputs = kde.values  # a converted input is not held beside its sorted copy
+        sup_up, sup_lo = _band_sups(
+            kde, _candidates(outputs, beta_hat, grid), grid, kappa, beta_hat
+        )
         fhat = kde_evaluate(kde, grid)
         upper = np.minimum(upper, fhat + corr + sup_up / kappa)
         lower = np.maximum(lower, fhat - corr - sup_lo / kappa)

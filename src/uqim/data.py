@@ -30,8 +30,7 @@ def _readonly(a) -> np.ndarray:
     """A read-only float copy of ``a``: every container takes its caller's
     arrays through it, so they stay writeable and later writes to them do not
     reach the container.  What a container builds itself (a sorted copy, an
-    average) it freezes in place, with no second copy.  The one intended
-    sharing: the models ``KdeModel._with_bandwidth`` makes share one array.
+    average) it freezes in place, with no second copy.
     """
     a = np.array(a, dtype=float)
     a.flags.writeable = False

@@ -14,7 +14,6 @@ together are merged with the sample instead (:func:`_searchsorted_blocks`).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -82,25 +81,14 @@ class KdeModel:
             raise InsufficientDataError("kde needs at least one value")
         if not np.all(np.isfinite(v)):
             raise DomainError("kde values must be finite")
-        _check_bandwidth(self.bandwidth)
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def _with_bandwidth(self, bandwidth: float) -> KdeModel:
-        """This sample at another bandwidth; the sorted values are shared."""
-        _check_bandwidth(bandwidth)
-        kde = copy.copy(self)
-        object.__setattr__(kde, "bandwidth", bandwidth)
-        return kde
 
     @property
     def n(self) -> int:
         return self.values.size
-
-
-def _check_bandwidth(bandwidth) -> None:
-    if not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise DomainError(f"bandwidth must be positive, got {bandwidth}")
 
 
 def kde_evaluate(model: KdeModel, y) -> np.ndarray:
@@ -198,10 +186,14 @@ def mc_quantile(values, alpha: float) -> QuantileEstimate:
     v = np.asarray(values, dtype=float).ravel()
     if v.size < 1:
         raise InsufficientDataError("quantile of an empty sample")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     val = float(_order_statistic(v.copy(), alpha))
     return QuantileEstimate(level=float(alpha), value=val, size=v.size)
+
+
+def _check_alpha(alpha) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _order_statistic(values: np.ndarray, alpha: float) -> np.ndarray:

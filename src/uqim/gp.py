@@ -16,15 +16,15 @@ each omega).  The error law used for quantiles is the fitted MVN with mean
 Likelihood, posterior and fit all use one core that factors Theta once and
 returns the log likelihood, log posterior and analytic gradient (Rasmussen &
 Williams 2006, eq. 5.9).  The MAP fit minimizes the negative log posterior
-over the box of prior supports by projected BFGS on that gradient in every
-beta mode (Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995; Nocedal & Wright
-2006, ch. 6 and 7): variables at a bound that the gradient pushes against
-are held there, the rest take a quasi-Newton step from the last 10
-curvature pairs, and Armijo backtracking runs along the projected path.  A
-restart stops at projected-gradient infinity norm <= 1e-5 or relative
-decrease <= 2.22e-9 (L-BFGS-B's defaults).  With beta
-profiled at beta* = u's / u'1 (u = Theta^-1 1, s = y - m) the gradient
-follows beta*, and restarts that fail read -inf.
+over the box of prior supports by projected BFGS on that gradient
+(Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995; Nocedal & Wright 2006, ch. 6
+and 7): variables at a bound that the gradient pushes against are held
+there, the rest take a quasi-Newton step from the last 10 curvature pairs,
+and Armijo backtracking runs along the projected path.  A restart stops at
+projected-gradient infinity norm <= 1e-5 or relative decrease <= 2.22e-9
+(L-BFGS-B's defaults).  beta is profiled at beta* = u's / u'1 (u = Theta^-1
+1, s = y - m), so the gradient follows beta*, and restarts that fail read
+-inf.
 
 Cholesky factorizations (numpy's) follow a fixed jitter policy: on failure,
 add j * trace(Theta)/n to the diagonal for j = 1e-10, 1e-9, ..., 1e-6, then
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import _points, _readonly, _rows
-from .density import _order_statistic
+from .density import _check_alpha, _order_statistic
 from .errors import ConditioningError, DomainError, FitError
 from .randgen import make_rng
 
@@ -330,7 +330,6 @@ class GpFitResult:
 
     params: GpDiscrepancyParams
     objective: float
-    beta_mode: str
     restarts: int
     objectives: list
     jitter: float
@@ -340,16 +339,12 @@ class GpFitResult:
     iterations: list
 
 
-def _pack_bounds(hyper: GpHyperParams, data: DiscrepancyData, beta_mode: str):
+def _pack_bounds(hyper: GpHyperParams, data: DiscrepancyData):
     vr = float(np.var(data.observed - data.model_outputs)) + 1e-300
     lam_hi = max(hyper.mu_lam + 8.0 * math.sqrt(hyper.var_lam), 100.0 * vr)
     lam_lo = min(1e-12 * vr, lam_hi * 1e-12)
     bounds = [(math.log(lam_lo), math.log(lam_hi)), hyper.support(hyper.c_sigma2)]
-    bounds += [hyper.support(c) for c in hyper.c_omegas]
-    if beta_mode == "free":
-        half = 8.0 * math.sqrt(hyper.var_beta)
-        bounds.append((hyper.mu_beta - half, hyper.mu_beta + half))
-    return bounds
+    return bounds + [hyper.support(c) for c in hyper.c_omegas]
 
 
 class _Minimum(NamedTuple):
@@ -463,27 +458,23 @@ def gp_fit_map(
     restarts: int = 20,
     maxiter: int = 200,
     seed=0,
-    init: GpDiscrepancyParams | None = None,
 ) -> GpFitResult:
     """MAP fit by multi-start box-constrained local search.
 
     lam, sigma2 and the omegas are optimized in log space within their prior
     supports by projected BFGS (``_projected_bfgs``) with the analytic
-    gradient in every mode.  Each restart stops at projected-gradient
-    infinity norm <= 1e-5, at relative decrease <= 2.22e-9 or after
-    ``maxiter`` iterations; ``converged`` and ``iterations`` record which
-    and how many per restart.
-    ``beta_mode`` chooses how the constant mean is handled: ``closed_form``
-    (profiled at the likelihood argmax beta* = u's / u'1, u = Theta^-1 1;
-    the gradient follows beta* with d beta*/d theta_k = -u' Theta_k alpha /
-    u'1), ``empirical`` (fixed at the mean discrepancy) or ``free``
-    (optimized jointly).  The reported objective is always the full log
-    posterior, so modes are comparable.  A restart that ends where Theta
-    cannot be factored is recorded in ``objectives`` as ``-inf``; if every
-    restart does, ``FitError`` is raised.  Deterministic for a given seed;
-    ``init`` overrides the first restart's starting point.
+    gradient.  Each restart stops at projected-gradient infinity norm <= 1e-5,
+    at relative decrease <= 2.22e-9 or after ``maxiter`` iterations;
+    ``converged`` and ``iterations`` record which and how many per restart.
+    The constant mean is profiled at the likelihood argmax beta* = u's / u'1
+    (u = Theta^-1 1), and the gradient follows beta* with d beta*/d theta_k =
+    -u' Theta_k alpha / u'1; ``beta_mode`` accepts only this
+    ``"closed_form"``.  The reported objective is the full log posterior at
+    beta*.  A restart that ends where Theta cannot be factored is recorded in
+    ``objectives`` as ``-inf``; if every restart does, ``FitError`` is
+    raised.  Deterministic for a given seed.
     """
-    if beta_mode not in ("closed_form", "empirical", "free"):
+    if beta_mode != "closed_form":
         raise DomainError(f"unknown beta_mode {beta_mode!r}")
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
@@ -495,33 +486,22 @@ def gp_fit_map(
         )
     d2 = _sqdists(data.inputs)
     s = data.observed - data.model_outputs
-    beta_fixed = float(np.mean(s)) if beta_mode == "empirical" else None
-    bounds = _pack_bounds(hyper, data, beta_mode)
-    ndim = len(bounds)
+    lo, hi = np.array(_pack_bounds(hyper, data)).T
     bad = 1e300
-
-    def beta_of(z: np.ndarray):
-        return float(z[-1]) if beta_mode == "free" else beta_fixed
 
     def negative(z: np.ndarray):
         lam, sigma2 = math.exp(z[0]), math.exp(z[1])
-        omegas = np.exp(z[2 : 2 + data.dim])
+        omegas = np.exp(z[2:])
         try:
-            ev = _evaluate(lam, sigma2, omegas, beta_of(z), d2, s, hyper)
+            ev = _evaluate(lam, sigma2, omegas, None, d2, s, hyper)
         except ConditioningError:
-            return bad, np.zeros(ndim)
-        # chain rule through the log parameterization (beta is not logged)
-        scale = np.concatenate(([lam, sigma2], omegas, [1.0]))
-        return -ev.logpost, -(ev.grad * scale)[:ndim]
+            return bad, np.zeros(z.size)
+        # chain rule through the log parameterization; grad[-1] is beta's
+        scale = np.concatenate(([lam, sigma2], omegas))
+        return -ev.logpost, -(ev.grad[:-1] * scale)
 
     rng = make_rng(seed)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    starts = [lo + rng.random(ndim) * (hi - lo) for _ in range(restarts)]
-    if init is not None:
-        z0 = [math.log(max(v, 1e-300)) for v in (init.lam, init.sigma2, *init.omegas)]
-        starts[0] = np.clip(np.array(z0 + [init.beta])[:ndim], lo, hi)
-
+    starts = [lo + rng.random(lo.size) * (hi - lo) for _ in range(restarts)]
     results = [_projected_bfgs(negative, z0, lo, hi, maxiter) for z0 in starts]
     objs = [-float(r.fun) if r.fun < bad else -math.inf for r in results]
     best = int(np.argmax(objs))
@@ -529,14 +509,13 @@ def gp_fit_map(
         raise FitError("every restart failed to produce a finite posterior")
     zb = results[best].x
     lam, sigma2 = math.exp(zb[0]), math.exp(zb[1])
-    omegas = tuple(math.exp(v) for v in zb[2 : 2 + data.dim])
-    ev = _evaluate(lam, sigma2, omegas, beta_of(zb), d2, s, hyper)
+    omegas = tuple(math.exp(v) for v in zb[2:])
+    ev = _evaluate(lam, sigma2, omegas, None, d2, s, hyper)
     return GpFitResult(
         params=GpDiscrepancyParams(
             lam=lam, beta=ev.beta, sigma2=sigma2, omegas=omegas
         ),
         objective=ev.logpost,
-        beta_mode=beta_mode,
         restarts=restarts,
         objectives=objs,
         jitter=ev.jitter,
@@ -574,8 +553,7 @@ def gp_error_quantile(
     the parameters), and takes the plug-in alpha-quantile of the absolute
     values; the summary is the median over replications.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     cov = gp_cov_matrix(data.inputs, params)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .data import PairedDataset
-from .density import mc_quantile
+from .density import _check_alpha, mc_quantile
 from .errors import DomainError
 from .randgen import MvnParams, estimate_mvn, make_rng, sample_mvn, spawn_seeds
 
@@ -99,8 +99,7 @@ class SyntheticSystem:
         return fn
 
     def true_quantile(self, alpha: float) -> float:
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        _check_alpha(alpha)
         return float(self._oracle(self.quantile_fn, "quantile")(alpha))
 
     def true_cdf(self, y):

@@ -206,16 +206,13 @@ def test_config_n1_n2_are_not_scalars(tmp_path):
 
 
 def test_config_supplies_defaults_flags_win(tmp_path, workspace):
-    from uqim.data import parse_dataset
-    from uqim.surrogate import load_model
-
     ws = workspace["dir"]
     cfg = tmp_path / "cfg.json"
     # method blocks sit flat next to the scalar keys in the config file
     cfg.write_text(json.dumps({
         "seed": 99,
         "density": {"grid-steps": 21},
-        "gp-error": {"beta-mode": "empirical", "restarts": 2, "reps": 200},
+        "synth": {"bias-kind": "constant"},
     }))
     rc, rep, _ = run_cli([
         "density", "--model", ws / "model.json", "--inputs", ws / "inputs.csv",
@@ -232,28 +229,24 @@ def test_config_supplies_defaults_flags_win(tmp_path, workspace):
     assert rc == 0
     assert rep["seed"] == 3
     assert rep["results"]["grid_steps"] == 7
-    # a choice from the config reaches the handler: the empirical beta is the
-    # mean discrepancy; a --beta-mode flag beats it
-    exp = parse_dataset(ws / "exp.csv", ["x1"], "y")
-    mean_gap = float(np.mean(exp.outputs - load_model(ws / "model.json")(exp.inputs)))
-    gp = ["gp-error", "--exp", ws / "exp.csv", "--model", ws / "model.json",
-          "--config", cfg, "--out-dir", tmp_path]
-    rc, rep, _ = run_cli(gp)
+    # a choice from the config reaches the handler: the system it builds
+    # has that bias kind; a --bias-kind flag beats it
+    synth = ["synth", "--config", cfg, "--out-dir", tmp_path]
+    rc, rep, _ = run_cli(synth)
     assert rc == 0
-    assert rep["settings"]["beta_mode"] == "empirical"
-    assert rep["results"]["beta"] == mean_gap
-    rc, rep, _ = run_cli(gp + ["--beta-mode", "closed_form"])
+    assert rep["settings"]["bias_kind"] == "constant"
+    assert rep["results"]["bias_kind"] == "constant"
+    rc, rep, _ = run_cli(synth + ["--bias-kind", "smooth"])
     assert rc == 0
-    assert rep["settings"]["beta_mode"] == "closed_form"
-    assert rep["results"]["beta"] != mean_gap
+    assert rep["settings"]["bias_kind"] == "smooth"
+    assert rep["results"]["bias_kind"] == "smooth"
 
 
 @pytest.mark.parametrize("argv, block, fields", [
     (["avm", "--exp", "e.csv", "--sim", "s.csv"],
      {"avm": {"grid_steps": [3]}}, ["methods.avm.grid_steps"]),
     (["synth"], {"synth": {"n_exp": "x"}}, ["methods.synth.n_exp"]),
-    (["gp-error", "--exp", "e.csv", "--model", "m.json"],
-     {"gp-error": {"beta_mode": "mcmc"}}, ["methods.gp-error.beta_mode"]),
+    (["synth"], {"synth": {"bias_kind": "quadratic"}}, ["methods.synth.bias_kind"]),
     (["fit-surrogate", "--sim", "s.csv"],
      {"fit-surrogate": {"weighted": 1}}, ["methods.fit-surrogate.weighted"]),
     (["synth"], {"synth": {"n-exp": 5, "bandwidth": 0.1, "seed": 3}},
@@ -297,7 +290,7 @@ def test_config_method_values_convert_like_flags(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "density": {"grid-steps": "21", "bandwidth": 0.05},
-        "gp-error": {"beta-mode": "free"},
+        "gen-inputs": {"dist": "lhs"},
         "fit-surrogate": {"weighted": True, "folds": 3},
     }))
     rc, rep, _ = run_cli([
@@ -308,11 +301,11 @@ def test_config_method_values_convert_like_flags(tmp_path):
     got = {k: rep["settings"][k] for k in ("grid_steps", "bandwidth")}
     assert got == {"grid_steps": 21, "bandwidth": "0.05"}
     rc, rep, _ = run_cli([
-        "gp-error", "--exp", "e.csv", "--model", "m.json", "--dry-run",
-        "--config", cfg, "--out-dir", tmp_path,
+        "gen-inputs", "--count", "5", "--dry-run", "--config", cfg,
+        "--out-dir", tmp_path,
     ])
     assert rc == 0
-    assert rep["settings"]["beta_mode"] == "free"
+    assert rep["settings"]["dist"] == "lhs"
     rc, rep, _ = run_cli([
         "fit-surrogate", "--sim", "s.csv", "--dry-run", "--config", cfg,
         "--out-dir", tmp_path,
@@ -570,6 +563,16 @@ def test_threads_flag_is_a_usage_error(tmp_path):
         main(["synth", "--dry-run", "--threads", "2", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 2" in err.getvalue()
+
+
+def test_beta_mode_flag_is_a_usage_error(tmp_path):
+    # closed_form is the one beta mode, so there is no flag to choose it
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["gp-error", "--exp", "e.csv", "--model", "m.json", "--dry-run",
+              "--beta-mode", "free", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --beta-mode free" in err.getvalue()
 
 
 def test_bootstrap_error_report(tmp_path, workspace):

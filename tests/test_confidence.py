@@ -7,7 +7,7 @@ import pytest
 from uqim import confidence, density
 from uqim.confidence import (
     DensityBand,
-    _band_sups_all,
+    _band_sups,
     _candidates,
     _window_max,
     EpsGamma,
@@ -478,9 +478,11 @@ def test_band_feasibility_and_validation():
     with pytest.raises(DomainError, match="kappa"):
         density_band(outputs, data, model, kappa=3.0, delta=0.1,
                      bandwidths=[0.3], interval=(-1.0, 1.0))
-    with pytest.raises(DomainError, match="bandwidths"):
-        density_band(outputs, data, model, kappa=0.5, delta=0.1,
-                     bandwidths=[], interval=(-1.0, 1.0))
+    # every bandwidth is checked before the first band is computed
+    for bad in ([], [0.3, np.nan], [0.3, np.inf]):
+        with pytest.raises(DomainError, match="bandwidths"):
+            density_band(outputs, data, model, kappa=0.5, delta=0.1,
+                         bandwidths=bad, interval=(-1.0, 1.0))
     with pytest.raises(DomainError, match="grid_steps"):
         density_band(outputs, data, model, kappa=0.5, delta=0.1,
                      bandwidths=[0.3], interval=(-1.0, 1.0), grid_steps=1)
@@ -496,7 +498,6 @@ def sup_interval_mismatch(
     kappa: float,
     beta_hat: float,
     kde: KdeModel,
-    outputs=None,
     grid=None,
 ) -> float:
     """Worst measure/KDE mismatch over intervals containing ``y``.
@@ -512,14 +513,11 @@ def sup_interval_mismatch(
         raise DomainError(f"kappa must be positive, got {kappa}")
     if not (np.isfinite(beta_hat) and beta_hat >= 0):
         raise DomainError(f"beta_hat must be >= 0, got {beta_hat}")
-    vals = kde.values if outputs is None else np.sort(
-        np.asarray(outputs, dtype=float).ravel()
-    )
     extra = np.array([float(y)])
     if grid is not None:
         extra = np.concatenate([extra, np.asarray(grid, dtype=float).ravel()])
-    cand = _candidates(vals, beta_hat, extra)
-    sup_up, sup_lo = _band_sups_all([kde], vals, cand, extra[:1], kappa, beta_hat)[0]
+    cand = _candidates(kde.values, beta_hat, extra)
+    sup_up, sup_lo = _band_sups(kde, cand, extra[:1], kappa, beta_hat)
     return float(sup_up[0] if direction == "upper" else sup_lo[0])
 
 
@@ -569,9 +567,7 @@ def test_sup_mismatch_exhaustive_oracle():
         kde = KdeModel(values=outputs, bandwidth=h)
         for y in rng.uniform(outputs.min() - 0.3, outputs.max() + 0.3, size=4):
             for direction in ("upper", "lower"):
-                got = sup_interval_mismatch(
-                    direction, float(y), kappa, beta, kde, outputs=outputs
-                )
+                got = sup_interval_mismatch(direction, float(y), kappa, beta, kde)
                 want = _brute_sup(direction, float(y), kappa, beta, kde, outputs)
                 assert got == pytest.approx(want, abs=1e-10), (
                     trial, direction, y, kappa, beta, h,
@@ -584,7 +580,7 @@ def test_sup_mismatch_exhaustive_oracle():
     kde = KdeModel(values=outputs, bandwidth=0.001836918653662482)
     want = _brute_sup("lower", y, kappa, beta, kde, outputs)
     assert want == pytest.approx(0.75, abs=1e-10)
-    got = sup_interval_mismatch("lower", y, kappa, beta, kde, outputs=outputs)
+    got = sup_interval_mismatch("lower", y, kappa, beta, kde)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -618,7 +614,7 @@ def test_band_sups_grid_exhaustive_oracle(case):
         cand = np.unique(
             np.concatenate([outputs, outputs - beta, outputs + beta, grid])
         )
-        sups = _band_sups_all([kde], outputs, cand, grid, kappa, beta)[0]
+        sups = _band_sups(kde, cand, grid, kappa, beta)
         for direction, got in zip(("upper", "lower"), sups):
             want = [
                 _brute_sup(direction, float(y), kappa, beta, kde, outputs, grid)
@@ -637,10 +633,10 @@ def _sup_separable_whole(u, w, before, k_y, r_y, k_split):
     return np.maximum(far, _window_max(near, k_y, k_split))
 
 
-def _band_sups_whole(kde, sorted_outputs, cand, y_grid, kappa, beta):
-    """One KDE's sups of _band_sups_all with every search over all
-    candidates at once, 64-bit index arrays and near in an array of its own."""
-    n = sorted_outputs.size
+def _band_sups_whole(kde, cand, y_grid, kappa, beta):
+    """_band_sups with every search over all candidates at once, 64-bit
+    index arrays and near in an array of its own."""
+    sorted_outputs, n = kde.values, kde.n
     cdf = kde_cdf(kde, cand)
     e_hi = np.searchsorted(sorted_outputs, cand + beta, side="right") / n
     e_hi -= cdf
@@ -664,10 +660,6 @@ def _band_sups_whole(kde, sorted_outputs, cand, y_grid, kappa, beta):
     return sup_up, np.maximum(sup_lo, _window_max(short, k_y, k_long))
 
 
-def _band_sups_all_whole(kdes, sorted_outputs, cand, y_grid, kappa, beta):
-    return [_band_sups_whole(k, sorted_outputs, cand, y_grid, kappa, beta) for k in kdes]
-
-
 # kappa > 2 beta leaves only long shrunk intervals; kappa <= 2 beta adds the
 # short-interval term.  The lattice rounds the outputs to 2 decimals, which
 # makes ties at b - a = kappa and at 2 beta
@@ -682,7 +674,7 @@ def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
     kw = dict(kappa=kappa, delta=0.05, bandwidths=[0.05, 0.2],
               interval=(-3.0, 3.0), grid_steps=200)
     got = density_band(outputs, data, model, **kw)
-    monkeypatch.setattr(confidence, "_band_sups_all", _band_sups_all_whole)
+    monkeypatch.setattr(confidence, "_band_sups", _band_sups_whole)
     want = density_band(outputs, data, model, **kw)
     assert np.array_equal(got.lower, want.lower)
     assert np.array_equal(got.upper, want.upper)
@@ -692,7 +684,7 @@ def test_band_blocks_match_whole_searches(kappa, err, lattice, monkeypatch):
     beta = got.beta_hat
     for y in (-1.3, 0.0, 0.004, 2.2):
         cand = np.unique(np.concatenate([vals, vals - beta, vals + beta, [y]]))
-        whole = _band_sups_whole(kde, vals, cand, np.array([y]), kappa, beta)
+        whole = _band_sups_whole(kde, cand, np.array([y]), kappa, beta)
         for direction, sup in zip(("upper", "lower"), whole):
             assert sup_interval_mismatch(direction, y, kappa, beta, kde) == sup[0]
 
@@ -724,21 +716,21 @@ def test_band_small_blocks_match_whole_searches(kappa, err, shape, monkeypatch):
     outputs, data, model = _band_data(shape, err, 25_000, seed=65)
     kw = dict(kappa=kappa, delta=0.05, bandwidths=[0.05, 0.2], interval=(-3.0, 3.0),
               grid_steps=200)
-    monkeypatch.setattr(confidence, "_band_sups_all", _band_sups_all_whole)
+    monkeypatch.setattr(confidence, "_band_sups", _band_sups_whole)
     want = density_band(outputs, data, model, **kw)
     monkeypatch.undo()
     kde = KdeModel(values=outputs, bandwidth=0.1)
     vals, beta = kde.values, want.beta_hat
     grid = np.linspace(-3.0, 3.0, 200)
     cand = np.unique(np.concatenate([vals, vals - beta, vals + beta, grid]))
-    whole = _band_sups_whole(kde, vals, cand, grid, kappa, beta)
+    whole = _band_sups_whole(kde, cand, grid, kappa, beta)
     for block in (density.BLOCK, 2**10):
         monkeypatch.setattr(density, "BLOCK", block)
         monkeypatch.setattr(confidence, "BLOCK", block)
         got = density_band(outputs, data, model, **kw)
         assert np.array_equal(got.lower, want.lower)
         assert np.array_equal(got.upper, want.upper)
-        blocked = _band_sups_all([kde], vals, cand.copy(), grid, kappa, beta)[0]
+        blocked = _band_sups(kde, cand.copy(), grid, kappa, beta)
         for w, b in zip(whole, blocked):
             assert np.array_equal(w, b)
 
@@ -761,7 +753,7 @@ def test_candidates_match_unique(monkeypatch):
 
 @pytest.mark.parametrize("kappa, err", [(0.3, 0.05), (0.3, 0.2)], ids=["long_only", "short"])
 def test_band_two_bandwidths_match_one_at_a_time(kappa, err):
-    # the two-bandwidth band shares the searches and ranks between the KDEs
+    # each bandwidth's band is computed on its own and they combine pointwise
     outputs, data, model = _band_inputs(n_exp=30, big_n=20_000, err=err, seed=66)
     kw = dict(kappa=kappa, delta=0.05, interval=(-3.0, 3.0), grid_steps=150)
     both = density_band(outputs, data, model, bandwidths=[0.05, 0.2], **kw)
@@ -807,7 +799,7 @@ def test_sup_mismatch_nonnegative_for_matching_density():
     rng = make_rng(25)
     outputs = rng.random(20_000)
     kde = KdeModel(values=outputs, bandwidth=0.05)
-    val = sup_interval_mismatch("upper", 0.5, 0.2, 0.0, kde, outputs=outputs)
+    val = sup_interval_mismatch("upper", 0.5, 0.2, 0.0, kde)
     assert val >= -1e-12
     # the full-range interval forces a small positive sup here
     assert val <= 0.05
@@ -818,7 +810,7 @@ def test_sup_mismatch_single_point_full_mass():
     kappa, beta, h = 0.1, 0.2, 1.0
     kde = KdeModel(values=[v], bandwidth=h)
     got = sup_interval_mismatch(
-        "upper", v, kappa, beta, kde, outputs=[v], grid=[v - 0.06, v + 0.06]
+        "upper", v, kappa, beta, kde, grid=[v - 0.06, v + 0.06]
     )
     # mu of the expanded interval is 1; kde integral over [v-0.06, v+0.06]
     assert got == pytest.approx(1.0 - 0.12 / (2.0 * h), abs=1e-12)

@@ -246,19 +246,10 @@ def test_kde_copies_its_values():
                                 kde.values)
 
 
-def test_kde_with_bandwidth_shares_values():
-    kde = KdeModel(values=[0.3, -1.0, 2.0], bandwidth=0.5)
-    other = kde._with_bandwidth(0.1)
-    assert other.values is kde.values and other.bandwidth == 0.1
-    assert kde.bandwidth == 0.5
+def test_kde_validation():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(DomainError, match="bandwidth"):
-            kde._with_bandwidth(bad)
-
-
-def test_kde_validation():
-    with pytest.raises(DomainError, match="bandwidth"):
-        KdeModel(values=[1.0], bandwidth=0.0)
+            KdeModel(values=[1.0], bandwidth=bad)
     # one kernel, the box: there is no kernel to choose
     with pytest.raises(TypeError, match="kernel"):
         KdeModel(values=[1.0], bandwidth=1.0, kernel="naive")
