@@ -246,10 +246,15 @@ def test_kde_copies_its_values():
                                 kde.values)
 
 
-def test_kde_validation():
+def test_kde_rejects_bad_bandwidths():
     for bad in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(DomainError, match="bandwidth"):
             KdeModel(values=[1.0], bandwidth=bad)
+
+
+def test_kde_validation():
+    with pytest.raises(DomainError, match="bandwidth"):
+        KdeModel(values=[1.0], bandwidth=0.0)
     # one kernel, the box: there is no kernel to choose
     with pytest.raises(TypeError, match="kernel"):
         KdeModel(values=[1.0], bandwidth=1.0, kernel="naive")
