@@ -4,11 +4,11 @@ The package's two rules for arrays of points live here: :func:`_points` says
 what an array means, (n, d) points with a 1-d array a column, and
 :func:`_rows` checks and copies a container's points and columns.
 Containers are frozen dataclasses holding read-only numpy arrays, so they can
-be shared freely across threads.  A CSV table is read in two steps: numpy's
-C parser (``np.loadtxt``) converts a well-formed numeric body in one call,
-and only a file it rejects is tokenized again with ``csv.reader``, which
-decides acceptance and reports the exact row and column of the first
-offending cell; data rows are numbered from 1 (the header is row 0).
+be shared freely across threads.  A CSV file is read once, front to back:
+``csv.reader`` reads the header, numpy's C parser (``np.loadtxt``) reads a
+seekable file's well-formed numeric body by path, and the same reader reads a
+body numpy rejects or cannot reopen, reporting the exact row and column of the
+first offending cell; data rows are numbered from 1 (the header is row 0).
 :func:`parse_dataset` alone picks a paired table's default columns, for the
 CLI and the API alike.
 """
@@ -143,14 +143,15 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
     """Read the columns ``pick(header)`` names from a CSV file as an (n, k) array.
 
     Rows whose cells are all blank are skipped and the first remaining row is
-    the header, its cells stripped.  The body is then read in one of two steps:
+    the header, its cells stripped.  One ``csv.reader`` reads them, and then:
 
-    1. numpy's C parser (``np.loadtxt``) converts every column.  It accepts
-       only what ``float()`` accepts, with equal values, and takes the file
-       when each row has exactly the header's width.
-    2. Any file it rejects (blank filler rows, text columns, ragged rows,
-       spellings such as ``1_000`` or non-ASCII digits, or a bad cell) is
-       tokenized again with ``csv.reader``.  Only the picked cells are
+    1. numpy's C parser (``np.loadtxt``) reopens a seekable file by path,
+       skips the header's physical lines (``reader.line_num``) and converts
+       every column.  It accepts only what ``float()`` accepts, with equal
+       values, and takes the body when each row has the header's width.
+    2. A body numpy rejects (blank filler rows, text columns, ragged rows,
+       spellings such as ``1_000`` or non-ASCII digits, or a bad cell), or a
+       pipe's body, is read on by the same reader.  Only the picked cells are
        converted, in one call that follows ``float()`` rules, and the exact
        ``DataError`` for a ragged row or the first bad cell comes from here.
     """
@@ -159,7 +160,9 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        header = next(_nonblank_rows(fh), None)
+        reader = csv.reader(fh)
+        rows = (row for row in reader if any(map(str.strip, row)))
+        header = next(rows, None)
         if header is None:
             raise DataError(f"{path}: file is empty")
         header = [c.strip() for c in header]
@@ -168,19 +171,18 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
         if missing:
             raise DataError(f"{path}: missing columns {missing} (header: {header})")
         idx = [header.index(c) for c in names]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contains no data"
-                values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                    ndmin=2, dtype=float)
-        except ValueError:
-            values = None
+        values = None
+        if fh.seekable():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # "input contains no data"
+                    values = np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                                        ndmin=2, dtype=float, skiprows=reader.line_num)
+            except ValueError:
+                pass
         if values is not None and values.shape[0] and values.shape[1] == len(header):
             # take keeps C order like the reshape below; values[:, idx] would not
             return names, values.take(idx, axis=1)
-        fh.seek(0)
-        rows = _nonblank_rows(fh)
-        next(rows)
         cells, n = [], 0
         for n, row in enumerate(rows, start=1):
             if len(row) != len(header):
@@ -196,11 +198,6 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
         _raise_bad_cell(path, cells, names)
         raise
     return names, values.reshape(n, len(names))
-
-
-def _nonblank_rows(fh):
-    """``csv.reader`` rows of ``fh`` with the all-blank rows left out."""
-    return filter(lambda row: any(map(str.strip, row)), csv.reader(fh))
 
 
 def _raise_bad_cell(path, cells: list[str], names: list[str]) -> None:

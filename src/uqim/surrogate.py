@@ -91,14 +91,20 @@ def _bspline(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     """
     n = t.size - k - 1
     ell = np.minimum(np.searchsorted(t, x, side="right"), n) - 1
+    # each knot t[ell + i] and each distance t[ell + i] - x, x - t[ell + 1 - i]
+    # is formed once; as x lies in [t[ell], t[ell + 1]], no term is -0.0, so a
+    # level's first term is assigned where scipy adds it to zero
+    knot = {i: t[ell + i] for i in range(1 - k, k + 1)}
+    right = {i: knot[i] - x for i in range(1, k + 1)}
+    left = {i: x - knot[1 - i] for i in range(1, k + 1)}
     b = [np.ones_like(x)]
     for j in range(1, k + 1):
-        prev, b = b, [np.zeros_like(x)]
-        for m in range(1, j + 1):
-            xb, xa = t[ell + m], t[ell + m - j]
-            w = prev[m - 1] / (xb - xa)
-            b[m - 1] += w * (xb - x)
-            b.append(w * (x - xa))
+        prev, b = b, []
+        for m, bm in enumerate(prev, start=1):
+            w = bm / (knot[m] - knot[m - j])
+            up = w * right[m]
+            b.append(up if m == 1 else b.pop() + up)
+            b.append(w * left[j + 1 - m])
     out = np.zeros(x.shape + c.shape[1:])
     for a, ba in enumerate(b):
         out += c[ell - k + a] * (ba if c.ndim == 1 else ba[:, None])
@@ -152,8 +158,9 @@ class SplineBasis:
         t, k = self.knots, _DEGREE
         x = _points(points, 1).ravel()
         out = np.empty(x.shape + coef.shape[1:])
-        # chunks of 2**16 values keep each temporary of the recursion at 512 KB
-        step = max(1, 2**16 // (coef.shape[1] if coef.ndim > 1 else 1))
+        # chunks of 2**15 values keep each temporary of the recursion at 256 KB;
+        # the 2k knots and 2k distances it holds throughout then take 3 MB
+        step = max(1, 2**15 // (coef.shape[1] if coef.ndim > 1 else 1))
         for a in range(0, x.shape[0], step):
             part = np.clip(x[a : a + step], self._lo, self._hi)
             out[a : a + step] = _bspline(t, coef, k, part)

@@ -1,11 +1,15 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqim
 from uqim.cli import main
 
 
@@ -91,6 +95,39 @@ def test_quantile_outputs_route_and_exclusivity(tmp_path, workspace):
         "--alpha", "0.5",
     ])
     assert rc == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_piped_outputs_read_like_the_file(tmp_path):
+    # a pipe cannot be reopened or rewound, so the csv reader reads its body;
+    # the body outgrows the reader's buffer, so a reopened pipe would start
+    # partway through it
+    text = "y\n" + "\n".join(str(v) for v in range(1, 20001)) + "\n"
+    path = tmp_path / "vals.csv"
+    path.write_text(text)
+    env = dict(os.environ)
+    src = str(Path(uqim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def piped(body):
+        return subprocess.run(
+            [sys.executable, "-m", "uqim.cli", "quantile", "--outputs", "/dev/stdin",
+             "--alpha", "0.5"],
+            input=body, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    proc = piped(text)
+    assert proc.returncode == 0, proc.stderr
+    rc, rep, _ = run_cli(["quantile", "--outputs", path, "--alpha", "0.5"])
+    assert rc == 0
+    assert json.loads(proc.stdout)["results"] == rep["results"]
+    proc = piped(text.replace("\n7\n", "\nseven\n"))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr) == {
+        "error": "DataError",
+        "message": "/dev/stdin: non-numeric value 'seven' at row 7, column 'y'",
+    }
 
 
 # ---------------------------------------------------------------------------

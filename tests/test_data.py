@@ -111,10 +111,11 @@ def test_inputs_round_trip(tmp_path):
     assert np.array_equal(sub.points, sample.points[:, [2, 0]])
 
 
-# Files that numpy's C parser rejects or reads at the wrong width, and CR-only
-# line ends: the reader must handle them exactly as the per-cell float()
-# rules do.  Values are float() of the cell text; a string is the DataError
-# message after "<path>: ".
+# Files that numpy's C parser rejects or reads at the wrong width, CR-only
+# line ends, and a header after blank rows that spans two physical lines,
+# which numpy's skiprows must count as lines, not rows: the reader must handle
+# them exactly as the per-cell float() rules do.  Values are float() of the
+# cell text; a string is the DataError message after "<path>: ".
 READER_SPEC = {
     "underscore_digits": ("a,b\n1_000,2\n3,4_0\n", ["a", "b"],
                           [[float("1_000"), 2.0], [3.0, float("4_0")]]),
@@ -125,6 +126,8 @@ READER_SPEC = {
     "comma_rows": ("a,b\n1,2\n,\n , \n3,4\n", ["a", "b"],
                    [[1.0, 2.0], [3.0, 4.0]]),
     "cr_line_ends": ("a,b\r1,2\r3,4\r", ["a", "b"], [[1.0, 2.0], [3.0, 4.0]]),
+    "header_with_quoted_line_break": ('\n\n"x\n1",y\n1,2\n3,4\n', ["x\n1", "y"],
+                                      [[1.0, 2.0], [3.0, 4.0]]),
     "quoted_text_column": ('a,label,b\n1,"a,b",2\n3,"say ""hi""",4\n', ["b", "a"],
                            [[2.0, 1.0], [4.0, 3.0]]),
     "text_column_selected": ('a,label\n1,"a,b"\n', None,
