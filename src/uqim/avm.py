@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,9 @@ class EmpiricalCdf:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float).ravel())
-        if v.size < 1:
-            raise InsufficientDataError("empirical cdf of an empty sample")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("empirical cdf values must be finite")
+        from .data import _values  # not at the top: `import uqim` would load data.py
+
+        v = np.sort(_values(self.values, "empirical cdf values"))
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import PairedDataset, _readonly
 from .density import _check_alpha, _order_statistic
-from .errors import DataError, DomainError
+from .errors import DomainError
 from .randgen import make_rng, spawn_seeds
 from .surrogate import (
     FunctionFamily,
@@ -90,8 +90,6 @@ def bootstrap_error_quantile(
     if weight is not None and extra_inputs is None:
         raise DomainError("weight given without extra_inputs")
     residuals = compute_residuals(base_model, experimental)
-    if not np.all(np.isfinite(residuals)):
-        raise DataError("base model gives non-finite residuals")
     x = experimental.inputs
     w = _check_weight(1.0 if weight is None else weight)
     extra = None if extra_inputs is None else _extra_points(extra_inputs, experimental.dim)

@@ -32,12 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedDataset, _readonly
+from .data import PairedDataset, _readonly, _values
 from .density import (
     BLOCK, KdeModel, _check_alpha, _kde_cdf_into, _order_index, _searchsorted_blocks,
     kde_evaluate,
 )
 from .errors import DomainError, InfeasibleError
+
+_N_MAX = 100_000  # largest n that minimal_feasible_n tries
+_DELTA_TOL = 1e-9  # minimal_feasible_delta's bisection tolerance, and its smallest delta
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +212,15 @@ def ci_feasibility(
     )
 
 
-def minimal_feasible_n(
-    alpha: float, delta: float, d_delta_grid=None, big_n=None, n_max: int = 100_000
-) -> int:
+def minimal_feasible_n(alpha: float, delta: float, d_delta_grid=None, big_n=None) -> int:
     """Smallest n for which :func:`ci_feasibility` succeeds."""
-    for n in range(1, n_max + 1):
+    for n in range(1, _N_MAX + 1):
         if ci_feasibility(n, alpha, delta, d_delta_grid, big_n).feasible:
             return n
-    raise InfeasibleError(f"no feasible n up to {n_max}")
+    raise InfeasibleError(f"no feasible n up to {_N_MAX}")
 
 
-def minimal_feasible_delta(
-    n: int, alpha: float, ratio_grid=None, big_n=None, tol: float = 1e-9
-) -> float:
+def minimal_feasible_delta(n: int, alpha: float, ratio_grid=None, big_n=None) -> float:
     """Smallest delta at which the construction becomes feasible.
 
     ``ratio_grid`` holds ddelta/delta ratios (default 0.1 .. 0.9) so the
@@ -240,10 +239,10 @@ def minimal_feasible_delta(
     hi = 1.0 - 1e-12
     if not ok(hi):
         raise InfeasibleError(f"no feasible delta below 1 for n={n}, alpha={alpha}")
-    lo = tol
+    lo = _DELTA_TOL
     if ok(lo):
         return lo
-    while hi - lo > tol:
+    while hi - lo > _DELTA_TOL:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -278,7 +277,8 @@ class QuantileCi:
 
 def surrogate_error_bound(experimental: PairedDataset, model) -> float:
     """beta_hat = max_i |Y_i - m_hat(X_i)| on the experimental data."""
-    return float(np.max(np.abs(experimental.outputs - model(experimental.inputs))))
+    residuals = _values(experimental.outputs - model(experimental.inputs), "residuals")
+    return float(np.max(np.abs(residuals)))
 
 
 def quantile_ci(
@@ -298,9 +298,7 @@ def quantile_ci(
     the narrowest valid interval (ties toward smaller ddelta).
     """
     # one sort serves the order statistics of every ddelta candidate
-    outputs = np.sort(np.asarray(outputs, dtype=float).ravel())
-    if outputs.size < 1:
-        raise DomainError("need at least one surrogate output")
+    outputs = np.sort(_values(outputs, "surrogate outputs"))
     _check_alpha(alpha)
     n, big_n = experimental.n, outputs.size
     beta_hat = surrogate_error_bound(experimental, model)
@@ -564,7 +562,7 @@ def density_band(
     before them, the ``before`` haystack), and the sorted outputs with
     kde_cdf's prefix sums.
     """
-    outputs = np.asarray(outputs, dtype=float).ravel()
+    outputs = _values(outputs, "surrogate outputs")
     big_n = outputs.size
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:

@@ -1,8 +1,10 @@
 """Dataset containers and CSV ingestion.
 
-The package's two rules for arrays of points live here: :func:`_points` says
-what an array means, (n, d) points with a 1-d array a column, and
-:func:`_rows` checks and copies a container's points and columns.
+The package's three rules for arrays live here: :func:`_points` says what
+an array of points means, (n, d) points with a 1-d array a column,
+:func:`_rows` checks and copies a container's points and columns, and
+:func:`_values` checks a sample of values, such as model outputs or
+residuals.
 Containers are frozen dataclasses holding read-only numpy arrays, so they can
 be shared freely across threads.  A CSV file is read once, front to back:
 ``csv.reader`` reads the header, numpy's C parser (``np.loadtxt``) reads a
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, InsufficientDataError
 
 DATASET_KINDS = ("experimental", "simulated")
 
@@ -74,6 +76,18 @@ def _rows(points, *columns) -> tuple[np.ndarray, ...]:
     if not all(np.isfinite(a).all() for a in (x, *cols)):
         raise DataError("data contains non-finite values")
     return (x, *cols)
+
+
+def _values(x, what: str, least: int = 1) -> np.ndarray:
+    """``x`` as a 1-d float array of at least ``least`` values, every one
+    finite: every sample of outputs or residuals, and a model file's
+    coefficients, is taken through it."""
+    v = np.asarray(x, dtype=float).ravel()
+    if v.size < least:
+        raise InsufficientDataError(f"{what}: need at least {least}, got {v.size}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"{what} must be finite")
+    return v
 
 
 def _names(names, dim: int) -> tuple[str, ...]:
@@ -156,7 +170,7 @@ def _read_table(path, pick) -> tuple[list[str], np.ndarray]:
        ``DataError`` for a ragged row or the first bad cell comes from here.
     """
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", errors="replace")  # a bad byte is a bad cell
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:

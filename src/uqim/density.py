@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _points
-from .errors import DomainError, InsufficientDataError, ZeroSpreadError
+from .data import _points, _values
+from .errors import DomainError, ZeroSpreadError
 
 # queries per block of the elementwise KDE CDF and the density band's
 # searches: each temporary of a block is 512 KB and stays in cache
@@ -76,11 +76,7 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float).ravel())
-        if v.size < 1:
-            raise InsufficientDataError("kde needs at least one value")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("kde values must be finite")
+        v = np.sort(_values(self.values, "kde values"))
         if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise DomainError(f"bandwidth must be positive, got {self.bandwidth}")
         v.flags.writeable = False
@@ -145,9 +141,7 @@ def select_bandwidth(values) -> float:
     a zero candidate falls back to the other, and all-identical values are
     rejected.
     """
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 2:
-        raise InsufficientDataError("bandwidth rule needs at least two values")
+    v = _values(values, "bandwidth rule values", least=2)
     sd = float(np.std(v, ddof=1))
     q1, q3 = np.percentile(v, [25.0, 75.0])
     iqr_sigma = float(q3 - q1) / 1.349
@@ -183,9 +177,7 @@ def _order_index(n: int, alpha: float) -> int:
 
 def mc_quantile(values, alpha: float) -> QuantileEstimate:
     """alpha-quantile as the ceil(N*alpha)-th ascending order statistic."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size < 1:
-        raise InsufficientDataError("quantile of an empty sample")
+    v = _values(values, "quantile sample")
     _check_alpha(alpha)
     val = float(_order_statistic(v.copy(), alpha))
     return QuantileEstimate(level=float(alpha), value=val, size=v.size)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import PairedDataset, _points
+from .data import PairedDataset, _points, _rows, _values
 from .errors import (
     ConditioningError,
     DataError,
@@ -232,7 +232,7 @@ class RbfBasis(_TableBasis):
     kind = "rbf"
 
     def __init__(self, centers: np.ndarray, lengthscale: float):
-        self.centers = _points(centers)
+        (self.centers,) = _rows(centers)
         if not (np.isfinite(lengthscale) and lengthscale > 0):
             raise DataError(f"lengthscale must be positive, got {lengthscale}")
         self.lengthscale = float(lengthscale)
@@ -509,7 +509,7 @@ def compute_residuals(model, experimental: PairedDataset) -> np.ndarray:
             f"residuals are defined on experimental data, got kind "
             f"{experimental.kind!r}"
         )
-    return experimental.outputs - model(experimental.inputs)
+    return _values(experimental.outputs - model(experimental.inputs), "residuals")
 
 
 def _extra_points(extra_inputs, dim: int) -> np.ndarray:
@@ -561,7 +561,7 @@ def select_weight_and_penalty(
     the extra inputs always participate in the anchoring term.  Ties prefer
     the smaller weight, then the smaller penalty.
     """
-    eps = np.asarray(residuals, dtype=float).ravel()
+    eps = _values(residuals, "residuals")
     n = experimental.n
     if eps.shape[0] != n:
         raise DataError(f"{eps.shape[0]} residuals for {n} rows")
@@ -669,7 +669,7 @@ def model_from_dict(obj: dict):
     return SurrogateModel(
         family=FunctionFamily(fam["kind"], fam["size"], fam["penalty"]),
         basis=basis,
-        coef=coef,
+        coef=_values(coef, "coefficients"),
         train_size=int(obj.get("train_size", 0)),
         cv_score=obj.get("cv_score"),
     )

@@ -9,7 +9,6 @@ from uqim.bootstrap import BootstrapErrorReport, bootstrap_error_quantile
 from uqim.data import InputSample, PairedDataset
 from uqim.errors import (
     ConditioningError,
-    DataError,
     DomainError,
     RankDeficiencyError,
     UqError,
@@ -286,7 +285,7 @@ def test_rank_deficient_replicate_raises():
 
 def test_non_finite_residuals_rejected():
     x = np.linspace(0.0, 1.0, 10)
-    with pytest.raises(DataError, match="non-finite"):
+    with pytest.raises(DomainError, match="finite"):
         bootstrap_error_quantile(_exp(x, x), _Const(np.inf), FunctionFamily("poly", 1),
                                  b_reps=5, n_learn=4)
 

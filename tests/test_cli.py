@@ -159,6 +159,26 @@ def test_bad_model_file_is_a_data_error(workspace, tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", [["quantile", "--alpha", "0.99"], ["density"]])
+def test_model_outputs_that_overflow_are_a_domain_error(tmp_path, command):
+    """1e308 * x**2 overflows to inf for x > 1: no report may carry it."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "type": "surrogate", "family": {"kind": "poly", "size": 2, "penalty": 0.0},
+        "basis": {"kind": "poly", "degree": 2, "dim": 1}, "coef": [0.0, 0.0, 1e308],
+    }))
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n" + "".join(f"{x}\n" for x in np.linspace(0.0, 3.0, 31)))
+    rc, report, err = run_cli([command[0], "--model", model, "--inputs", inputs,
+                               *command[1:], "--out-dir", tmp_path])
+    assert (rc, report) == (1, None)
+    # numpy's overflow warning may come first
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "DomainError"
+    assert payload["message"].endswith("must be finite")
+    assert not (tmp_path / "density.csv").exists()
+
+
 def test_model_file_of_wrong_type_is_a_data_error(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("[]\n")

@@ -24,7 +24,7 @@ from uqim.confidence import (
 )
 from uqim.data import PairedDataset
 from uqim.density import KdeModel, kde_cdf, mc_quantile
-from uqim.errors import DomainError, InfeasibleError
+from uqim.errors import DomainError, InfeasibleError, InsufficientDataError
 from uqim.randgen import make_rng
 
 
@@ -394,7 +394,7 @@ def test_quantile_ci_validation():
         quantile_ci(data, model, outputs, alpha=0.0, delta=0.1)
     with pytest.raises(DomainError):
         quantile_ci(data, model, outputs, alpha=0.5, delta=0.1, d_delta=0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(InsufficientDataError):
         quantile_ci(data, model, [], alpha=0.5, delta=0.1)
 
 

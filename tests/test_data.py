@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uqim.confidence import density_band, quantile_ci
 from uqim.data import (
     InputSample,
     PairedDataset,
@@ -9,10 +10,11 @@ from uqim.data import (
     write_dataset,
     write_inputs,
 )
-from uqim.errors import DataError, DomainError
+from uqim.density import KdeModel, mc_quantile, select_bandwidth
+from uqim.errors import DataError, DomainError, InsufficientDataError
 from uqim.gp import DiscrepancyData, GpDiscrepancyParams, gp_cov_matrix
 from uqim.randgen import estimate_mvn, make_rng
-from uqim.surrogate import FunctionFamily, build_basis, fit_penalized_ls
+from uqim.surrogate import FunctionFamily, build_basis, compute_residuals, fit_penalized_ls
 from uqim.synthetic import FIELD_INPUT_NAMES, field_measurements
 
 
@@ -114,8 +116,10 @@ def test_inputs_round_trip(tmp_path):
 # Files that numpy's C parser rejects or reads at the wrong width, CR-only
 # line ends, and a header after blank rows that spans two physical lines,
 # which numpy's skiprows must count as lines, not rows: the reader must handle
-# them exactly as the per-cell float() rules do.  Values are float() of the
-# cell text; a string is the DataError message after "<path>: ".
+# them exactly as the per-cell float() rules do.  A lone surrogate such as
+# "\udcff" is written as the byte 0xff, which no codec decodes: it reads as
+# U+FFFD.  Values are float() of the cell text; a string is the DataError
+# message after "<path>: ".
 READER_SPEC = {
     "underscore_digits": ("a,b\n1_000,2\n3,4_0\n", ["a", "b"],
                           [[float("1_000"), 2.0], [3.0, float("4_0")]]),
@@ -132,6 +136,9 @@ READER_SPEC = {
                            [[2.0, 1.0], [4.0, 3.0]]),
     "text_column_selected": ('a,label\n1,"a,b"\n', None,
                              "non-numeric value 'a,b' at row 1, column 'label'"),
+    "undecodable_header_byte": ("a\udcff,b\n1,2\n", ["a\ufffd", "b"], [[1.0, 2.0]]),
+    "undecodable_byte": ("y\n1\n2\udcff\n3\n", None,
+                         "non-numeric value '2\ufffd' at row 2, column 'y'"),
     "blank_body": ("a,b\n\n , \n", None, "no data rows"),
     "one_row_wider": ("a,b\n1,2\n3,4,5\n6,7\n", None,
                       "row 2 has 3 fields, expected 2"),
@@ -146,7 +153,7 @@ READER_SPEC = {
 def test_reader_spec_files_the_c_parser_rejects(tmp_path, case):
     text, columns, want = READER_SPEC[case]
     path = tmp_path / "in.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text.encode(errors="surrogateescape"))
     if isinstance(want, str):
         with pytest.raises(DataError) as err:
             parse_inputs(path, columns)
@@ -221,6 +228,42 @@ def test_a_1d_array_is_points_of_one_coordinate(entry):
     assert np.array_equal(got, want)
     rows = {"estimate_mvn": 1, "fit_penalized_ls": 3}.get(entry, 6)
     assert got.shape[0] == rows
+
+
+_EXP = PairedDataset(inputs=_X, outputs=np.sin(_X), kind="experimental")
+
+
+def _sin(x):
+    return np.sin(np.ravel(x))
+
+
+# each consumer of a sample of outputs or residuals, fed the sample v; with
+# 1e4 finite values each returns a result
+_SAMPLE_ENTRIES = {
+    "mc_quantile": lambda v: mc_quantile(v, 0.5),
+    "select_bandwidth": select_bandwidth,
+    "KdeModel": lambda v: KdeModel(values=v, bandwidth=1.0),
+    "quantile_ci": lambda v: quantile_ci(_EXP, _sin, v, alpha=0.5, delta=0.5),
+    "density_band": lambda v: density_band(
+        v, _EXP, _sin, kappa=0.5, delta=0.1, bandwidths=[0.3], interval=(-1.0, 1.0)),
+    # the model's outputs are the sample: residuals 0 - v on one row
+    "compute_residuals": lambda v: compute_residuals(
+        lambda x: v, PairedDataset(inputs=[0.0], outputs=[0.0], kind="experimental")),
+}
+
+
+@pytest.mark.parametrize("bad", ["empty", "nan", "inf"])
+@pytest.mark.parametrize("entry", list(_SAMPLE_ENTRIES))
+def test_a_sample_is_nonempty_and_finite(entry, bad):
+    v = make_rng(3).standard_normal(10_000)
+    _SAMPLE_ENTRIES[entry](v)
+    if bad == "empty":
+        with pytest.raises(InsufficientDataError):
+            _SAMPLE_ENTRIES[entry](v[:0])
+        return
+    v[5] = np.nan if bad == "nan" else np.inf
+    with pytest.raises(DomainError, match="must be finite"):
+        _SAMPLE_ENTRIES[entry](v)
 
 
 def test_a_1d_point_of_a_5d_model_is_one_point():

@@ -889,6 +889,17 @@ def test_load_model_rejects_coefficient_count(tmp_path, kind, size, extra):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_load_model_rejects_non_finite_rbf_centres(tmp_path, bad):
+    x = np.linspace(0.0, 1.0, 20)
+    obj = model_to_dict(fit_penalized_ls(FunctionFamily("rbf", 5, 1e-6), _data(x, x**2)))
+    obj["basis"]["centers"][1][0] = bad
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match="non-finite"):
+        load_model(path)
+
+
 def _set(keys, value):
     def spoil(obj):
         inner = obj
@@ -904,13 +915,15 @@ def _set(keys, value):
     [
         _set(["basis", "knots", 4], "x"),
         _set(["coef", 0], "x"),
+        _set(["coef", 0], math.nan),
+        _set(["coef", 0], math.inf),
         _set(["family", "size"], "x"),
         _set(["family", "size"], 6.5),
         _set(["family"], None),
         lambda obj: [obj],
     ],
-    ids=["text_knot", "text_coef", "text_size", "fractional_size", "null_family",
-         "top_level_list"],
+    ids=["text_knot", "text_coef", "nan_coef", "inf_coef", "text_size",
+         "fractional_size", "null_family", "top_level_list"],
 )
 def test_load_model_rejects_malformed_fields(tmp_path, spoil):
     path = tmp_path / "m.json"
