@@ -10,7 +10,9 @@ The package loads each layer module on first use (PEP 562): ``uqim.fit_with_gcv`
 or ``from uqim import fit_with_gcv`` imports ``uqim.surrogate`` and binds all
 of its exported names, and ``uqim.surrogate`` is the module.  Only ``errors``
 and ``avm`` load with the package; ``avm`` because its module and its function
-share a name, and the package attribute must stay the function.
+share a name, and the package attribute must stay the function.  Neither
+imports numpy at its top, so ``import uqim`` loads no numpy and the CLI's
+no-work paths (``--dry-run``, ``--version``, ``--help``) start without it.
 """
 
 from importlib import import_module as _import_module

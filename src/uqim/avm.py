@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
+
+# numpy is imported inside the functions below, not at the top: ``import uqim``
+# loads this module, and the CLI's no-work paths (--dry-run, --version, --help,
+# argument errors) must not pay for numpy
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,9 @@ class EmpiricalCdf:
     values: np.ndarray
 
     def __post_init__(self):
-        from .data import _values  # not at the top: `import uqim` would load data.py
+        import numpy as np
+
+        from .data import _values
 
         v = np.sort(_values(self.values, "empirical cdf values"))
         v.flags.writeable = False
@@ -38,6 +42,8 @@ class EmpiricalCdf:
         return self.values.size
 
     def __call__(self, t) -> np.ndarray:
+        import numpy as np
+
         t = np.asarray(t, dtype=float)
         out = np.searchsorted(self.values, t, side="right") / self.n
         return float(out) if t.ndim == 0 else out
@@ -55,6 +61,8 @@ class AvmResult:
 
 
 def _exact_area(f1: EmpiricalCdf, f2: EmpiricalCdf) -> float:
+    import numpy as np
+
     # integrand is constant between consecutive pooled sample values
     brk = np.union1d(f1.values, f2.values)
     if brk.size < 2:
@@ -69,6 +77,8 @@ def avm(exp_outputs, sim_outputs, grid_steps: int = 10_000) -> AvmResult:
     The Riemann value is a midpoint sum over ``grid_steps`` equal cells
     spanning the pooled range extended by a 1% margin on each side.
     """
+    import numpy as np
+
     if grid_steps < 1:
         raise DomainError(f"grid_steps must be >= 1, got {grid_steps}")
     f1 = EmpiricalCdf(exp_outputs)

@@ -30,17 +30,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .data import (
-    InputSample, _write_table, parse_dataset, parse_inputs, write_dataset, write_inputs,
-)
 from .errors import DataError, DomainError, InfeasibleError, UqError, ValidationError
 
-# The layer modules load in the handlers that call them, so that a process
-# starts on the running subcommand's layers only; --dry-run, --version and
-# argument errors load none.
+# numpy and the layer modules, data.py among them, load in the handlers and
+# helpers that call them, so that a process starts on the running subcommand's
+# layers only; --dry-run, --version, --help, argument errors, a bad --config
+# and a seed out of range load none of them, and no numpy.
 
 
 def __getattr__(name: str):
@@ -59,7 +55,8 @@ def __getattr__(name: str):
 
 def _plain(obj):
     """json.dumps ``default``: numpy arrays and scalars as Python values."""
-    if isinstance(obj, (np.ndarray, np.generic)):
+    np = sys.modules.get("numpy")  # none can be in a report unless numpy is loaded
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
@@ -102,12 +99,16 @@ def _parse_ranges(text: str) -> list[tuple[float, float]]:
 
 def _load_dataset(args, role):
     """The --exp or --sim (``role``) dataset, as --input-columns and --output-column pick."""
+    from .data import parse_dataset
+
     cols = _names(args.input_columns) if args.input_columns else None
     kind = "experimental" if role == "exp" else "simulated"
     return parse_dataset(getattr(args, role), cols, args.output_column, kind)
 
 
 def _single_column(path) -> np.ndarray:
+    from .data import parse_inputs
+
     sample = parse_inputs(path)
     if sample.dim != 1:
         raise DataError(f"{path}: expected one column, found {sample.dim}")
@@ -129,10 +130,15 @@ def _artifact(args, name) -> str:
 
 
 def _model_outputs(model, inputs_path) -> np.ndarray:
+    import numpy as np
+
+    from .data import parse_inputs
+
     return np.asarray(model(parse_inputs(inputs_path).points), dtype=float)
 
 
 def _cmd_gen_inputs(args):
+    from .data import InputSample, parse_inputs, write_inputs
     from .randgen import estimate_mvn, latin_hypercube, sample_mvn
 
     dist = args.dist
@@ -164,6 +170,9 @@ def _cmd_gen_inputs(args):
 
 
 def _cmd_fit_surrogate(args):
+    import numpy as np
+
+    from .data import parse_inputs
     from .surrogate import (
         FunctionFamily,
         compute_residuals,
@@ -232,6 +241,9 @@ def _cmd_fit_surrogate(args):
 
 
 def _cmd_density(args):
+    import numpy as np
+
+    from .data import _write_table, parse_inputs
     from .density import kde_cdf, kde_evaluate, surrogate_density
     from .surrogate import load_model
 
@@ -340,7 +352,10 @@ def _cmd_gp_error(args):
 
 
 def _cmd_bootstrap_error(args):
+    import numpy as np
+
     from .bootstrap import bootstrap_error_quantile
+    from .data import _write_table, parse_inputs
     from .surrogate import FunctionFamily, load_model
 
     expd = _load_dataset(args, "exp")
@@ -426,7 +441,10 @@ def _cmd_ci_quantile(args):
 
 
 def _cmd_density_band(args):
+    import numpy as np
+
     from .confidence import density_band
+    from .data import _write_table
     from .density import select_bandwidth
     from .surrogate import load_model
 
@@ -471,6 +489,7 @@ def _cmd_density_band(args):
 
 
 def _cmd_synth(args):
+    from .data import write_dataset
     from .randgen import spawn_seeds
     from .synthetic import (
         field_measurements,

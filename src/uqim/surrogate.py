@@ -178,7 +178,8 @@ class SplineBasis:
         return self._extended(np.eye(self.n_coef), points)
 
     def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-        return self._extended(np.asarray(coef, dtype=float), points)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _TableBasis.predict
+            return self._extended(np.asarray(coef, dtype=float), points)
 
     def roughness(self) -> np.ndarray:
         d2 = np.diff(np.eye(self.n_coef), n=2, axis=0)
@@ -211,13 +212,16 @@ class _TableBasis:
 
     def predict(self, coef: np.ndarray, points: np.ndarray) -> np.ndarray:
         """``coef @ _table(block.T)`` over blocks of ``_BLOCK_ROWS`` rows: a
-        block's table stays in cache, and its ufuncs run along whole rows."""
+        block's table stays in cache, and its ufuncs run along whole rows.
+        Values that overflow come out as inf or NaN without a numpy warning:
+        the caller's check of its sample (``data._values``) reports them."""
         x = _points(points, self.dim)
         coef = np.asarray(coef, dtype=float)
         out = np.empty(x.shape[0])
-        for a in range(0, x.shape[0], _BLOCK_ROWS):
-            part = x[a : a + _BLOCK_ROWS]
-            out[a : a + _BLOCK_ROWS] = (coef @ self._table(_columns(part)))[: len(part)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in range(0, x.shape[0], _BLOCK_ROWS):
+                part = x[a : a + _BLOCK_ROWS]
+                out[a : a + _BLOCK_ROWS] = (coef @ self._table(_columns(part)))[: len(part)]
         return out
 
     def roughness(self) -> np.ndarray:
@@ -363,7 +367,8 @@ class ImprovedSurrogate:
 
     def __call__(self, points) -> np.ndarray:
         out = self.base(points)
-        return np.add(out, self.residual(points), out=out)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _TableBasis.predict
+            return np.add(out, self.residual(points), out=out)
 
 
 _SINGULAR = (
@@ -688,6 +693,7 @@ def load_model(path):
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     # wrong JSON types and bad values (JSONDecodeError and DomainError are
-    # ValueErrors)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    # ValueErrors), and what the model's own checks reject: knots,
+    # coefficient count, centres
+    except (DataError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{path}: malformed model file ({exc})") from exc

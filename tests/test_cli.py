@@ -22,6 +22,18 @@ def run_cli(argv):
     return rc, report, err.getvalue()
 
 
+def run_cli_process(argv, stdin=None):
+    """``uqim <argv>`` in its own interpreter: what a user's terminal shows,
+    numpy's warnings included, which pytest would catch in-process."""
+    env = dict(os.environ)
+    src = str(Path(uqim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "uqim.cli", *map(str, argv)],
+        input=stdin, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Zero-bias 1-d synthetic workspace: datasets, surrogate, input draw."""
@@ -105,16 +117,10 @@ def test_piped_outputs_read_like_the_file(tmp_path):
     text = "y\n" + "\n".join(str(v) for v in range(1, 20001)) + "\n"
     path = tmp_path / "vals.csv"
     path.write_text(text)
-    env = dict(os.environ)
-    src = str(Path(uqim.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def piped(body):
-        return subprocess.run(
-            [sys.executable, "-m", "uqim.cli", "quantile", "--outputs", "/dev/stdin",
-             "--alpha", "0.5"],
-            input=body, env=env, capture_output=True, text=True, timeout=120,
-        )
+        return run_cli_process(["quantile", "--outputs", "/dev/stdin", "--alpha", "0.5"],
+                               stdin=body)
 
     proc = piped(text)
     assert proc.returncode == 0, proc.stderr
@@ -155,28 +161,48 @@ def test_bad_model_file_is_a_data_error(workspace, tmp_path):
     ])
     assert rc == 1
     assert json.loads(err) == {
-        "error": "DataError", "message": "spline knots must be nondecreasing",
+        "error": "DataError",
+        "message": f"{tmp_path / 'model.json'}: malformed model file "
+                   "(spline knots must be nondecreasing)",
     }
+
+
+def _surrogate(kind, basis, coef):
+    return {"type": "surrogate", "family": {"kind": kind, "size": 2, "penalty": 0.0},
+            "basis": {"kind": kind, **basis}, "coef": coef}
+
+
+_POLY = {"degree": 2, "dim": 1}
+_OVERFLOWING_MODELS = {
+    # 1e308 * x**2 overflows to inf for x > 1
+    "poly": _surrogate("poly", _POLY, [0.0, 0.0, 1e308]),
+    # the slope that continues the spline beyond its knot span [0, 1] overflows
+    "spline": _surrogate("spline1d", {"knots": [0.0] * 4 + [0.5] + [1.0] * 4},
+                         [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308]),
+    # base and residual are each finite, their sum is not
+    "improved": {"type": "improved", "weight": None,
+                 "base": _surrogate("poly", _POLY, [1.7e308, 0.0, 0.0]),
+                 "residual": _surrogate("poly", _POLY, [1.7e308, 0.0, 0.0])},
+}
 
 
 @pytest.mark.parametrize("command", [["quantile", "--alpha", "0.99"], ["density"]])
 def test_model_outputs_that_overflow_are_a_domain_error(tmp_path, command):
-    """1e308 * x**2 overflows to inf for x > 1: no report may carry it."""
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({
-        "type": "surrogate", "family": {"kind": "poly", "size": 2, "penalty": 0.0},
-        "basis": {"kind": "poly", "degree": 2, "dim": 1}, "coef": [0.0, 0.0, 1e308],
-    }))
+    """No report may carry an inf or NaN output, and stderr holds the one JSON
+    error line: numpy warns of no overflow on the way."""
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n" + "".join(f"{x}\n" for x in np.linspace(0.0, 3.0, 31)))
-    rc, report, err = run_cli([command[0], "--model", model, "--inputs", inputs,
-                               *command[1:], "--out-dir", tmp_path])
-    assert (rc, report) == (1, None)
-    # numpy's overflow warning may come first
-    payload = json.loads(err.splitlines()[-1])
-    assert payload["error"] == "DomainError"
-    assert payload["message"].endswith("must be finite")
-    assert not (tmp_path / "density.csv").exists()
+    for kind, obj in _OVERFLOWING_MODELS.items():
+        model = tmp_path / f"{kind}.json"
+        model.write_text(json.dumps(obj))
+        proc = run_cli_process([command[0], "--model", model, "--inputs", inputs,
+                                *command[1:], "--out-dir", tmp_path])
+        assert (proc.returncode, proc.stdout) == (1, ""), kind
+        assert proc.stderr.count("\n") == 1, (kind, proc.stderr)
+        payload = json.loads(proc.stderr)
+        assert payload["error"] == "DomainError", kind
+        assert payload["message"].endswith("must be finite"), kind
+        assert not (tmp_path / "density.csv").exists()
 
 
 def test_model_file_of_wrong_type_is_a_data_error(tmp_path):

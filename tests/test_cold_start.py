@@ -1,8 +1,11 @@
 """The CLI starts on the running subcommand's layers only.
 
-``import uqim`` loads ``uqim.errors`` and ``uqim.avm``, ``uqim.cli`` adds
-``uqim.data``; every other layer module loads on first use.  No README
-subcommand loads scipy or numpy.ma.
+``import uqim`` loads ``uqim.errors`` and ``uqim.avm``, ``import uqim.cli``
+adds only itself; every other layer module, ``uqim.data`` among them, loads
+on first use, and numpy with the first layer call.  So a ``--dry-run``,
+``--version``, ``--help``, an argument error, a bad ``--config`` or a seed out
+of range loads no layer module and no numpy.  No README subcommand loads scipy
+or numpy.ma.
 """
 
 import ast
@@ -20,26 +23,30 @@ from uqim.cli import _HANDLERS
 _SRC = str(Path(uqim.__file__).resolve().parents[1])
 
 # Runs ``uqim.cli.main`` on each argv of a JSON list in one fresh interpreter
-# and prints which scipy and uqim modules were loaded after the import and
-# after each call.
+# and prints which scipy and uqim modules were loaded, and whether numpy was,
+# after ``import uqim``, after ``import uqim.cli`` and after each call.
 _PROBE = """
 import contextlib, io, json, sys
 def loaded(top):
     return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
+def seen_after(step, rc):
+    return [step, rc, loaded("scipy"), loaded("uqim"), "numpy" in sys.modules]
+import uqim
+seen = [seen_after("import uqim", 0)]
 from uqim.cli import main
-seen = [["import uqim.cli", 0, loaded("scipy"), loaded("uqim")]]
+seen.append(seen_after("import uqim.cli", 0))
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             rc = main(argv)
-        except SystemExit as exc:  # --version and argument errors
+        except SystemExit as exc:  # --version, --help and argument errors
             rc = exc.code
-    seen.append([" ".join(argv), rc, loaded("scipy"), loaded("uqim")])
+    seen.append(seen_after(" ".join(argv), rc))
 print(json.dumps(seen))
 """
 
 # what ``import uqim.cli`` loads of the package, and all a --dry-run may load
-_CLI_MODULES = ["uqim", "uqim.avm", "uqim.cli", "uqim.data", "uqim.errors"]
+_CLI_MODULES = ["uqim", "uqim.avm", "uqim.cli", "uqim.errors"]
 
 _RUN = ["--out-dir", "."]
 
@@ -134,17 +141,18 @@ def test_scipy_free_subcommands(tmp_path):
     # guard); one fresh process per subcommand, in README order, each reading
     # the artifacts of the ones before it
     seen = [_probe([argv], cwd=tmp_path)[-1] for argv, _ in _README]
-    assert [rc for _, rc, _, _ in seen] == [0] * (len(seen) - 2) + [1, 0]
-    assert [(cmd, scipy) for cmd, _, scipy, _ in seen if scipy] == []
+    assert [rc for _, rc, _, _, _ in seen] == [0] * (len(seen) - 2) + [1, 0]
+    assert [(cmd, scipy) for cmd, _, scipy, _, _ in seen if scipy] == []
     loaded_forbidden = [
         (cmd, sorted(set(mods) & {f"uqim.{m}" for m in forbidden.split()}))
-        for (cmd, _, _, mods), (_, forbidden) in zip(seen, _README)
+        for (cmd, _, _, mods, _), (_, forbidden) in zip(seen, _README)
     ]
     assert [(cmd, mods) for cmd, mods in loaded_forbidden if mods] == []
 
 
 def test_dry_runs_load_no_scipy(tmp_path):
-    # nor any layer module, and neither do --version and argument errors
+    # nor numpy or any layer module, and neither do --version, --help, argument
+    # errors, a bad --config and a seed out of range
     dry = {
         "gen-inputs": ["--count", "1"],
         "fit-surrogate": ["--sim", "s.csv"],
@@ -160,11 +168,30 @@ def test_dry_runs_load_no_scipy(tmp_path):
     }
     assert sorted(dry) == sorted(_HANDLERS)
     argvs = [[name, "--dry-run", *args] for name, args in dry.items()]
-    # --version exits 0; a missing required option exits 2
-    seen = _probe(argvs + [["--version"], ["avm", "--exp", "e.csv"]], cwd=tmp_path)
-    assert [rc for _, rc, _, _ in seen] == [0] * (len(seen) - 1) + [2]
-    assert [(cmd, scipy) for cmd, _, scipy, _ in seen if scipy] == []
-    assert [(cmd, mods) for cmd, _, _, mods in seen if mods != _CLI_MODULES] == []
+    (tmp_path / "bad.json").write_text('{"synth": {"n_exp": "x"}}')
+    # --version and --help exit 0; a missing required option exits 2; a bad
+    # config and a seed out of range are one JSON error, exit 1
+    no_work = [["--version"], ["--help"], ["avm", "--exp", "e.csv"],
+               ["synth", "--dry-run", "--config", "bad.json"],
+               ["synth", "--dry-run", "--seed", str(2**64)]]
+    seen = _probe(argvs + no_work, cwd=tmp_path)
+    assert [rc for _, rc, _, _, _ in seen] == [0] * (len(seen) - 3) + [2, 1, 1]
+    assert [(cmd, scipy) for cmd, _, scipy, _, _ in seen if scipy] == []
+    assert [cmd for cmd, _, _, _, numpy in seen if numpy] == []
+    assert seen[0][:4] == ["import uqim", 0, [], ["uqim", "uqim.avm", "uqim.errors"]]
+    assert [(cmd, mods) for cmd, _, _, mods, _ in seen[1:] if mods != _CLI_MODULES] == []
+
+
+@pytest.mark.parametrize("code", [
+    "r = uqim.avm([0.0, 1.0], [0.5, 1.5])\n"
+    "assert r.exact == 0.5 and abs(r.riemann - 0.5) < 1e-3, r",
+    "f = uqim.EmpiricalCdf([3.0, 1.0, 2.0])\n"
+    "assert (f.n, f(2.5), list(f([0.0, 3.0]))) == (3, 2 / 3, [0.0, 1.0])",
+], ids=["avm", "EmpiricalCdf"])
+def test_avm_first_in_a_fresh_interpreter(code):
+    # uqim.avm imports numpy on the first call, not with the package
+    prelude = "import sys, uqim\nassert 'numpy' not in sys.modules\n"
+    assert _run_python(prelude + code + "\nprint('ok')").strip() == "ok"
 
 
 # ---------------------------------------------------------------------------

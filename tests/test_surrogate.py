@@ -870,8 +870,9 @@ def test_load_model_rejects_bad_spline_knots(tmp_path, spoil):
     obj["coef"] = [0.0] * (len(obj["basis"]["knots"]) - 4)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(DataError, match="knots"):
+    with pytest.raises(DataError, match="knots") as exc:
         load_model(path)
+    assert str(exc.value).startswith(f"{path}: malformed model file (")
 
 
 @pytest.mark.parametrize("kind,size", [("spline1d", 6), ("rbf", 5), ("poly", 2)])
@@ -885,8 +886,9 @@ def test_load_model_rejects_coefficient_count(tmp_path, kind, size, extra):
     path = tmp_path / "m.json"
     improved = {"type": "improved", "base": obj, "residual": obj, "weight": None}
     path.write_text(json.dumps(improved))
-    with pytest.raises(DataError, match="coefficients"):
+    with pytest.raises(DataError, match="coefficients") as exc:
         load_model(path)
+    assert str(exc.value).startswith(f"{path}: malformed model file (")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -896,8 +898,9 @@ def test_load_model_rejects_non_finite_rbf_centres(tmp_path, bad):
     obj["basis"]["centers"][1][0] = bad
     path = tmp_path / "m.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(DataError, match="non-finite"):
+    with pytest.raises(DataError, match="non-finite") as exc:
         load_model(path)
+    assert str(exc.value).startswith(f"{path}: malformed model file (")
 
 
 def _set(keys, value):
