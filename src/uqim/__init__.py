@@ -51,8 +51,7 @@ _EXPORTS = {
     ),
     "gp": (
         "DiscrepancyData", "ErrorQuantileResult", "GpDiscrepancyParams", "GpFitResult",
-        "GpHyperParams", "gp_beta_closed_form", "gp_cov_matrix", "gp_error_quantile",
-        "gp_fit_map", "gp_loglikelihood",
+        "GpHyperParams", "gp_cov_matrix", "gp_error_quantile", "gp_fit_map",
     ),
     "randgen": (
         "MvnParams", "estimate_mvn", "latin_hypercube", "make_rng", "sample_mvn",

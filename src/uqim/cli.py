@@ -6,8 +6,10 @@ Every subcommand prints one JSON report to stdout:
      "results": {...}, "artifacts": [...], "timings": {...}}
 
 The ``results`` block is deterministic for a given seed (timings are not).
-Failures print a one-line JSON error object to stderr and exit 1.  Relative
-artifact paths are resolved under ``--out-dir``.
+Failures print a one-line JSON error object to stderr and exit 1.  A reader
+that closes stdout early gets exit 1 and nothing on stderr; a ``--report``
+file is written in full first.  Relative artifact paths are resolved under
+``--out-dir``.
 
 The parser declares every option's type and default once.  A ``--config``
 JSON file supplies seed/out-dir, ``l_n`` for the bootstrap learn size, and
@@ -806,10 +808,16 @@ def main(argv=None) -> int:
             "artifacts": artifacts,
         }
         text = json.dumps(report, default=_plain, indent=2, sort_keys=True)
-        print(text)
         if args.report:
             with open(_artifact(args, args.report), "w") as fh:
                 fh.write(text + "\n")
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early; as the Python docs' note on
+            # SIGPIPE advises, the exit flush goes to devnull, not a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         return 0
     except UqError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}

@@ -13,10 +13,10 @@ truncated reciprocal priors p(t) = c/t on [eps, e^(1/c) eps] for sigma2 and
 each omega).  The error law used for quantiles is the fitted MVN with mean
 (beta, ..., beta) and covariance sigma2_hat * R + lam_hat * I.
 
-Likelihood, posterior and fit all use one core that factors Theta once and
-returns the log likelihood, log posterior and analytic gradient (Rasmussen &
-Williams 2006, eq. 5.9).  The MAP fit minimizes the negative log posterior
-over the box of prior supports by projected BFGS on that gradient
+The MAP fit has one objective: the log posterior with beta profiled, which
+one core computes with its analytic gradient from one factor of Theta
+(Rasmussen & Williams 2006, eq. 5.9).  The fit minimizes its negative over
+the box of prior supports by projected BFGS on that gradient
 (Bertsekas 1982; Byrd, Lu, Nocedal & Zhu 1995; Nocedal & Wright 2006, ch. 6
 and 7): variables at a bound that the gradient pushes against are held
 there, the rest take a quasi-Newton step from the last 10 curvature pairs,
@@ -233,36 +233,33 @@ def _profiled_beta(linv: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 class _Eval(NamedTuple):
-    loglik: float
-    logpost: float  # nan without priors, -inf off their support
-    # d logpost (d loglik without priors) / d (lam, sigma2, omegas..., beta)
+    logpost: float  # -inf off the priors' support
+    # d logpost / d (lam, sigma2, omegas...) along beta*(theta), then d / d beta
     grad: np.ndarray
     jitter: float
     beta: float
 
 
-def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
-    """Everything the GP callers need from one Cholesky factor of Theta.
+def _evaluate(lam, sigma2, omegas, d2, s, hyper: GpHyperParams) -> _Eval:
+    """The log posterior that ``gp_fit_map`` maximizes, from one factor of Theta.
 
     ``s`` is observed minus model output and ``d2`` is ``_sqdists`` of the
-    inputs.  ``beta=None`` profiles the mean out at its closed form.
+    inputs.  beta is profiled at beta* = u's / u'1, and the gradient follows
+    beta*.
     """
-    if hyper is not None:
-        log_s2 = _log_reciprocal_pdf(sigma2, hyper.c_sigma2, hyper.eps_trunc)
-        log_w = sum(
-            _log_reciprocal_pdf(w, c, hyper.eps_trunc)
-            for w, c in zip(omegas, hyper.c_omegas)
-        )
-        if not math.isfinite(log_s2 + log_w):
-            return _Eval(math.nan, -math.inf, None, math.nan, beta)
+    log_s2 = _log_reciprocal_pdf(sigma2, hyper.c_sigma2, hyper.eps_trunc)
+    log_w = sum(
+        _log_reciprocal_pdf(w, c, hyper.eps_trunc)
+        for w, c in zip(omegas, hyper.c_omegas)
+    )
+    if not math.isfinite(log_s2 + log_w):
+        return _Eval(-math.inf, None, math.nan, math.nan)
     n = s.shape[0]
     r = _correlation(d2, omegas)
     fac, jitter = _chol_jitter(sigma2 * r + lam * np.eye(n))
     # the gradient needs all of Theta^-1 = L^-T L^-1, so solve against I once
     linv = np.linalg.solve(fac, np.eye(n))
-    profiled = beta is None
-    if profiled:
-        beta, w = _profiled_beta(linv, s)
+    beta, w = _profiled_beta(linv, s)
     v = linv @ (s - beta)
     alpha = linv.T @ v
     logdet = 2.0 * float(np.sum(np.log(np.diag(fac))))
@@ -276,52 +273,21 @@ def _evaluate(lam, sigma2, omegas, beta, d2, s, hyper=None) -> _Eval:
         np.trace(theta_inv), dthetas.reshape(len(dthetas), -1) @ theta_inv.ravel()
     )
     grad = np.append(0.5 * (a_dtheta @ alpha - traces), np.sum(alpha))
-    logpost = math.nan
-    if hyper is not None:
-        logpost = (
-            ll
-            + _log_normal_pdf(lam, hyper.mu_lam, hyper.var_lam)
-            + _log_normal_pdf(beta, hyper.mu_beta, hyper.var_beta)
-            + log_s2
-            + log_w
-        )
-        grad += np.concatenate((
-            [-(lam - hyper.mu_lam) / hyper.var_lam, -1.0 / sigma2],
-            -1.0 / np.asarray(omegas, dtype=float),
-            [-(beta - hyper.mu_beta) / hyper.var_beta],
-        ))
-    if profiled:
-        # total derivative along beta*(theta): d beta* / d theta_k = -w' Theta_k alpha
-        grad[:-1] -= grad[-1] * (a_dtheta @ w)
-    return _Eval(ll, logpost, grad, jitter, beta)
-
-
-def _evaluate_at(
-    params: GpDiscrepancyParams, data: DiscrepancyData, hyper=None
-) -> _Eval:
-    if data.dim != params.dim:
-        raise DomainError(
-            f"data dimension {data.dim} vs parameter dimension {params.dim}"
-        )
-    return _evaluate(
-        params.lam, params.sigma2, params.omegas, params.beta,
-        _sqdists(data.inputs), data.observed - data.model_outputs, hyper,
+    logpost = (
+        ll
+        + _log_normal_pdf(lam, hyper.mu_lam, hyper.var_lam)
+        + _log_normal_pdf(beta, hyper.mu_beta, hyper.var_beta)
+        + log_s2
+        + log_w
     )
-
-
-def gp_loglikelihood(params: GpDiscrepancyParams, data: DiscrepancyData) -> float:
-    """Exact MVN log likelihood of the residuals under Theta."""
-    return _evaluate_at(params, data).loglik
-
-
-def gp_beta_closed_form(data: DiscrepancyData, theta: np.ndarray) -> float:
-    """Likelihood-maximizing constant mean for a fixed covariance Theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (data.n, data.n):
-        raise DomainError(f"Theta shape {theta.shape} for n = {data.n}")
-    fac, _ = _chol_jitter(theta)
-    linv = np.linalg.solve(fac, np.eye(data.n))
-    return _profiled_beta(linv, data.observed - data.model_outputs)[0]
+    grad += np.concatenate((
+        [-(lam - hyper.mu_lam) / hyper.var_lam, -1.0 / sigma2],
+        -1.0 / np.asarray(omegas, dtype=float),
+        [-(beta - hyper.mu_beta) / hyper.var_beta],
+    ))
+    # total derivative along beta*(theta): d beta* / d theta_k = -w' Theta_k alpha
+    grad[:-1] -= grad[-1] * (a_dtheta @ w)
+    return _Eval(logpost, grad, jitter, beta)
 
 
 @dataclass
@@ -493,7 +459,7 @@ def gp_fit_map(
         lam, sigma2 = math.exp(z[0]), math.exp(z[1])
         omegas = np.exp(z[2:])
         try:
-            ev = _evaluate(lam, sigma2, omegas, None, d2, s, hyper)
+            ev = _evaluate(lam, sigma2, omegas, d2, s, hyper)
         except ConditioningError:
             return bad, np.zeros(z.size)
         # chain rule through the log parameterization; grad[-1] is beta's
@@ -510,7 +476,7 @@ def gp_fit_map(
     zb = results[best].x
     lam, sigma2 = math.exp(zb[0]), math.exp(zb[1])
     omegas = tuple(math.exp(v) for v in zb[2:])
-    ev = _evaluate(lam, sigma2, omegas, None, d2, s, hyper)
+    ev = _evaluate(lam, sigma2, omegas, d2, s, hyper)
     return GpFitResult(
         params=GpDiscrepancyParams(
             lam=lam, beta=ev.beta, sigma2=sigma2, omegas=omegas

@@ -4,7 +4,6 @@ Each test prints ``[PASS]``/``[FAIL] criterion N: ...`` with its runtime and
 enforces the stated tolerance and time budget.
 """
 
-import dataclasses
 import math
 import time
 
@@ -25,10 +24,11 @@ from uqim.density import KdeModel, kde_evaluate, select_bandwidth
 from uqim.gp import (
     DiscrepancyData,
     GpDiscrepancyParams,
-    gp_beta_closed_form,
+    GpHyperParams,
+    _evaluate,
+    _sqdists,
     gp_cov_matrix,
     gp_error_quantile,
-    gp_loglikelihood,
 )
 from uqim.randgen import estimate_mvn, sample_mvn, spawn_seeds
 from uqim.surrogate import (
@@ -118,6 +118,8 @@ def test_criterion_04_cdf_area_oracle():
 
 
 def test_criterion_05_gp_likelihood_oracle():
+    # the objective gp_fit_map maximizes, at the profiled mean beta*, against
+    # scipy's dense log density plus the priors' log densities by hand
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -127,30 +129,39 @@ def test_criterion_05_gp_likelihood_oracle():
         d = int(rng.integers(1, 4))
         x = rng.normal(size=(n, d))
         y = rng.normal(size=n)
-        params = GpDiscrepancyParams(
-            lam=float(rng.uniform(0.05, 2.0)),
-            sigma2=float(rng.uniform(0.0, 2.0)),
-            beta=float(rng.normal()),
-            omegas=tuple(rng.uniform(0.1, 3.0, d)),
+        lam = float(rng.uniform(0.05, 2.0))
+        sigma2 = float(rng.uniform(0.0, 2.0))
+        rng.normal()  # a mean, unused as beta is profiled; drawn so the cases stay
+        omegas = tuple(rng.uniform(0.1, 3.0, d))
+        # reciprocal supports [1e-12, ~1e14] hold every drawn sigma2 and omega
+        hyper = GpHyperParams(
+            mu_lam=0.0, var_lam=1.0, mu_beta=0.0, var_beta=0.01,
+            c_sigma2=1.0 / 60.0, c_omegas=(1.0 / 60.0,) * d, eps_trunc=1e-12,
         )
-        data = DiscrepancyData(inputs=x, model_outputs=np.zeros(n), observed=y)
-        mine = gp_loglikelihood(params, data)
-        theta = gp_cov_matrix(x, params)
-        dense = multivariate_normal.logpdf(
-            y, mean=np.full(n, params.beta), cov=theta, allow_singular=False
+        ev = _evaluate(lam, sigma2, omegas, _sqdists(x), y, hyper)
+        params = GpDiscrepancyParams(lam=lam, sigma2=sigma2, beta=ev.beta, omegas=omegas)
+        theta = gp_cov_matrix(x, params) + ev.jitter * np.eye(n)
+
+        def dense(beta, theta=theta):
+            return float(multivariate_normal.logpdf(
+                y, mean=np.full(n, beta), cov=theta, allow_singular=False
+            ))
+
+        priors = (
+            -0.5 * (math.log(2.0 * math.pi * hyper.var_lam) + lam**2 / hyper.var_lam)
+            - 0.5 * (math.log(2.0 * math.pi * hyper.var_beta)
+                     + ev.beta**2 / hyper.var_beta)
+            + (d + 1) * math.log(1.0 / 60.0)
+            - math.log(sigma2) - sum(math.log(w) for w in omegas)
         )
-        worst = max(worst, abs(mine - float(dense)))
-        beta_hat = gp_beta_closed_form(data, theta)
-        center = gp_loglikelihood(
-            dataclasses.replace(params, beta=beta_hat), data
-        )
+        worst = max(worst, abs(ev.logpost - (dense(ev.beta) + priors)))
+        center = dense(ev.beta)
         for shift in (-0.01, 0.01):
-            shifted = dataclasses.replace(params, beta=beta_hat + shift)
-            if gp_loglikelihood(shifted, data) >= center:
+            if dense(ev.beta + shift) >= center:
                 beta_ok = False
     ok = worst <= 1e-8 and beta_ok
-    _line(5, "GP log-likelihood vs dense MVN oracle", ok,
-          f"worst |diff| {worst:.2e}, closed-form location optimal={beta_ok}",
+    _line(5, "GP objective vs dense MVN oracle plus priors", ok,
+          f"worst |diff| {worst:.2e}, profiled location optimal={beta_ok}",
           time.perf_counter() - t0, 10.0)
 
 

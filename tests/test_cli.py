@@ -22,15 +22,20 @@ def run_cli(argv):
     return rc, report, err.getvalue()
 
 
-def run_cli_process(argv, stdin=None):
-    """``uqim <argv>`` in its own interpreter: what a user's terminal shows,
-    numpy's warnings included, which pytest would catch in-process."""
+def _cli_child(argv):
+    """The command line and environment of ``uqim <argv>`` as a child process."""
     env = dict(os.environ)
     src = str(Path(uqim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "uqim.cli", *map(str, argv)], env
+
+
+def run_cli_process(argv, stdin=None):
+    """``uqim <argv>`` in its own interpreter: what a user's terminal shows,
+    numpy's warnings included, which pytest would catch in-process."""
+    cmd, env = _cli_child(argv)
     return subprocess.run(
-        [sys.executable, "-m", "uqim.cli", *map(str, argv)],
-        input=stdin, env=env, capture_output=True, text=True, timeout=120,
+        cmd, input=stdin, env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -77,6 +82,30 @@ def test_report_shape_and_roundtrip(workspace, tmp_path):
     assert rep["version"] != ""
     # the --report file holds the printed report
     assert json.loads((tmp_path / "rep.json").read_text()) == rep
+
+
+def test_a_reader_that_closes_early_ends_the_report_quietly(workspace, tmp_path):
+    # gp-error's report holds 10,000 replicate quantiles, more than a pipe
+    # buffers (64 KiB on Linux), so printing it fails once the reader has gone
+    ws = workspace["dir"]
+    cmd, env = _cli_child([
+        "gp-error", "--exp", ws / "exp.csv", "--model", ws / "model.json",
+        "--report", tmp_path / "rep.json",
+    ])
+    with subprocess.Popen(
+        cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
+    # the --report file is written in full all the same
+    text = (tmp_path / "rep.json").read_text()
+    assert len(text) > 2**16
+    rep = json.loads(text)
+    assert rep["command"] == "gp-error"
+    assert len(rep["results"]["quantiles"]) == 10_000
 
 
 def test_quantile_matches_synthetic_oracle(workspace):

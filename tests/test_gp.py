@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -18,12 +19,9 @@ from uqim.gp import (
     GpDiscrepancyParams,
     GpHyperParams,
     _chol_jitter,
-    _evaluate_at,
-    gp_beta_closed_form,
     gp_cov_matrix,
     gp_error_quantile,
     gp_fit_map,
-    gp_loglikelihood,
 )
 from uqim.randgen import MvnParams, make_rng, sample_mvn, spawn_seeds
 from uqim.surrogate import (
@@ -57,6 +55,41 @@ def _flat_hyper(dim=1, eps=1e-12):
         c_omegas=(c,) * dim,
         eps_trunc=eps,
     )
+
+
+def _objective(data, hyper, lam, sigma2, omegas):
+    """What gp_fit_map maximizes: the log posterior at the profiled beta*."""
+    return gp_mod._evaluate(
+        lam, sigma2, omegas, gp_mod._sqdists(data.inputs),
+        data.observed - data.model_outputs, hyper,
+    )
+
+
+def _dense_logpdf(data, params, jitter=0.0):
+    """scipy's dense MVN log density of the residuals: mean beta, Theta + jitter I."""
+    theta = gp_cov_matrix(data.inputs, params) + jitter * np.eye(data.n)
+    return float(multivariate_normal.logpdf(
+        data.observed - data.model_outputs, mean=np.full(data.n, params.beta), cov=theta
+    ))
+
+
+def _log_priors(hyper, params):
+    """The priors' log densities by hand: normal on lam and beta, c/t on the rest."""
+    def log_normal(v, mu, var):
+        return -0.5 * (math.log(2.0 * math.pi * var) + (v - mu) ** 2 / var)
+
+    return (
+        log_normal(params.lam, hyper.mu_lam, hyper.var_lam)
+        + log_normal(params.beta, hyper.mu_beta, hyper.var_beta)
+        + math.log(hyper.c_sigma2) - math.log(params.sigma2)
+        + sum(math.log(c) - math.log(w) for c, w in zip(hyper.c_omegas, params.omegas))
+    )
+
+
+def _beta_closed_form(data, theta):
+    """Likelihood-maximizing constant mean for a fixed Theta: u's / u'1, u = Theta^-1 1."""
+    u = np.linalg.solve(theta, np.ones(data.n))
+    return float(u @ (data.observed - data.model_outputs)) / float(u.sum())
 
 
 def gp_covariance(z1, z2, params: GpDiscrepancyParams) -> float:
@@ -122,33 +155,42 @@ def test_params_validation():
 
 
 def test_loglik_single_point_unit_variance():
-    # lam + sigma2 = 1 and beta equal to the residual: scalar normal at its mean
+    # one point: beta* is its residual, so with lam + sigma2 = 1 the likelihood
+    # is a scalar standard normal at its mean
     data = DiscrepancyData(inputs=[[0.7]], model_outputs=[1.5], observed=[2.0])
-    for lam, s2 in [(1.0, 0.0), (0.0, 1.0), (0.3, 0.7)]:
+    hyper = _flat_hyper()
+    for lam, s2 in [(1.0 - 1e-9, 1e-9), (0.0, 1.0), (0.3, 0.7)]:
+        ev = _objective(data, hyper, lam, s2, (4.0,))
+        assert ev.beta == 0.5
         params = GpDiscrepancyParams(lam=lam, beta=0.5, sigma2=s2, omegas=(4.0,))
-        ll = gp_loglikelihood(params, data)
+        ll = ev.logpost - _log_priors(hyper, params)
         assert ll == pytest.approx(-0.5 * math.log(2.0 * math.pi), rel=1e-12)
 
 
 def test_loglik_single_point_omega_irrelevant():
+    # one point has no distances: omega moves the objective by its prior alone
     data = DiscrepancyData(inputs=[[0.7]], model_outputs=[0.0], observed=[0.4])
-    vals = [
-        gp_loglikelihood(
-            GpDiscrepancyParams(lam=0.2, beta=0.1, sigma2=0.5, omegas=(w,)), data
-        )
-        for w in (0.0, 1.0, 250.0)
-    ]
-    assert vals[0] == vals[1] == vals[2]
+    omegas = (1e-6, 1.0, 250.0)
+    evs = [_objective(data, _flat_hyper(), 0.2, 0.5, (w,)) for w in omegas]
+    assert evs[0].beta == evs[1].beta == evs[2].beta
+    assert [ev.grad[2] for ev in evs] == [-1.0 / w for w in omegas]
+    lik = [ev.logpost + math.log(w) for ev, w in zip(evs, omegas)]
+    assert lik[1] == pytest.approx(lik[0], rel=1e-12)
+    assert lik[2] == pytest.approx(lik[0], rel=1e-12)
 
 
 def test_loglik_two_point_dense_oracle():
     data = DiscrepancyData(
         inputs=[[0.0], [1.0]], model_outputs=[1.0, 2.0], observed=[1.3, 1.9]
     )
-    params = GpDiscrepancyParams(lam=0.05, beta=0.1, sigma2=0.4, omegas=(2.0,))
+    hyper = _flat_hyper()
+    ev = _objective(data, hyper, 0.05, 0.4, (2.0,))
+    params = GpDiscrepancyParams(lam=0.05, beta=ev.beta, sigma2=0.4, omegas=(2.0,))
+    assert ev.jitter == 0.0
     theta = gp_cov_matrix(data.inputs, params)
-    want = multivariate_normal(mean=[0.1, 0.1], cov=theta).logpdf([0.3, -0.1])
-    assert gp_loglikelihood(params, data) == pytest.approx(want, abs=1e-8)
+    assert ev.beta == pytest.approx(_beta_closed_form(data, theta), rel=1e-12)
+    want = _dense_logpdf(data, params) + _log_priors(hyper, params)
+    assert ev.logpost == pytest.approx(want, abs=1e-8)
 
 
 def test_loglik_five_point_dense_oracle():
@@ -157,12 +199,14 @@ def test_loglik_five_point_dense_oracle():
     m = x[:, 0] + x[:, 1]
     y = m + 0.2 * rng.standard_normal(5)
     data = DiscrepancyData(inputs=x, model_outputs=m, observed=y)
-    params = GpDiscrepancyParams(
-        lam=0.02, beta=0.05, sigma2=0.3, omegas=(1.2, 0.7)
-    )
+    hyper = _flat_hyper(dim=2)
+    ev = _objective(data, hyper, 0.02, 0.3, (1.2, 0.7))
+    params = GpDiscrepancyParams(lam=0.02, beta=ev.beta, sigma2=0.3, omegas=(1.2, 0.7))
+    assert ev.jitter == 0.0
     theta = gp_cov_matrix(x, params)
-    want = multivariate_normal(mean=np.full(5, 0.05), cov=theta).logpdf(y - m)
-    assert gp_loglikelihood(params, data) == pytest.approx(want, abs=1e-8)
+    assert ev.beta == pytest.approx(_beta_closed_form(data, theta), rel=1e-12)
+    want = _dense_logpdf(data, params) + _log_priors(hyper, params)
+    assert ev.logpost == pytest.approx(want, abs=1e-8)
 
 
 def test_loglik_gradient_matches_finite_differences():
@@ -171,50 +215,41 @@ def test_loglik_gradient_matches_finite_differences():
     m = np.sin(x[:, 0])
     y = m + 0.2 + 0.1 * rng.standard_normal(12)
     data = DiscrepancyData(inputs=x, model_outputs=m, observed=y)
-    params = GpDiscrepancyParams(lam=0.01, beta=0.25, sigma2=0.04, omegas=(3.0, 1.5))
-    # d loglik / d (lam, sigma2, omegas..., beta)
-    grad = _evaluate_at(params, data).grad
-
-    def shifted(name, idx, v):
-        kw = {
-            "lam": params.lam,
-            "beta": params.beta,
-            "sigma2": params.sigma2,
-            "omegas": list(params.omegas),
-        }
-        if idx is None:
-            kw[name] += v
-        else:
-            kw["omegas"][idx] += v
-        return GpDiscrepancyParams(
-            lam=kw["lam"], beta=kw["beta"], sigma2=kw["sigma2"],
-            omegas=tuple(kw["omegas"]),
-        )
-
+    # a tight beta prior makes the d beta*/d theta term and beta's slope count
+    hyper = dataclasses.replace(_flat_hyper(dim=2), var_beta=0.01)
+    z = [0.01, 0.04, 3.0, 1.5]  # lam, sigma2, omegas
+    ev = _objective(data, hyper, z[0], z[1], z[2:])
     h = 1e-6
-    for name, idx, want in [
-        ("lam", None, grad[0]),
-        ("beta", None, grad[-1]),
-        ("sigma2", None, grad[1]),
-        ("omegas", 0, grad[2]),
-        ("omegas", 1, grad[3]),
-    ]:
-        fd = (
-            gp_loglikelihood(shifted(name, idx, h), data)
-            - gp_loglikelihood(shifted(name, idx, -h), data)
-        ) / (2.0 * h)
-        assert abs(want - fd) <= 1e-4 * max(abs(want), 1.0)
+
+    def shifted(k, v):
+        zk = list(z)
+        zk[k] += v
+        return _objective(data, hyper, zk[0], zk[1], zk[2:]).logpost
+
+    # d logpost / d (lam, sigma2, omegas...) along beta*
+    for k in range(len(z)):
+        fd = (shifted(k, h) - shifted(k, -h)) / (2.0 * h)
+        assert abs(ev.grad[k] - fd) <= 1e-4 * max(abs(ev.grad[k]), 1.0)
+
+    # d logpost / d beta at beta* with Theta held, from the dense oracle
+    def dense(b):
+        params = GpDiscrepancyParams(lam=z[0], beta=b, sigma2=z[1], omegas=z[2:])
+        return _dense_logpdf(data, params) + _log_priors(hyper, params)
+
+    fd = (dense(ev.beta + h) - dense(ev.beta - h)) / (2.0 * h)
+    assert abs(ev.grad[-1] - fd) <= 1e-4 * max(abs(ev.grad[-1]), 1.0)
 
 
 def test_jitter_handles_singular_correlation():
-    # omega = 0 and lam = 0 make Theta a rank-1 ones matrix
+    # three copies of one point and lam = 0 make Theta a rank-1 ones matrix
     data = DiscrepancyData(
-        inputs=[[0.0], [1.0], [2.0]],
+        inputs=[[1.0], [1.0], [1.0]],
         model_outputs=[0.0, 0.0, 0.0],
         observed=[0.2, 0.2, 0.2],
     )
-    params = GpDiscrepancyParams(lam=0.0, beta=0.2, sigma2=1.0, omegas=(0.0,))
-    assert np.isfinite(gp_loglikelihood(params, data))
+    ev = _objective(data, _flat_hyper(), 0.0, 1.0, (1.0,))
+    assert ev.jitter > 0.0
+    assert np.isfinite(ev.logpost)
 
 
 def test_jitter_gives_up_on_indefinite_matrix():
@@ -228,48 +263,31 @@ def test_non_finite_theta_is_a_conditioning_error():
     for theta in (np.diag([np.inf, 1.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
         with pytest.raises(ConditioningError, match="non-finite"):
             _chol_jitter(theta)
-    # Theta's diagonal lam + sigma2 overflows to inf
+    # Theta's diagonal lam + sigma2 overflows to inf; c = 1/800 puts 1e308 in
+    # sigma2's support
     data = _toy_data(make_rng(44), 5)
-    params = GpDiscrepancyParams(lam=1e308, beta=0.0, sigma2=1e308, omegas=(1.0,))
+    hyper = dataclasses.replace(_flat_hyper(), c_sigma2=1.0 / 800.0)
     with np.errstate(over="ignore"), pytest.raises(ConditioningError):
-        gp_loglikelihood(params, data)
+        _objective(data, hyper, 1e308, 1e308, (1.0,))
 
 
 def test_log_posterior_adds_hand_computed_priors():
     rng = make_rng(33)
     data = _toy_data(rng, 6)
     hyper = _flat_hyper()
-    params = GpDiscrepancyParams(lam=0.01, beta=0.2, sigma2=0.5, omegas=(2.0,))
-    ll = gp_loglikelihood(params, data)
-    lp = _evaluate_at(params, data, hyper).logpost
-
-    def log_normal(v, mu, var):
-        return -0.5 * (math.log(2.0 * math.pi * var) + (v - mu) ** 2 / var)
-
-    def log_recip(t, c, eps):
-        return math.log(c) - math.log(t)
-
-    want = (
-        ll
-        + log_normal(0.01, hyper.mu_lam, hyper.var_lam)
-        + log_normal(0.2, hyper.mu_beta, hyper.var_beta)
-        + log_recip(0.5, hyper.c_sigma2, hyper.eps_trunc)
-        + log_recip(2.0, hyper.c_omegas[0], hyper.eps_trunc)
-    )
-    assert lp == pytest.approx(want, rel=1e-12)
+    ev = _objective(data, hyper, 0.01, 0.5, (2.0,))
+    params = GpDiscrepancyParams(lam=0.01, beta=ev.beta, sigma2=0.5, omegas=(2.0,))
+    want = _dense_logpdf(data, params, ev.jitter) + _log_priors(hyper, params)
+    assert ev.logpost == pytest.approx(want, rel=1e-12)
 
 
 def test_log_posterior_support_flags():
     rng = make_rng(34)
     data = _toy_data(rng, 5)
     hyper = _flat_hyper(eps=1e-6)
-    below = GpDiscrepancyParams(lam=0.01, beta=0.0, sigma2=1e-7, omegas=(1.0,))
-    assert _evaluate_at(below, data, hyper).logpost == -math.inf
+    assert _objective(data, hyper, 0.01, 1e-7, (1.0,)).logpost == -math.inf
     lo, hi = hyper.support(hyper.c_omegas[0])
-    above = GpDiscrepancyParams(
-        lam=0.01, beta=0.0, sigma2=1.0, omegas=(math.exp(hi) * 2.0,)
-    )
-    assert _evaluate_at(above, data, hyper).logpost == -math.inf
+    assert _objective(data, hyper, 0.01, 1.0, (math.exp(hi) * 2.0,)).logpost == -math.inf
 
 
 def test_reciprocal_prior_integrates_to_one():
@@ -300,10 +318,18 @@ def test_hyper_validation():
 
 
 def test_beta_closed_form_identity_theta():
-    rng = make_rng(35)
-    data = _toy_data(rng, 8)
-    beta = gp_beta_closed_form(data, np.eye(8))
-    assert beta == pytest.approx(np.mean(data.observed - data.model_outputs), rel=1e-12)
+    # unit-spaced points with omega = 1e4: every correlation underflows to 0,
+    # so Theta is (sigma2 + lam) I and beta* is the mean residual
+    toy = _toy_data(make_rng(35), 8)
+    data = DiscrepancyData(
+        inputs=np.arange(8.0)[:, None], model_outputs=toy.model_outputs,
+        observed=toy.observed,
+    )
+    ev = _objective(data, _flat_hyper(), 0.05, 0.3, (1e4,))
+    params = GpDiscrepancyParams(lam=0.05, beta=ev.beta, sigma2=0.3, omegas=(1e4,))
+    theta = gp_cov_matrix(data.inputs, params)
+    assert np.array_equal(theta, np.diag(np.diag(theta)))
+    assert ev.beta == pytest.approx(np.mean(data.observed - data.model_outputs), rel=1e-12)
 
 
 def test_beta_closed_form_constant_shift():
@@ -312,21 +338,20 @@ def test_beta_closed_form_constant_shift():
     m = x[:, 0] ** 2
     data = DiscrepancyData(inputs=x, model_outputs=m, observed=m + 2.5)
     for _ in range(5):
-        a = rng.standard_normal((6, 6))
-        theta = a @ a.T + np.eye(6)
-        assert gp_beta_closed_form(data, theta) == pytest.approx(2.5, rel=1e-10)
+        lam, s2, w = rng.uniform(0.01, 1.0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 10.0)
+        ev = _objective(data, _flat_hyper(), lam, s2, (w,))
+        assert ev.beta == pytest.approx(2.5, rel=1e-10)
 
 
 def test_beta_closed_form_is_likelihood_argmax():
     rng = make_rng(37)
     data = _toy_data(rng, 5)
-    params0 = GpDiscrepancyParams(lam=0.05, beta=0.0, sigma2=0.3, omegas=(2.0,))
-    theta = gp_cov_matrix(data.inputs, params0)
-    beta_hat = gp_beta_closed_form(data, theta)
+    hyper = _flat_hyper()
+    beta_hat = _objective(data, hyper, 0.05, 0.3, (2.0,)).beta
 
     def nll(b):
         p = GpDiscrepancyParams(lam=0.05, beta=b, sigma2=0.3, omegas=(2.0,))
-        return -gp_loglikelihood(p, data)
+        return -_dense_logpdf(data, p)
 
     res = minimize_scalar(
         nll, bounds=(beta_hat - 5.0, beta_hat + 5.0), method="bounded",
@@ -334,9 +359,12 @@ def test_beta_closed_form_is_likelihood_argmax():
     )
     assert beta_hat == pytest.approx(res.x, abs=1e-6)
     for _ in range(10):
-        a = rng.standard_normal((5, 5))
-        th = a @ a.T + 0.5 * np.eye(5)
-        bh = gp_beta_closed_form(data, th)
+        lam, s2, w = rng.uniform(0.01, 1.0), rng.uniform(0.1, 2.0), rng.uniform(0.1, 10.0)
+        bh = _objective(data, hyper, lam, s2, (w,)).beta
+        th = gp_cov_matrix(
+            data.inputs, GpDiscrepancyParams(lam=lam, beta=bh, sigma2=s2, omegas=(w,))
+        )
+        assert bh == pytest.approx(_beta_closed_form(data, th), rel=1e-12)
 
         def ll_at(b, th=th):
             fac_free = np.linalg.solve(th, data.observed - data.model_outputs - b)
@@ -582,6 +610,19 @@ def test_fit_map_reports_convergence_per_restart(readme_fit_data):
     assert fit.converged == [True] * 20
     assert len(fit.iterations) == 20
     assert all(isinstance(k, int) and 0 < k < 200 for k in fit.iterations)
+
+
+@pytest.mark.parametrize("case", ["readme_seed11", "api_5d_seed11"])
+def test_fit_map_objective_is_the_dense_log_posterior(tmp_path, case):
+    # the reported objective, rebuilt from the fit's own parameters, beta and
+    # jitter: scipy's dense log density plus the priors by hand
+    if case == "readme_seed11":
+        data, (seed_fit, _) = _readme_fit_data(tmp_path)
+    else:
+        data, (seed_fit, _) = _api_5d_fit_data(11, tmp_path)
+    fit = gp_fit_map(data, restarts=20, seed=seed_fit)
+    want = _dense_logpdf(data, fit.params, fit.jitter) + _log_priors(fit.hyper, fit.params)
+    assert fit.objective == pytest.approx(want, abs=1e-8)
 
 
 def test_fit_map_maxiter_stops_restarts_unconverged():
