@@ -7,14 +7,12 @@ value on the remaining n - n_l resampled points and records
     q_b = min { y : (1/(n - n_l)) sum 1{|m_eps_b(X_i)| <= y} >= alpha },
 
 the plug-in order statistic.  The report carries every replicate value plus
-their exact sample median.  Each replicate owns a spawned RNG stream and
-solves the surrogate module's one least-squares system, plain or
-zero-anchored through the same call.  A ``poly`` basis does not depend on the
-rows it is fitted on, so its replicates gather their rows from one design and
-solve in blocks, each block one stack of systems; their quantiles equal those
-of one replicate after another bit for bit.  ``spline1d`` and ``rbf`` build
-their basis from each replicate's learn rows and run one replicate after
-another.
+their exact sample median.  Each replicate owns a spawned RNG stream.  The
+residual basis is built once, on all n rows plus the extra rows, as the
+reported residual model's is.  Replicates gather their rows from its designs
+and solve in blocks, each block one stack of the surrogate module's
+least-squares systems, plain or zero-anchored; their quantiles equal those of
+one replicate after another bit for bit.
 """
 
 from __future__ import annotations
@@ -30,14 +28,12 @@ from .randgen import make_rng, spawn_seeds
 from .surrogate import (
     FunctionFamily,
     _check_weight,
-    _columns,
     _extra_points,
     _System,
-    build_basis,
     compute_residuals,
 )
 
-# values in the largest stacked array of a block of poly replicates, so that
+# values in the largest stacked array of a block of replicates, so that
 # memory does not grow with b_reps.  At 128 KB an array stays in L2 and glibc
 # reuses freed heap chunks for it; 2**16 and more raised the api_5d pipeline's
 # peak RSS by 8 MB (glibc, 2-vCPU x86_64), for no faster bootstrap.
@@ -95,31 +91,18 @@ def bootstrap_error_quantile(
     extra = None if extra_inputs is None else _extra_points(extra_inputs, experimental.dim)
     m = n - n_learn
 
-    # a poly basis does not look at the rows it is fitted on: build it, the
-    # design of all n rows and that of the extra rows once, gather each
-    # replicate's rows from them and fit blocks of replicates as one stack
-    stacked, block = family.kind == "poly", 1
-    if stacked:
-        basis = build_basis(family, x)
-        design = basis.design(x)
-        b2 = None if extra is None else basis.design(extra)
-        # at zero penalty the rank check stacks the extra rows under each
-        # replicate's learn rows
-        rows = n_learn + (extra.shape[0] if b2 is not None and family.penalty == 0 else 0)
-        block = max(1, _BLOCK_VALUES // (basis.n_coef * max(rows, m)))
+    # a block's replicates gather their rows from one system; at zero penalty
+    # the rank check stacks the extra rows under each one's learn rows
+    full = _System.on_data(family, x, residuals, extra)
+    rows = n_learn + (extra.shape[0] if extra is not None and family.penalty == 0 else 0)
+    block = max(1, _BLOCK_VALUES // (full.basis.n_coef * max(rows, m)))
     seeds = spawn_seeds(seed, b_reps)
     quantiles = np.empty(b_reps)
     for a in range(0, b_reps, block):
         idx = np.array([make_rng(s).integers(0, n, size=n) for s in seeds[a : a + block]])
         learn, rest = idx[:, :n_learn], idx[:, n_learn:]
-        if stacked:
-            fit = _System(basis, design[learn], residuals[learn], b2)
-            coef = fit.solve(family.penalty, w)
-            # as predict's product: a padded feature-major table per replicate
-            pred = (coef[:, None, :] @ _columns(design[rest]))[:, 0, :m]
-        else:
-            fit = _System.on_data(family, x[learn[0]], residuals[learn[0]], extra)
-            pred = fit.basis.predict(fit.solve(family.penalty, w), x[rest[0]])[None]
+        coef = full.rows(learn, residuals[learn]).solve(family.penalty, w)
+        pred = full.predict_rows(x, coef, rest)
         quantiles[a : a + len(idx)] = _order_statistic(np.abs(pred), alpha)
     return BootstrapErrorReport(
         quantiles=quantiles,

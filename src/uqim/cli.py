@@ -636,8 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp", required=True)
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--family", choices=_FAMILIES, default="spline1d")
-    p.add_argument("--size", type=int, default=10)
+    p.add_argument("--family", choices=_FAMILIES, default="poly")
+    p.add_argument("--size", type=int, default=1)
     p.add_argument("--penalty", type=float, default=0.0)
     p.add_argument("--b-reps", type=int, default=500)
     p.add_argument("--n-learn", type=int, default=10)

@@ -24,8 +24,9 @@ the experimental data only.
 
 Every fit (plain, GCV, zero-anchored, each CV fold and each bootstrap
 replicate) assembles and solves one penalized normal-equation system,
-``_System``, from ``design``; poly bootstrap replicates solve as one stack
-of such systems.  rbf and poly evaluate through ``_TableBasis``.
+``_System``, from ``design``.  CV folds and stacks of bootstrap replicates
+gather their rows from the one basis and design of all the experimental
+plus extra rows.  rbf and poly evaluate through ``_TableBasis``.
 """
 
 from __future__ import annotations
@@ -393,19 +394,31 @@ class _System:
     a lone one, so a stacked fit's coefficients equal the lone fit's.
     """
 
-    def __init__(self, basis, b1, y, b2=None):
+    def __init__(self, basis, b1, y, b2=None, g2=None):
         self.basis, self.b1, self.b2, self.rough = basis, b1, b2, basis.roughness()
         b1t = np.swapaxes(b1, -1, -2)
         self.g1, self.r1 = b1t @ b1, (b1t @ y[..., None])[..., 0]
-        self.g2 = None if b2 is None else b2.T @ b2
+        self.g2 = b2.T @ b2 if g2 is None and b2 is not None else g2
 
     @classmethod
     def on_data(cls, family: FunctionFamily, inputs, y, extra=None) -> "_System":
-        if extra is None:
-            basis = build_basis(family, inputs)
-            return cls(basis, basis.design(inputs), y)
-        basis = build_basis(family, np.vstack([inputs, extra]))
-        return cls(basis, basis.design(inputs), y, basis.design(extra))
+        """The system of one basis built on ``inputs`` plus the ``extra`` rows."""
+        basis = build_basis(family, inputs if extra is None else np.vstack([inputs, extra]))
+        b2 = None if extra is None else basis.design(extra)
+        return cls(basis, basis.design(inputs), y, b2)
+
+    def rows(self, idx, y) -> "_System":
+        """Rows ``idx`` of ``b1`` (or a stack of row sets) fit to ``y``; shares ``b2``."""
+        return type(self)(self.basis, self.b1[idx], y, self.b2, self.g2)
+
+    def predict_rows(self, inputs, coef, idx) -> np.ndarray:
+        """``basis.predict(coef[i], inputs[idx[i]])`` bit for bit, for coef
+        (k, n_coef) and idx (k or 1, m), where ``b1`` is the design of
+        ``inputs``: predict's padded product of the gathered design rows, or
+        for a spline, whose design product rounds otherwise, predict's own."""
+        if isinstance(self.basis, SplineBasis):
+            return np.take_along_axis(self.basis.predict(coef.T, inputs).T, idx, axis=1)
+        return (coef[:, None, :] @ _columns(self.b1[idx]))[:, 0, : idx.shape[-1]]
 
     def normal(self, w: float = 1.0):
         """(gram, rhs): plain mean squares, or weight ``w`` on the fitted
@@ -463,8 +476,12 @@ def fit_penalized_ls(family: FunctionFamily, data: PairedDataset) -> SurrogateMo
     )
 
 
-def default_gcv_grid(scale: float) -> np.ndarray:
-    return scale * np.logspace(-8, 2, 21)
+def _penalty_grid(grid, name: str) -> list[float]:
+    """``grid`` sorted; any value that is not finite and >= 0 raises."""
+    grid = sorted(float(p) for p in grid)
+    if not all(0.0 <= p < np.inf for p in grid):
+        raise DomainError(f"the {name} must hold finite values >= 0, got {grid}")
+    return grid
 
 
 def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
@@ -478,9 +495,9 @@ def fit_with_gcv(family: FunctionFamily, data: PairedDataset, grid=None):
     fit = _System.on_data(family, data.inputs, data.outputs)
     n = data.n
     if grid is None:
-        grid = default_gcv_grid(fit.penalty_scale())
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
+        grid = fit.penalty_scale() * np.logspace(-8, 2, 21)
+    grid = _penalty_grid(grid, "GCV penalty grid")
+    if not grid:
         raise DomainError("the GCV penalty grid must not be empty")
     best = None
     for pen in grid:
@@ -534,11 +551,6 @@ def _check_weight(weight) -> float:
 DEFAULT_W_GRID = tuple(np.round(np.linspace(0.0, 1.0, 11), 10))
 
 
-def default_penalty_grid(scale: float) -> np.ndarray:
-    """Zero plus a geometric sweep of the design's penalty scale."""
-    return np.concatenate([[0.0], scale * np.logspace(-8, 1, 10)])
-
-
 @dataclass
 class WeightSelection:
     """Outcome of the joint (weight, penalty) cross validation."""
@@ -579,39 +591,34 @@ def select_weight_and_penalty(
     w_grid = sorted(_check_weight(w) for w in w_grid)
     x = experimental.inputs
     extra = _extra_points(extra_inputs, experimental.dim)
-    # one full-data system scales the default grid and fits the final model
+    # one full-data system scales the default grid (zero, then a geometric
+    # sweep), gives every fold its rows and fits the final model
     full = _System.on_data(family, x, eps, extra)
     if penalty_grid is None:
-        penalty_grid = default_penalty_grid(full.penalty_scale())
-    penalty_grid = sorted(float(p) for p in penalty_grid)
+        penalty_grid = [0.0, *(full.penalty_scale() * np.logspace(-8, 1, 10))]
+    penalty_grid = _penalty_grid(penalty_grid, "CV penalty grid")
     perm = make_rng(seed).permutation(n)
 
-    # one system per fold serves all the cells; a cell's squared errors add
-    # up in fold order, and it fails (None, scored inf) at its first fold
-    # whose system cannot be solved; a fold whose basis cannot be built
-    # raises the basis's DataError
+    # a cell's squared errors add up in fold order; it fails (scored inf,
+    # coefficients 0) at its first fold whose system cannot be solved
     cells = [(w, pen) for w in w_grid for pen in penalty_grid]
     if not cells:
         raise DomainError("the weight and penalty grids must not be empty")
-    sse = [0.0] * len(cells)
+    sse = np.zeros(len(cells))
     for hold in np.array_split(perm, folds):
         train = np.setdiff1d(perm, hold, assume_unique=True)
-        fit = _System.on_data(family, x[train], eps[train], extra)
-        # rbf and poly score each fold with one table and predict's product
-        xh, eh, basis = x[hold], eps[hold], fit.basis
-        th = None if isinstance(basis, SplineBasis) else basis._table(_columns(xh))
+        fit = full.rows(train, eps[train])
+        coef = np.zeros((len(cells), full.basis.n_coef))
         for i, (w, pen) in enumerate(cells):
-            if sse[i] is not None:
+            if sse[i] < np.inf:
                 try:
-                    coef = fit.solve(pen, w)
+                    coef[i] = fit.solve(pen, w)
                 except (RankDeficiencyError, ConditioningError):
-                    sse[i] = None
-                    continue
-                pred = basis.predict(coef, xh) if th is None else coef @ th
-                err = pred[: len(eh)] - eh
-                sse[i] += float(err @ err)
+                    sse[i] = np.inf
+        for i, err in enumerate(full.predict_rows(x, coef, hold[None]) - eps[hold]):
+            sse[i] += err @ err
 
-    table = [(*cell, np.inf if t is None else t / n) for cell, t in zip(cells, sse)]
+    table = [(*cell, float(t) / n) for cell, t in zip(cells, sse)]
     w, pen, score = min(table, key=lambda row: row[2])  # first minimum wins ties
     if not np.isfinite(score):
         raise ConditioningError("every (weight, penalty) combination failed")

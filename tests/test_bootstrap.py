@@ -18,8 +18,8 @@ from uqim.surrogate import (
     FunctionFamily,
     SurrogateModel,
     _System,
+    build_basis,
     compute_residuals,
-    fit_penalized_ls,
 )
 from uqim.synthetic import make_hidim_like, make_mafds_like
 
@@ -113,19 +113,20 @@ def test_deterministic_per_seed():
 
 def _replicates_oracle(exp, base, family, b_reps, n_learn, alpha, seed,
                        extra=None, weight=None):
-    """Each replicate as a user would run it: resample, fit, predict."""
+    """Each replicate as a user would run it: resample, fit on the basis of
+    all rows plus the extra rows, predict with the model."""
     eps = compute_residuals(base, exp)
+    basis = build_basis(family, exp.inputs if extra is None
+                        else np.vstack([exp.inputs, extra]))
+    b2 = None if extra is None else basis.design(extra)
     out = []
     for rep_seed in spawn_seeds(seed, b_reps):
         idx = make_rng(rep_seed).integers(0, exp.n, size=exp.n)
-        learn = PairedDataset(inputs=exp.inputs[idx[:n_learn]],
-                              outputs=eps[idx[:n_learn]], kind="experimental")
-        if extra is None:
-            model = fit_penalized_ls(family, learn)
-        else:
-            fit = _System.on_data(family, learn.inputs, learn.outputs, extra)
-            model = SurrogateModel(family, fit.basis, fit.solve(family.penalty, weight),
-                                   train_size=learn.n)
+        learn = idx[:n_learn]
+        fit = _System(basis, basis.design(exp.inputs[learn]), eps[learn], b2)
+        model = SurrogateModel(family, basis,
+                               fit.solve(family.penalty, 1.0 if weight is None else weight),
+                               train_size=n_learn)
         absvals = np.sort(np.abs(model(exp.inputs[idx[n_learn:]])))
         m = absvals.size
         out.append(absvals[np.argmax(np.arange(1, m + 1) / m >= alpha)])
@@ -190,22 +191,23 @@ def test_poly_stack_matches_oracle(dim, degree, fit):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_poly_stack_blocks_match_oracle(monkeypatch, weighted):
     # a budget of 7 replicates per block: 40 replicates fill five blocks and
-    # part of a sixth, each an independent stacked fit
+    # part of a sixth, each an independent stacked fit gathered from the one
+    # system of all 30 rows
     exp, extra = _smooth(1, 30, 4)
     kw = {"extra_inputs": extra, "weight": 0.6} if weighted else {}
     monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 7 * 2 * 18)  # 2 coefs x 18 rows
     sizes = []
 
     class Recording(bootstrap._System):
-        def __init__(self, basis, b1, y, b2=None):
+        def __init__(self, basis, b1, *args):
             sizes.append(b1.shape[0])
-            super().__init__(basis, b1, y, b2)
+            super().__init__(basis, b1, *args)
 
     monkeypatch.setattr(bootstrap, "_System", Recording)
     fam = FunctionFamily("poly", 1, penalty=1e-4 if weighted else 0.0)
     report = bootstrap_error_quantile(exp, _Const(0.0), fam, b_reps=40, n_learn=12,
                                       alpha=0.9, seed=8, **kw)
-    assert sizes == [7, 7, 7, 7, 7, 5]
+    assert sizes == [30, 7, 7, 7, 7, 7, 5]
     oracle = _replicates_oracle(exp, _Const(0.0), fam, 40, 12, 0.9, 8,
                                 kw.get("extra_inputs"), kw.get("weight"))
     assert np.array_equal(report.quantiles, oracle)

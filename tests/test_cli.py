@@ -709,6 +709,20 @@ def test_bootstrap_error_report(tmp_path, workspace):
     assert saved.tolist() == res["quantiles"]
 
 
+def test_bootstrap_error_defaults_are_poly_1(tmp_path, workspace):
+    # the defaults run on any data that a line fits: poly 1 at penalty 0
+    ws = workspace["dir"]
+    argv = ["bootstrap-error", "--exp", ws / "exp.csv", "--model", ws / "model.json",
+            "--b-reps", "3", "--out-dir", tmp_path]
+    rc, rep, err = run_cli(argv)
+    assert rc == 0, err
+    settings = rep["settings"]
+    assert (settings["family"], settings["size"], settings["penalty"]) == ("poly", 1, 0.0)
+    rc, explicit, err = run_cli(argv + ["--family", "poly", "--size", "1"])
+    assert rc == 0, err
+    assert rep["results"] == explicit["results"]
+
+
 def test_threads_config_key_is_a_validation_error(tmp_path):
     # an unknown flat key is a method block, and a number is no block
     cfg = tmp_path / "threads.json"

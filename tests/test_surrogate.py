@@ -20,6 +20,7 @@ from uqim.errors import (
 )
 from uqim.randgen import make_rng
 from uqim.surrogate import (
+    DEFAULT_W_GRID,
     FunctionFamily,
     PolyBasis,
     RbfBasis,
@@ -282,16 +283,68 @@ def test_gcv_rejects_an_empty_grid():
         fit_with_gcv(FunctionFamily("poly", 1), _data(x, np.sin(x)), grid=[])
 
 
-def test_select_reports_a_fold_basis_data_error():
+def _no_solve(*args):
+    raise AssertionError("a system was solved")
+
+
+def test_gcv_rejects_a_negative_penalty_before_it_fits(monkeypatch):
+    x = np.linspace(0.0, 1.0, 20)
+    monkeypatch.setattr(_System, "solve", _no_solve)
+    with pytest.raises(DomainError, match=r"GCV penalty grid must hold finite values >= 0"):
+        fit_with_gcv(FunctionFamily("spline1d", 8), _data(x, np.sin(x)), grid=[-1e-9, 1e-3])
+
+
+def test_select_rejects_a_negative_penalty_before_it_fits(monkeypatch):
+    x = np.linspace(0.0, 1.0, 10)
+    exp = _data(x, np.zeros(10), kind="experimental")
+    monkeypatch.setattr(_System, "solve", _no_solve)
+    with pytest.raises(DomainError, match=r"CV penalty grid must hold finite values >= 0"):
+        select_weight_and_penalty(
+            FunctionFamily("poly", 1), exp, np.zeros(10), InputSample(points=[0.5]),
+            penalty_grid=[-1e-3, 1e-3], seed=0,
+        )
+
+
+@pytest.mark.parametrize("family, dim", [
+    (FunctionFamily("spline1d", 6), 1),
+    (FunctionFamily("rbf", 8), 1),
+    (FunctionFamily("rbf", 20), 5),
+    (FunctionFamily("poly", 3), 1),
+    (FunctionFamily("poly", 2), 5),
+], ids=["spline1d_1d", "rbf_1d", "rbf_5d", "poly_1d", "poly_5d"])
+def test_held_out_predictions_equal_the_model_bit_for_bit(family, dim):
+    # CV gathers one row set for a stack of cells, the bootstrap one row set
+    # per replicate; both must give each model's own predictions.  The basis
+    # spans x < 0.7 only, so a spline also predicts rows off its span
+    rng = np.random.default_rng(31)
+    x = rng.random((40, dim))
+    basis = build_basis(family, x[x[:, 0] < 0.7])
+    full = _System(basis, basis.design(x), np.zeros(40))
+    coef = rng.normal(size=(7, basis.n_coef))
+    for idx in (rng.permutation(40)[None, :13], rng.integers(0, 40, size=(7, 13))):
+        pred = full.predict_rows(x, coef, idx)
+        assert pred.shape == (7, 13)
+        for i in range(7):
+            model = SurrogateModel(family, basis, coef[i], train_size=40)
+            assert np.array_equal(pred[i], model(x[idx[i % idx.shape[0]]]))
+
+
+def test_select_scores_a_fold_on_one_distinct_point_as_failed_cells():
     # at seed 8 both x = 1 rows are held out together, so one fold trains on
-    # a single distinct point, where no rbf basis can be built
+    # a single distinct point.  The basis comes from all rows, so that fold
+    # is scored like the others: without a penalty no fold's two distinct
+    # points fix the 3 rbf coefficients, so the 11 zero-penalty cells score
+    # inf, and the penalized cells give a finite selection
     x = np.array([0.0] * 8 + [1.0] * 2)
     exp = _data(x, np.zeros(10), kind="experimental")
-    with pytest.raises(DataError, match="two distinct points"):
-        select_weight_and_penalty(
-            FunctionFamily("rbf", 3), exp, np.zeros(10), InputSample(points=[[0.0]]),
-            seed=8,
-        )
+    sel = select_weight_and_penalty(
+        FunctionFamily("rbf", 3), exp, np.zeros(10), InputSample(points=[[0.0]]),
+        seed=8,
+    )
+    failed = [(w, pen) for w, pen, score in sel.table if not np.isfinite(score)]
+    assert len(sel.table) == 121
+    assert failed == [(w, 0.0) for w in DEFAULT_W_GRID]
+    assert np.isfinite(sel.cv_risk) and sel.penalty > 0.0
 
 
 def test_select_deterministic_per_seed():
@@ -356,20 +409,23 @@ def test_fits_solve_the_documented_normal_equations_exactly():
 
 
 def _weighted_cv_oracle(family, exp, eps, extra, w_grid, penalty_grid, folds, seed):
-    """The CV table cell by cell: one full weighted fit per (w, pen, fold)."""
+    """The CV table cell by cell: one full weighted fit per (w, pen, fold), on
+    the basis of all rows plus the extra rows, scored with the model."""
     perm = make_rng(seed).permutation(exp.n)
     parts = np.array_split(perm, folds)
+    basis = build_basis(family, np.vstack([exp.inputs, extra]))
+    b2 = basis.design(extra)
     table = []
     for w in sorted(w_grid):
         for pen in sorted(penalty_grid):
             sse, held = 0.0, 0
             for hold in parts:
                 train = np.setdiff1d(perm, hold, assume_unique=True)
-                sub = PairedDataset(inputs=exp.inputs[train],
-                                    outputs=exp.outputs[train], kind="experimental")
+                fit = _System(basis, basis.design(exp.inputs[train]), eps[train], b2)
                 try:
-                    model = _anchored_fit(family.with_penalty(pen), sub, eps[train], extra, w)
-                except (RankDeficiencyError, ConditioningError, DataError):
+                    model = SurrogateModel(family.with_penalty(pen), basis,
+                                           fit.solve(pen, w), train_size=train.size)
+                except (RankDeficiencyError, ConditioningError):
                     sse = np.inf
                     break
                 err = model(exp.inputs[hold]) - eps[hold]
@@ -434,8 +490,8 @@ def _old_default_penalty_grid(family, inputs, extra):
     (FunctionFamily("poly", 2), 5),
 ], ids=["spline1d_1d", "rbf_1d", "poly_1d", "rbf_5d", "poly_5d"])
 def test_select_fits_one_full_data_system(family, dim, monkeypatch):
-    # the default grid's scale and the selected model come from one system
-    # on all rows: 5 fold bases and 1 full-data basis
+    # the default grid's scale, every fold and the selected model come from
+    # one system on all rows: one basis
     system = make_mafds_like() if dim == 1 else make_hidim_like(bias_kind="linear")
     exp = system.draw_experiment(50, seed=1)
     sim = system.draw_simulation(200, seed=2)
@@ -449,7 +505,7 @@ def test_select_fits_one_full_data_system(family, dim, monkeypatch):
     monkeypatch.setattr(uqim.surrogate, "build_basis", counted)
     sel = select_weight_and_penalty(family, exp, eps, sim.inputs, seed=11)
     monkeypatch.undo()
-    assert len(calls) == 6
+    assert len(calls) == 1
     assert [p for _, p, _ in sel.table[:11]] == _old_default_penalty_grid(
         family, exp.inputs, sim.inputs
     )
