@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-
 # numpy is imported inside the functions below, not at the top: ``import uqim``
 # loads this module, and the CLI's no-work paths (--dry-run, --version, --help,
 # argument errors) must not pay for numpy
@@ -79,8 +77,9 @@ def avm(exp_outputs, sim_outputs, grid_steps: int = 10_000) -> AvmResult:
     """
     import numpy as np
 
-    if grid_steps < 1:
-        raise DomainError(f"grid_steps must be >= 1, got {grid_steps}")
+    from .data import _count
+
+    grid_steps = _count(grid_steps, "grid_steps")
     f1 = EmpiricalCdf(exp_outputs)
     f2 = EmpiricalCdf(sim_outputs)
     lo = min(f1.values[0], f2.values[0])

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedDataset, _readonly
-from .density import _check_alpha, _order_statistic
+from .data import PairedDataset, _count, _level, _readonly
+from .density import _order_statistic
 from .errors import DomainError
 from .randgen import make_rng, spawn_seeds
 from .surrogate import (
@@ -78,11 +78,10 @@ def bootstrap_error_quantile(
     run in one thread.  A replicate whose fit fails raises its error.
     """
     n = experimental.n
-    if not 1 <= n_learn < n:
+    n_learn, b_reps = _count(n_learn, "n_learn"), _count(b_reps, "b_reps")
+    if n_learn >= n:
         raise DomainError(f"n_learn must lie in [1, {n - 1}], got {n_learn}")
-    if b_reps < 1:
-        raise DomainError(f"b_reps must be >= 1, got {b_reps}")
-    _check_alpha(alpha)
+    _level(alpha, "alpha")
     if weight is not None and extra_inputs is None:
         raise DomainError("weight given without extra_inputs")
     residuals = compute_residuals(base_model, experimental)
@@ -108,5 +107,5 @@ def bootstrap_error_quantile(
         quantiles=quantiles,
         median=float(np.median(quantiles)),
         alpha=float(alpha),
-        n_learn=int(n_learn),
+        n_learn=n_learn,
     )

@@ -245,7 +245,7 @@ def _cmd_fit_surrogate(args):
 def _cmd_density(args):
     import numpy as np
 
-    from .data import _write_table, parse_inputs
+    from .data import _count, _write_table, parse_inputs
     from .density import kde_cdf, kde_evaluate, surrogate_density
     from .surrogate import load_model
 
@@ -256,8 +256,7 @@ def _cmd_density(args):
             raise DomainError(f"--grid expects lo:hi or lo:hi:steps with lo < hi, "
                               f"got {args.grid!r}")
         span, steps = parts[:2], parts[2] if len(parts) == 3 else steps
-    if not float(steps).is_integer() or steps < 2:
-        raise DomainError(f"grid steps must be an integer >= 2, got {steps}")
+    steps = _count(steps, "grid steps", least=2)
     auto = args.bandwidth.strip().lower() == "auto"
     bandwidth = None if auto else _float(args.bandwidth, "--bandwidth")
     kde = surrogate_density(
@@ -266,7 +265,7 @@ def _cmd_density(args):
     if span is None:
         pad = 3.0 * kde.bandwidth
         span = kde.values[0] - pad, kde.values[-1] + pad
-    (lo, hi), steps = span, int(steps)
+    lo, hi = span
     grid = np.linspace(lo, hi, steps)
     pdf = kde_evaluate(kde, grid)
     cdf = kde_cdf(kde, grid)

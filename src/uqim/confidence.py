@@ -32,15 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedDataset, _readonly, _values
+from .data import PairedDataset, _count, _level, _readonly, _values
 from .density import (
-    BLOCK, KdeModel, _check_alpha, _kde_cdf_into, _order_index, _searchsorted_blocks,
-    kde_evaluate,
+    BLOCK, KdeModel, _kde_cdf_into, _order_index, _searchsorted_blocks, kde_evaluate,
 )
 from .errors import DomainError, InfeasibleError
 
 _N_MAX = 100_000  # largest n that minimal_feasible_n tries
 _DELTA_TOL = 1e-9  # minimal_feasible_delta's bisection tolerance, and its smallest delta
+_D_DELTA_RATIOS = np.linspace(0.1, 0.9, 9)  # the default ddelta/delta sweep
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +48,8 @@ _DELTA_TOL = 1e-9  # minimal_feasible_delta's bisection tolerance, and its small
 
 
 def _check_core(n: int, delta: float, d_delta: float) -> float:
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _count(n, "n")
+    _level(delta, "delta")
     if not 0.0 < d_delta < delta:
         raise DomainError(
             f"ddelta must lie in (0, delta)=(0, {delta}), got {d_delta}"
@@ -72,8 +70,7 @@ def gamma_term(n: int, big_n: float, delta: float, d_delta: float, eps: float) -
     """
     rem = _check_core(n, delta, d_delta)
     _check_big_n(big_n)
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
+    _level(eps, "eps")
     arg = rem - (1.0 - eps) ** n
     if arg <= 0.0:
         raise DomainError(
@@ -125,7 +122,7 @@ def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> Ep
 
 
 def default_d_delta_grid(delta: float) -> np.ndarray:
-    return delta * np.linspace(0.1, 0.9, 9)
+    return delta * _D_DELTA_RATIOS
 
 
 @dataclass(frozen=True)
@@ -148,26 +145,16 @@ class FeasibilityReport:
     entries: tuple
 
 
-def _levels(n, big_n, alpha, delta, d_delta):
-    """(ok, hoeffding, eps/gamma split, level_low, level_high) of one ddelta.
+def _screen(n, big_n, alpha, delta, d_deltas):
+    """(ddelta, ok, objective, hoeffding, eps/gamma split, level_low,
+    level_high) per ddelta, ascending, once all pass their checks.
 
     The levels are alpha -/+ (hoeffding + eps + gamma); ``ok`` says whether
-    both lie inside (0, 1), the rule that both the feasibility screen and
-    the quantile interval apply.
+    both lie inside (0, 1), the rule that both the feasibility screen and the
+    quantile interval apply.  With ``big_n=None`` it is the N -> infinity
+    limit: no shift, objective 1 - (delta-ddelta)^(1/n), and no split or levels.
     """
-    _check_core(n, delta, d_delta)
-    hoeff = math.sqrt(-math.log(d_delta / 2.0) / (2.0 * big_n))
-    eg = minimize_eps_gamma(n, big_n, delta, d_delta)
-    low = alpha - hoeff - eg.eps - eg.gamma
-    high = alpha + hoeff + eg.eps + eg.gamma
-    return 0.0 < low and high < 1.0, hoeff, eg, low, high
-
-
-def _screen(n, big_n, alpha, delta, d_deltas):
-    """(ddelta, ok, objective, hoeffding) per ddelta, ascending, once all pass
-    their checks.  ``ok`` is the rule of ``_levels``; with ``big_n=None`` it is
-    the N -> infinity limit: no shift, objective 1 - (delta-ddelta)^(1/n)."""
-    _check_alpha(alpha)
+    _level(alpha, "alpha")
     if big_n is not None:
         _check_big_n(big_n)
     d_deltas = sorted(float(v) for v in np.atleast_1d(d_deltas))
@@ -176,10 +163,13 @@ def _screen(n, big_n, alpha, delta, d_deltas):
     for dd in d_deltas:
         if big_n is None:
             obj = 1.0 - (delta - dd) ** (1.0 / n)
-            yield dd, obj < min(alpha, 1.0 - alpha), obj, 0.0
+            yield dd, obj < min(alpha, 1.0 - alpha), obj, 0.0, None, None, None
         else:
-            ok, hoeff, eg, _, _ = _levels(n, big_n, alpha, delta, dd)
-            yield dd, ok, eg.objective, hoeff
+            hoeff = math.sqrt(-math.log(dd / 2.0) / (2.0 * big_n))
+            eg = minimize_eps_gamma(n, big_n, delta, dd)
+            low = alpha - hoeff - eg.eps - eg.gamma
+            high = alpha + hoeff + eg.eps + eg.gamma
+            yield dd, 0.0 < low and high < 1.0, eg.objective, hoeff, eg, low, high
 
 
 def ci_feasibility(
@@ -198,11 +188,11 @@ def ci_feasibility(
     if d_delta_grid is None:
         d_delta_grid = default_d_delta_grid(delta)
     rows = _screen(n, big_n, alpha, delta, d_delta_grid)
-    entries = tuple(FeasibilityEntry(*row) for row in rows)
+    entries = tuple(FeasibilityEntry(*row[:4]) for row in rows)
     best = min(entries, key=lambda e: e.objective + e.hoeffding, default=None)
     return FeasibilityReport(
         feasible=any(e.feasible for e in entries),
-        n=int(n),
+        n=_count(n, "n"),
         alpha=float(alpha),
         delta=float(delta),
         big_n=big_n,
@@ -228,7 +218,7 @@ def minimal_feasible_delta(n: int, alpha: float, ratio_grid=None, big_n=None) ->
     is screened as :func:`ci_feasibility` screens it, up to its first
     feasible ddelta.
     """
-    ratios = np.linspace(0.1, 0.9, 9) if ratio_grid is None else np.atleast_1d(ratio_grid)
+    ratios = _D_DELTA_RATIOS if ratio_grid is None else np.atleast_1d(ratio_grid)
 
     def ok(d: float) -> bool:
         try:
@@ -299,16 +289,14 @@ def quantile_ci(
     """
     # one sort serves the order statistics of every ddelta candidate
     outputs = np.sort(_values(outputs, "surrogate outputs"))
-    _check_alpha(alpha)
     n, big_n = experimental.n, outputs.size
     beta_hat = surrogate_error_bound(experimental, model)
     if sweep:
-        candidates = list(default_d_delta_grid(delta))
+        candidates = default_d_delta_grid(delta)
     else:
         candidates = [delta / 2.0 if d_delta is None else float(d_delta)]
     best = None
-    for dd in candidates:
-        ok, _, eg, low, high = _levels(n, big_n, alpha, delta, dd)
+    for dd, ok, _, _, eg, low, high in _screen(n, big_n, alpha, delta, candidates):
         if not ok:
             continue
         lo_q = float(outputs[_order_index(big_n, low) - 1]) - beta_hat
@@ -571,13 +559,11 @@ def density_band(
         raise DomainError(
             f"kappa must lie in (0, interval length={hi - lo:.6g}), got {kappa}"
         )
-    if grid_steps < 2:
-        raise DomainError(f"grid_steps must be >= 2, got {grid_steps}")
+    grid_steps = _count(grid_steps, "grid_steps", least=2)
     bandwidths = tuple(float(h) for h in np.atleast_1d(bandwidths))
     if not bandwidths or not all(0.0 < h < math.inf for h in bandwidths):
         raise DomainError("bandwidths must be a nonempty list of positive values")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    _level(delta, "delta")
     slack = 2.0 / big_n**2
     if slack >= delta:
         raise InfeasibleError(

@@ -1,10 +1,11 @@
 """Dataset containers and CSV ingestion.
 
-The package's three rules for arrays live here: :func:`_points` says what
-an array of points means, (n, d) points with a 1-d array a column,
-:func:`_rows` checks and copies a container's points and columns, and
+The package's five input rules live here: :func:`_points` says what an
+array of points means, (n, d) points with a 1-d array a column,
+:func:`_rows` checks and copies a container's points and columns,
 :func:`_values` checks a sample of values, such as model outputs or
-residuals.
+residuals, :func:`_count` takes every size, count and number of steps, and
+:func:`_level` every probability level.
 Containers are frozen dataclasses holding read-only numpy arrays, so they can
 be shared freely across threads.  A CSV file is read once, front to back:
 ``csv.reader`` reads the header, numpy's C parser (``np.loadtxt``) reads a
@@ -88,6 +89,26 @@ def _values(x, what: str, least: int = 1) -> np.ndarray:
     if not np.isfinite(v).all():
         raise DomainError(f"{what} must be finite")
     return v
+
+
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``: a Python or numpy int, or a
+    float with an integer value.  Every sample size, fold, replicate, restart,
+    iteration and grid step count is taken through it."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value}")
+    return count
+
+
+def _level(value, what: str):
+    """``value``, a probability level such as alpha or delta, strictly inside (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise DomainError(f"{what} must lie in (0, 1), got {value}")
+    return value
 
 
 def _names(names, dim: int) -> tuple[str, ...]:

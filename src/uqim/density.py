@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _points, _values
+from .data import _level, _points, _values
 from .errors import DomainError, ZeroSpreadError
 
 # queries per block of the elementwise KDE CDF and the density band's
@@ -178,14 +178,9 @@ def _order_index(n: int, alpha: float) -> int:
 def mc_quantile(values, alpha: float) -> QuantileEstimate:
     """alpha-quantile as the ceil(N*alpha)-th ascending order statistic."""
     v = _values(values, "quantile sample")
-    _check_alpha(alpha)
+    _level(alpha, "alpha")
     val = float(_order_statistic(v.copy(), alpha))
     return QuantileEstimate(level=float(alpha), value=val, size=v.size)
-
-
-def _check_alpha(alpha) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def _order_statistic(values: np.ndarray, alpha: float) -> np.ndarray:

@@ -41,8 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import _points, _readonly, _rows
-from .density import _check_alpha, _order_statistic
+from .data import _count, _level, _points, _readonly, _rows
+from .density import _order_statistic
 from .errors import ConditioningError, DomainError, FitError
 from .randgen import make_rng
 
@@ -442,8 +442,7 @@ def gp_fit_map(
     """
     if beta_mode != "closed_form":
         raise DomainError(f"unknown beta_mode {beta_mode!r}")
-    if restarts < 1:
-        raise DomainError(f"restarts must be >= 1, got {restarts}")
+    restarts, maxiter = _count(restarts, "restarts"), _count(maxiter, "maxiter", least=0)
     if hyper is None:
         hyper = GpHyperParams.default_for(data)
     if len(hyper.c_omegas) != data.dim:
@@ -519,9 +518,8 @@ def gp_error_quantile(
     the parameters), and takes the plug-in alpha-quantile of the absolute
     values; the summary is the median over replications.
     """
-    _check_alpha(alpha)
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    _level(alpha, "alpha")
+    reps = _count(reps, "reps")
     cov = gp_cov_matrix(data.inputs, params)
     if np.trace(cov) == 0.0:  # no variance: every draw is the mean
         draws = np.full((reps, data.n), params.beta)
@@ -534,5 +532,5 @@ def gp_error_quantile(
         median=float(np.median(vals)),
         quantiles=vals,
         alpha=float(alpha),
-        reps=int(reps),
+        reps=reps,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _points
+from .data import _count, _points
 from .errors import DomainError, InsufficientDataError, InvalidCovarianceError
 
 # relative tolerances for covariance validation
@@ -113,8 +113,7 @@ def sample_mvn(params: MvnParams, count: int, seed) -> np.ndarray:
     A Z is formed and the mean is added in place, so two (count, dim)
     arrays are alive at most.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _count(count, "count")
     a = _transform(params)
     rng = make_rng(seed)
     x = rng.standard_normal((count, params.dim)) @ a.T
@@ -128,8 +127,7 @@ def latin_hypercube(ranges, count: int, seed) -> np.ndarray:
     ``ranges`` is a sequence of (lo, hi) pairs, one per dimension.  Each
     coordinate lands uniformly inside its stratum.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _count(count, "count")
     ranges = [(float(lo), float(hi)) for lo, hi in ranges]
     for j, (lo, hi) in enumerate(ranges):
         if not lo < hi:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import PairedDataset, _points, _rows, _values
+from .data import PairedDataset, _count, _points, _rows, _values
 from .errors import (
     ConditioningError,
     DataError,
@@ -68,11 +68,8 @@ class FunctionFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise DomainError(f"unknown family kind {self.kind!r}")
-        min_size = 0 if self.kind == "poly" else 1
-        if int(self.size) != self.size or self.size < min_size:
-            raise DomainError(
-                f"{self.kind} size must be an integer >= {min_size}, got {self.size}"
-            )
+        least = 0 if self.kind == "poly" else 1
+        object.__setattr__(self, "size", _count(self.size, f"{self.kind} size", least))
         if not np.isfinite(self.penalty) or self.penalty < 0:
             raise DomainError(f"penalty must be finite and >= 0, got {self.penalty}")
 
@@ -582,8 +579,7 @@ def select_weight_and_penalty(
     n = experimental.n
     if eps.shape[0] != n:
         raise DataError(f"{eps.shape[0]} residuals for {n} rows")
-    if folds < 2:
-        raise DomainError(f"folds must be >= 2, got {folds}")
+    folds = _count(folds, "folds", least=2)
     if n < folds:
         raise InsufficientDataError(f"{n} experimental rows cannot fill {folds} folds")
     if w_grid is None:

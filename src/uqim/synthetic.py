@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import PairedDataset
-from .density import _check_alpha, mc_quantile
+from .data import PairedDataset, _level
+from .density import mc_quantile
 from .errors import DomainError
 from .randgen import MvnParams, estimate_mvn, make_rng, sample_mvn, spawn_seeds
 
@@ -99,7 +99,7 @@ class SyntheticSystem:
         return fn
 
     def true_quantile(self, alpha: float) -> float:
-        _check_alpha(alpha)
+        _level(alpha, "alpha")
         return float(self._oracle(self.quantile_fn, "quantile")(alpha))
 
     def true_cdf(self, y):

@@ -554,7 +554,9 @@ def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
         "synth", "--system", "hidim", "--mc-count", "0", "--out-dir", tmp_path,
     ])
     assert rc == 1
-    assert json.loads(err) == {"error": "DomainError", "message": "count must be >= 1, got 0"}
+    assert json.loads(err) == {
+        "error": "DomainError", "message": "count must be an integer >= 1, got 0",
+    }
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from uqim.confidence import density_band, quantile_ci
+from uqim.avm import avm
+from uqim.bootstrap import bootstrap_error_quantile
+from uqim.confidence import ci_feasibility, density_band, gamma_term, quantile_ci
 from uqim.data import (
     InputSample,
     PairedDataset,
@@ -12,10 +14,22 @@ from uqim.data import (
 )
 from uqim.density import KdeModel, mc_quantile, select_bandwidth
 from uqim.errors import DataError, DomainError, InsufficientDataError
-from uqim.gp import DiscrepancyData, GpDiscrepancyParams, gp_cov_matrix
-from uqim.randgen import estimate_mvn, make_rng
-from uqim.surrogate import FunctionFamily, build_basis, compute_residuals, fit_penalized_ls
-from uqim.synthetic import FIELD_INPUT_NAMES, field_measurements
+from uqim.gp import (
+    DiscrepancyData,
+    GpDiscrepancyParams,
+    gp_cov_matrix,
+    gp_error_quantile,
+    gp_fit_map,
+)
+from uqim.randgen import MvnParams, estimate_mvn, latin_hypercube, make_rng, sample_mvn
+from uqim.surrogate import (
+    FunctionFamily,
+    build_basis,
+    compute_residuals,
+    fit_penalized_ls,
+    select_weight_and_penalty,
+)
+from uqim.synthetic import FIELD_INPUT_NAMES, field_measurements, make_mafds_like
 
 
 def test_field_table_shape():
@@ -284,3 +298,77 @@ def test_input_sample_promotes_1d():
     assert s.n == 3 and s.dim == 1
     with pytest.raises(ValueError):
         s.points[0, 0] = 0.0
+
+
+_GP_DATA = DiscrepancyData(inputs=_X, model_outputs=np.zeros(6), observed=np.sin(_X))
+_GP_PARAMS = GpDiscrepancyParams(lam=0.1, beta=0.0, sigma2=1.0, omegas=(2.0,))
+_OUTPUTS = make_rng(4).standard_normal(1000)
+_POLY1 = FunctionFamily("poly", 1)
+
+# each count argument, "<entry point> <argument>", fed the value v
+_COUNT_ENTRIES = {
+    "sample_mvn count": lambda v: sample_mvn(MvnParams(mean=[0.0], cov=[[1.0]]), v, 0),
+    "latin_hypercube count": lambda v: latin_hypercube([(0.0, 1.0)], v, 0),
+    "gp_error_quantile reps": lambda v: gp_error_quantile(_GP_PARAMS, _GP_DATA, 0.9, reps=v),
+    "gp_fit_map restarts": lambda v: gp_fit_map(_GP_DATA, restarts=v, maxiter=5),
+    "bootstrap_error_quantile b_reps": lambda v: bootstrap_error_quantile(
+        _EXP, _sin, _POLY1, b_reps=v, n_learn=3),
+    "bootstrap_error_quantile n_learn": lambda v: bootstrap_error_quantile(
+        _EXP, _sin, _POLY1, b_reps=2, n_learn=v),
+    "density_band grid_steps": lambda v: density_band(
+        _OUTPUTS, _EXP, _sin, kappa=0.5, delta=0.1, bandwidths=[0.3],
+        interval=(-1.0, 1.0), grid_steps=v),
+    "avm grid_steps": lambda v: avm(np.sin(_X), np.cos(_X), grid_steps=v),
+    "select_weight_and_penalty folds": lambda v: select_weight_and_penalty(
+        _POLY1, _EXP, np.cos(_X), _X, folds=v),
+    "ci_feasibility n": lambda v: ci_feasibility(v, 0.9, 0.1),
+    "FunctionFamily poly size": lambda v: FunctionFamily("poly", v),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan], ids=["fraction", "nan"])
+@pytest.mark.parametrize("entry", list(_COUNT_ENTRIES))
+def test_a_count_is_a_whole_number(entry, bad):
+    _COUNT_ENTRIES[entry](2.0)
+    what = entry.split(" ", 1)[1]
+    with pytest.raises(DomainError, match=rf"^{what} must be an integer >= \d, got {bad}$"):
+        _COUNT_ENTRIES[entry](bad)
+
+
+def test_gp_maxiter_is_a_count_from_zero():
+    assert gp_fit_map(_GP_DATA, restarts=2, maxiter=0).iterations == [0, 0]
+    with pytest.raises(DomainError, match=r"^maxiter must be an integer >= 0, got -1$"):
+        gp_fit_map(_GP_DATA, restarts=2, maxiter=-1)
+
+
+def test_a_whole_float_count_is_taken_as_an_int():
+    size = FunctionFamily("poly", 2.0).size
+    assert size == 2 and type(size) is int
+    assert avm(np.sin(_X), np.cos(_X), grid_steps=np.int64(3)).grid_steps == 3
+    ref = bootstrap_error_quantile(_EXP, _sin, _POLY1, b_reps=3, n_learn=4)
+    got = bootstrap_error_quantile(_EXP, _sin, _POLY1, b_reps=3.0, n_learn=4.0)
+    assert got.n_learn == 4 and np.array_equal(got.quantiles, ref.quantiles)
+
+
+# each probability level argument, "<entry point> <argument>", fed the value v
+_LEVEL_ENTRIES = {
+    "mc_quantile alpha": lambda v: mc_quantile(_OUTPUTS, v),
+    "gp_error_quantile alpha": lambda v: gp_error_quantile(_GP_PARAMS, _GP_DATA, v, reps=2),
+    "bootstrap_error_quantile alpha": lambda v: bootstrap_error_quantile(
+        _EXP, _sin, _POLY1, b_reps=2, n_learn=3, alpha=v),
+    "quantile_ci alpha": lambda v: quantile_ci(_EXP, _sin, _OUTPUTS, alpha=v, delta=0.5),
+    "ci_feasibility alpha": lambda v: ci_feasibility(10, v, 0.1),
+    "ci_feasibility delta": lambda v: ci_feasibility(10, 0.9, v),
+    "density_band delta": lambda v: density_band(
+        _OUTPUTS, _EXP, _sin, kappa=0.5, delta=v, bandwidths=[0.3], interval=(-1.0, 1.0)),
+    "gamma_term eps": lambda v: gamma_term(10, 1000, 0.5, 0.25, v),
+    "true_quantile alpha": lambda v: make_mafds_like().true_quantile(v),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, np.nan])
+@pytest.mark.parametrize("entry", list(_LEVEL_ENTRIES))
+def test_a_level_lies_strictly_inside_0_1(entry, bad):
+    what = entry.split(" ", 1)[1]
+    with pytest.raises(DomainError, match=rf"^{what} must lie in \(0, 1\), got {bad}$"):
+        _LEVEL_ENTRIES[entry](bad)

@@ -395,6 +395,25 @@ def test_fit_map_init_at_truth_does_not_decrease(monkeypatch):
     assert end.fun <= negative(z0)[0]
 
 
+def test_optimizer_steepest_descent_fallback_reaches_the_box_minimum(monkeypatch):
+    # with no quasi-Newton direction every step is d = -g; on
+    # 1/2 x'Ax - b'x the box [-5, 5] x [-1, 5] holds the minimizer at
+    # x2 = -1, where x1 = (b1 - A12 x2) / A11 = 0.65
+    a, b = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([1.0, -4.0])
+    calls = []
+
+    def no_direction(*args):
+        calls.append(args)
+
+    monkeypatch.setattr(gp_mod, "_direction", no_direction)
+    end = gp_mod._projected_bfgs(
+        lambda x: (0.5 * x @ a @ x - b @ x, a @ x - b),
+        np.array([3.0, 3.0]), np.array([-5.0, -1.0]), np.array([5.0, 5.0]), 200,
+    )
+    assert calls and end.converged
+    assert np.allclose(end.x, [0.65, -1.0], rtol=0, atol=1e-12)
+
+
 def test_fit_map_deterministic():
     rng = make_rng(39)
     data = _toy_data(rng, 8)

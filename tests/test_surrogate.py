@@ -95,6 +95,19 @@ def test_gcv_ties_prefer_smaller_penalty():
     assert model.family.penalty == 1e-3
 
 
+def test_gcv_without_roughness_scales_its_grid_by_one():
+    # poly 0 has no roughness (trace R = 0): the default grid is
+    # logspace(-8, 2, 21) unscaled, every point fits the mean with hat
+    # trace 1, and the tie rule keeps the first
+    x = np.linspace(0.0, 1.0, 7)
+    y = np.sin(3.0 * x)
+    model = fit_with_gcv(FunctionFamily("poly", 0), _data(x, y))
+    assert model.family.penalty == np.logspace(-8, 2, 21)[0]
+    assert np.allclose(model.coef, [y.mean()], rtol=1e-14, atol=0)
+    assert np.isclose(model.cv_score, np.mean((y - y.mean()) ** 2) / (1 - 1 / 7) ** 2,
+                      rtol=1e-12, atol=0)
+
+
 def test_gcv_skips_penalties_the_solver_rejects():
     # two distinct abscissae cannot determine a quadratic without a penalty:
     # GCV skips zero, as fit_penalized_ls refuses it, and keeps the others
