@@ -38,8 +38,8 @@ _EXPORTS = {
     "bootstrap": ("BootstrapErrorReport", "bootstrap_error_quantile"),
     "confidence": (
         "DensityBand", "EpsGamma", "FeasibilityReport", "QuantileCi", "ci_feasibility",
-        "density_band", "gamma_term", "minimal_feasible_delta", "minimal_feasible_n",
-        "minimize_eps_gamma", "quantile_ci", "surrogate_error_bound",
+        "density_band", "minimal_feasible_delta", "minimal_feasible_n", "minimize_eps_gamma",
+        "quantile_ci",
     ),
     "data": (
         "InputSample", "PairedDataset", "parse_dataset", "parse_inputs",

@@ -32,22 +32,20 @@ import os
 import sys
 import time
 
-from . import __version__
+import uqim
 from .errors import DataError, DomainError, InfeasibleError, UqError, ValidationError
 
-# numpy and the layer modules, data.py among them, load in the handlers and
-# helpers that call them, so that a process starts on the running subcommand's
-# layers only; --dry-run, --version, --help, argument errors, a bad --config
-# and a seed out of range load none of them, and no numpy.
+# Every layer is reached as uqim.<name>: the package loads the layer module on
+# first use (uqim/__init__.py), so a process starts on the running
+# subcommand's layers only.  --dry-run, --version, --help, argument errors, a
+# bad --config and a seed out of range load none of them, and no numpy.
 
 
 def __getattr__(name: str):
-    # the layer functions this module once imported at its top still resolve
-    # as uqim.cli.<name>, through the package, which loads them on first use;
-    # perfbench's span test still calls uqim.cli.mc_quantile
-    package = sys.modules[__package__]
-    if name in package.__all__:
-        return getattr(package, name)
+    # uqim.cli.<name> still resolves a public name through the package;
+    # perfbench's span test calls uqim.cli.mc_quantile
+    if name in uqim.__all__:
+        return getattr(uqim, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -101,17 +99,13 @@ def _parse_ranges(text: str) -> list[tuple[float, float]]:
 
 def _load_dataset(args, role):
     """The --exp or --sim (``role``) dataset, as --input-columns and --output-column pick."""
-    from .data import parse_dataset
-
     cols = _names(args.input_columns) if args.input_columns else None
     kind = "experimental" if role == "exp" else "simulated"
-    return parse_dataset(getattr(args, role), cols, args.output_column, kind)
+    return uqim.parse_dataset(getattr(args, role), cols, args.output_column, kind)
 
 
 def _single_column(path) -> np.ndarray:
-    from .data import parse_inputs
-
-    sample = parse_inputs(path)
+    sample = uqim.parse_inputs(path)
     if sample.dim != 1:
         raise DataError(f"{path}: expected one column, found {sample.dim}")
     return sample.points[:, 0]
@@ -131,29 +125,31 @@ def _artifact(args, name) -> str:
     return p
 
 
+def _unread(args, mode, *names):
+    """A DomainError naming each option of ``names`` that is set: ``mode`` never reads it."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) is not None and getattr(args, name) is not False]
+    if given:
+        raise DomainError(f"{', '.join(given)}: not read {mode}")
+
+
 def _model_outputs(model, inputs_path) -> np.ndarray:
-    import numpy as np
-
-    from .data import parse_inputs
-
-    return np.asarray(model(parse_inputs(inputs_path).points), dtype=float)
+    return model(uqim.parse_inputs(inputs_path).points)
 
 
 def _cmd_gen_inputs(args):
-    from .data import InputSample, parse_inputs, write_inputs
-    from .randgen import estimate_mvn, latin_hypercube, sample_mvn
-
     dist = args.dist
     if dist is None:  # a Latin hypercube when only --ranges gives the law
         dist = "lhs" if args.ranges and not args.from_data else "mvn"
     sample = None
     if args.from_data:
-        sample = parse_inputs(args.from_data, _names(args.columns) if args.columns else None)
+        columns = _names(args.columns) if args.columns else None
+        sample = uqim.parse_inputs(args.from_data, columns)
     if dist == "mvn":
         if sample is None:
             raise DomainError("--dist mvn needs --from <csv>")
-        params = estimate_mvn(sample.points)
-        pts = sample_mvn(params, args.count, args.seed)
+        params = uqim.estimate_mvn(sample.points)
+        pts = uqim.sample_mvn(params, args.count, args.seed)
         names = sample.names
         extra = {"mean": params.mean, "cov": params.cov}
     else:
@@ -163,34 +159,22 @@ def _cmd_gen_inputs(args):
             ranges = list(zip(sample.points.min(axis=0), sample.points.max(axis=0)))
         else:
             raise DomainError("--dist lhs needs --ranges or --from <csv>")
-        pts = latin_hypercube(ranges, args.count, args.seed)
+        pts = uqim.latin_hypercube(ranges, args.count, args.seed)
         names = sample.names if sample is not None else ()
         extra = {"ranges": [list(map(float, r)) for r in ranges]}
     out = _artifact(args, args.output)
-    write_inputs(InputSample(points=pts, names=names), out)
+    uqim.write_inputs(uqim.InputSample(points=pts, names=names), out)
     return {"count": args.count, "dim": pts.shape[1], "dist": dist, **extra}, [out]
 
 
 def _cmd_fit_surrogate(args):
-    import numpy as np
-
-    from .data import parse_inputs
-    from .surrogate import (
-        FunctionFamily,
-        compute_residuals,
-        fit_penalized_ls,
-        fit_with_gcv,
-        improved_surrogate,
-        save_model,
-        select_weight_and_penalty,
-    )
-
     sim = _load_dataset(args, "sim")
     if args.penalty is None:
-        grid = np.asarray(_floats(args.penalty_grid)) if args.penalty_grid else None
-        base = fit_with_gcv(FunctionFamily(args.family, args.size), sim, grid=grid)
+        grid = _floats(args.penalty_grid) if args.penalty_grid else None
+        base = uqim.fit_with_gcv(uqim.FunctionFamily(args.family, args.size), sim, grid=grid)
     else:
-        base = fit_penalized_ls(FunctionFamily(args.family, args.size, args.penalty), sim)
+        family = uqim.FunctionFamily(args.family, args.size, args.penalty)
+        base = uqim.fit_penalized_ls(family, sim)
     model = base
     results = {
         "family": base.family.kind,
@@ -201,14 +185,14 @@ def _cmd_fit_surrogate(args):
     }
     if args.exp:
         expd = _load_dataset(args, "exp")
-        residuals = compute_residuals(base, expd)
+        residuals = uqim.compute_residuals(base, expd)
         # the residual family defaults to the base's kind and size
-        res_family = FunctionFamily(
+        res_family = uqim.FunctionFamily(
             base.family.kind if args.res_family is None else args.res_family,
             base.family.size if args.res_size is None else args.res_size,
         )
         extra = (
-            parse_inputs(args.extra_inputs).points if args.extra_inputs else sim.inputs
+            uqim.parse_inputs(args.extra_inputs).points if args.extra_inputs else sim.inputs
         )
         if args.weight_grid:
             w_grid = _floats(args.weight_grid)
@@ -217,7 +201,7 @@ def _cmd_fit_surrogate(args):
         else:
             # no --weighted: fix w=1 so only the penalty is cross-validated
             w_grid = [1.0]
-        sel = select_weight_and_penalty(
+        sel = uqim.select_weight_and_penalty(
             res_family,
             expd,
             residuals,
@@ -227,7 +211,7 @@ def _cmd_fit_surrogate(args):
             folds=args.folds,
             seed=args.seed,
         )
-        model = improved_surrogate(base, sel.model, weight=sel.weight)
+        model = uqim.improved_surrogate(base, sel.model, weight=sel.weight)
         results.update(
             {
                 "weight": sel.weight,
@@ -238,16 +222,12 @@ def _cmd_fit_surrogate(args):
             }
         )
     out = _artifact(args, args.model_out)
-    save_model(model, out)
+    uqim.save_model(model, out)
     return results, [out]
 
 
 def _cmd_density(args):
     import numpy as np
-
-    from .data import _count, _write_table, parse_inputs
-    from .density import kde_cdf, kde_evaluate, surrogate_density
-    from .surrogate import load_model
 
     steps, span = args.grid_steps, None
     if args.grid:
@@ -256,21 +236,20 @@ def _cmd_density(args):
             raise DomainError(f"--grid expects lo:hi or lo:hi:steps with lo < hi, "
                               f"got {args.grid!r}")
         span, steps = parts[:2], parts[2] if len(parts) == 3 else steps
-    steps = _count(steps, "grid steps", least=2)
+    steps = uqim.data._count(steps, "grid steps", least=2)
     auto = args.bandwidth.strip().lower() == "auto"
     bandwidth = None if auto else _float(args.bandwidth, "--bandwidth")
-    kde = surrogate_density(
-        load_model(args.model), parse_inputs(args.inputs).points, bandwidth=bandwidth
-    )
+    model, points = uqim.load_model(args.model), uqim.parse_inputs(args.inputs).points
+    kde = uqim.surrogate_density(model, points, bandwidth=bandwidth)
     if span is None:
         pad = 3.0 * kde.bandwidth
         span = kde.values[0] - pad, kde.values[-1] + pad
     lo, hi = span
     grid = np.linspace(lo, hi, steps)
-    pdf = kde_evaluate(kde, grid)
-    cdf = kde_cdf(kde, grid)
+    pdf = uqim.kde_evaluate(kde, grid)
+    cdf = uqim.kde_cdf(kde, grid)
     out = _artifact(args, args.output)
-    _write_table(out, ["y", "pdf", "cdf"], [grid, pdf, cdf])
+    uqim.data._write_table(out, ["y", "pdf", "cdf"], [grid, pdf, cdf])
     results = {
         "bandwidth": kde.bandwidth,
         "count": int(kde.values.size),
@@ -282,31 +261,26 @@ def _cmd_density(args):
 
 
 def _cmd_quantile(args):
-    from .density import mc_quantile
-
     if bool(args.outputs) == bool(args.model):
         raise DomainError("give either --outputs or --model with --inputs")
     if args.outputs:
+        _unread(args, "with --outputs", "inputs")
         values = _single_column(args.outputs)
     else:
         if not args.inputs:
             raise DomainError("--model needs --inputs")
-        from .surrogate import load_model
-
-        values = _model_outputs(load_model(args.model), args.inputs)
+        values = _model_outputs(uqim.load_model(args.model), args.inputs)
     entries = []
     for a in _floats(args.alpha):
-        est = mc_quantile(values, a)
+        est = uqim.mc_quantile(values, a)
         entries.append({"alpha": est.level, "value": est.value})
     return {"count": int(values.size), "quantiles": entries}, []
 
 
 def _cmd_avm(args):
-    from .avm import avm
-
     expd = _load_dataset(args, "exp")
     simd = _load_dataset(args, "sim")
-    res = avm(expd.outputs, simd.outputs, grid_steps=args.grid_steps)
+    res = uqim.avm(expd.outputs, simd.outputs, grid_steps=args.grid_steps)
     results = {
         "riemann": res.riemann,
         "exact": res.exact,
@@ -318,25 +292,21 @@ def _cmd_avm(args):
 
 
 def _cmd_gp_error(args):
-    from .gp import DiscrepancyData, gp_error_quantile, gp_fit_map
-    from .randgen import spawn_seeds
-    from .surrogate import load_model
-
     expd = _load_dataset(args, "exp")
-    model = load_model(args.model)
-    data = DiscrepancyData(
+    model = uqim.load_model(args.model)
+    data = uqim.DiscrepancyData(
         inputs=expd.inputs,
         model_outputs=model(expd.inputs),
         observed=expd.outputs,
     )
-    seed_fit, seed_q = spawn_seeds(args.seed, 2)
-    fit = gp_fit_map(
+    seed_fit, seed_q = uqim.spawn_seeds(args.seed, 2)
+    fit = uqim.gp_fit_map(
         data,
         restarts=args.restarts,
         maxiter=args.maxiter,
         seed=seed_fit,
     )
-    eq = gp_error_quantile(fit.params, data, args.alpha, reps=args.reps, seed=seed_q)
+    eq = uqim.gp_error_quantile(fit.params, data, args.alpha, reps=args.reps, seed=seed_q)
     results = {
         "lam": fit.params.lam,
         "beta": fit.params.beta,
@@ -353,19 +323,13 @@ def _cmd_gp_error(args):
 
 
 def _cmd_bootstrap_error(args):
-    import numpy as np
-
-    from .bootstrap import bootstrap_error_quantile
-    from .data import _write_table, parse_inputs
-    from .surrogate import FunctionFamily, load_model
-
     expd = _load_dataset(args, "exp")
-    model = load_model(args.model)
-    extra = parse_inputs(args.extra_inputs).points if args.extra_inputs else None
-    report = bootstrap_error_quantile(
+    model = uqim.load_model(args.model)
+    extra = uqim.parse_inputs(args.extra_inputs).points if args.extra_inputs else None
+    report = uqim.bootstrap_error_quantile(
         expd,
         model,
-        FunctionFamily(args.family, args.size, args.penalty),
+        uqim.FunctionFamily(args.family, args.size, args.penalty),
         b_reps=args.b_reps,
         n_learn=args.n_learn,
         alpha=args.alpha,
@@ -374,31 +338,28 @@ def _cmd_bootstrap_error(args):
         weight=args.weight,
     )
     out = _artifact(args, args.output)
-    _write_table(out, ["quantile"], [report.quantiles])
+    uqim.data._write_table(out, ["quantile"], [report.quantiles])
     results = {
         "median": report.median,
         "alpha": report.alpha,
         "b_reps": report.b_reps,
         "n_learn": report.n_learn,
-        "q_min": float(np.min(report.quantiles)),
-        "q_max": float(np.max(report.quantiles)),
+        "q_min": float(report.quantiles.min()),
+        "q_max": float(report.quantiles.max()),
         "quantiles": report.quantiles,
     }
     return results, [out]
 
 
 def _cmd_ci_quantile(args):
-    from .confidence import ci_feasibility, quantile_ci
-
     if args.check_only:
-        if args.n is not None:
-            n = args.n
-        elif args.exp:
-            n = _load_dataset(args, "exp").n
-        else:
-            raise DomainError("--check-only needs --n or --exp")
+        _unread(args, "with --check-only", "model", "inputs", "sweep")
+        if (args.n is None) == (not args.exp):
+            raise DomainError("--check-only needs either --n or --exp")
+        n = _load_dataset(args, "exp").n if args.n is None else args.n
         grid = _floats(args.d_delta) if args.d_delta else None
-        rep = ci_feasibility(n, args.alpha, args.delta, d_delta_grid=grid, big_n=args.big_n)
+        rep = uqim.ci_feasibility(n, args.alpha, args.delta, d_delta_grid=grid,
+                                  big_n=args.big_n)
         results = {
             "n": n,
             "feasible": rep.feasible,
@@ -410,16 +371,17 @@ def _cmd_ci_quantile(args):
     for name in ("exp", "model", "inputs"):
         if not getattr(args, name):
             raise DomainError(f"--{name} is required unless --check-only")
-    d_delta = _float(args.d_delta, "--d-delta") if args.d_delta and not args.sweep else None
-    from .surrogate import load_model
-
+    _unread(args, "without --check-only", "n", "big_n")
+    if args.sweep:
+        _unread(args, "with --sweep", "d_delta")
+    d_delta = _float(args.d_delta, "--d-delta") if args.d_delta else None
     expd = _load_dataset(args, "exp")
-    model = load_model(args.model)
+    model = uqim.load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
-    ci = quantile_ci(
+    ci = uqim.quantile_ci(
         expd, model, outputs, args.alpha, args.delta, d_delta=d_delta, sweep=args.sweep
     )
-    screen = ci_feasibility(ci.n, args.alpha, args.delta, big_n=float(ci.big_n))
+    screen = uqim.ci_feasibility(ci.n, args.alpha, args.delta, big_n=float(ci.big_n))
     results = {
         "lower": ci.lower,
         "upper": ci.upper,
@@ -442,25 +404,18 @@ def _cmd_ci_quantile(args):
 
 
 def _cmd_density_band(args):
-    import numpy as np
-
-    from .confidence import density_band
-    from .data import _write_table
-    from .density import select_bandwidth
-    from .surrogate import load_model
-
     expd = _load_dataset(args, "exp")
-    model = load_model(args.model)
+    model = uqim.load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
     if args.bandwidths:
         bandwidths = _floats(args.bandwidths)
     else:
-        bandwidths = [select_bandwidth(outputs)]
+        bandwidths = [uqim.select_bandwidth(outputs)]
     if args.interval:
         interval = _parse_span(args.interval)
     else:  # the band covers the range of the outputs
-        interval = (float(np.min(outputs)), float(np.max(outputs)))
-    band = density_band(
+        interval = (float(outputs.min()), float(outputs.max()))
+    band = uqim.density_band(
         outputs,
         expd,
         model,
@@ -471,7 +426,7 @@ def _cmd_density_band(args):
         grid_steps=args.grid_steps,
     )
     out = _artifact(args, args.output)
-    _write_table(out, ["y", "lower", "upper"], [band.grid, band.lower, band.upper])
+    uqim.data._write_table(out, ["y", "lower", "upper"], [band.grid, band.lower, band.upper])
     results = {
         "kappa": band.kappa,
         "delta": band.delta,
@@ -483,43 +438,36 @@ def _cmd_density_band(args):
         "correction": band.correction,
         "n": band.n,
         "big_n": band.big_n,
-        "upper_max": float(np.max(band.upper)),
-        "lower_max": float(np.max(band.lower)),
+        "upper_max": float(band.upper.max()),
+        "lower_max": float(band.lower.max()),
     }
     return results, [out]
 
 
 def _cmd_synth(args):
-    from .data import write_dataset
-    from .randgen import spawn_seeds
-    from .synthetic import (
-        field_measurements,
-        make_hidim_like,
-        make_mafds_like,
-        mc_truth_quantile,
-    )
-
     if args.system == "field":
-        ds = field_measurements()
+        ds = uqim.field_measurements()
         out = _artifact(args, args.exp_out)
-        write_dataset(ds, out)
+        uqim.write_dataset(ds, out)
         return {"n": ds.n, "dim": ds.dim, "columns": list(ds.input_names)}, [out]
     # an option left unset keeps the system's own default
     names = ("bias_kind", "bias_scale", "sigma_obs")
     kwargs = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    sys_ = (make_mafds_like if args.system == "mafds" else make_hidim_like)(**kwargs)
+    make = uqim.make_mafds_like if args.system == "mafds" else uqim.make_hidim_like
+    sys_ = make(**kwargs)
     # the truth quantile draws from its own stream; computed first, a bad
     # alpha or mc_count fails before any file is written
     if sys_.quantile_fn is not None:
         truth_q = sys_.true_quantile(args.alpha)
     else:
-        truth_q = mc_truth_quantile(sys_, args.alpha, count=args.mc_count, seed=args.seed)
-    seed_exp, seed_sim = spawn_seeds(args.seed, 2)
+        truth_q = uqim.mc_truth_quantile(sys_, args.alpha, count=args.mc_count,
+                                         seed=args.seed)
+    seed_exp, seed_sim = uqim.spawn_seeds(args.seed, 2)
     expd = sys_.draw_experiment(args.n_exp, seed_exp)
     simd = sys_.draw_simulation(args.n_sim, seed_sim)
     exp_out, sim_out = _artifact(args, args.exp_out), _artifact(args, args.sim_out)
-    write_dataset(expd, exp_out)
-    write_dataset(simd, sim_out)
+    uqim.write_dataset(expd, exp_out)
+    uqim.write_dataset(simd, sim_out)
     results = {
         "system": sys_.name,
         "dim": sys_.dim,
@@ -562,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uqim",
         description="Uncertainty quantification with imperfect simulation models.",
     )
-    top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    top.add_argument("--version", action="version", version=f"%(prog)s {uqim.__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out-dir", default=".", help="directory for artifacts")
@@ -799,7 +747,7 @@ def main(argv=None) -> int:
             results, artifacts = _HANDLERS[args.command](args)
         report = {
             "command": args.command,
-            "version": __version__,
+            "version": uqim.__version__,
             "seed": args.seed,
             "settings": settings,
             "results": results,

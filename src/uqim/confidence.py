@@ -62,7 +62,7 @@ def _check_big_n(big_n: float) -> None:
         raise DomainError(f"N must be finite and >= 1, got {big_n}")
 
 
-def gamma_term(n: int, big_n: float, delta: float, d_delta: float, eps: float) -> float:
+def _gamma_term(n: int, big_n: float, delta: float, d_delta: float, eps: float) -> float:
     """gamma = sqrt(-log(delta - ddelta - (1-eps)^n) / (2N)).
 
     Raises :class:`DomainError` when eps violates the strict feasibility
@@ -113,7 +113,7 @@ def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> Ep
             if bracket == (lo, hi):
                 break
             lo, hi = bracket
-    gam = gamma_term(n, big_n, delta, d_delta, best_eps)
+    gam = _gamma_term(n, big_n, delta, d_delta, best_eps)
     return EpsGamma(eps=best_eps, gamma=gam, objective=best_eps + gam)
 
 
@@ -265,7 +265,7 @@ class QuantileCi:
         return self.upper - self.lower
 
 
-def surrogate_error_bound(experimental: PairedDataset, model) -> float:
+def _surrogate_error_bound(experimental: PairedDataset, model) -> float:
     """beta_hat = max_i |Y_i - m_hat(X_i)| on the experimental data."""
     residuals = _values(experimental.outputs - model(experimental.inputs), "residuals")
     return float(np.max(np.abs(residuals)))
@@ -290,7 +290,7 @@ def quantile_ci(
     # one sort serves the order statistics of every ddelta candidate
     outputs = np.sort(_values(outputs, "surrogate outputs"))
     n, big_n = experimental.n, outputs.size
-    beta_hat = surrogate_error_bound(experimental, model)
+    beta_hat = _surrogate_error_bound(experimental, model)
     if sweep:
         candidates = default_d_delta_grid(delta)
     else:
@@ -570,7 +570,7 @@ def density_band(
             f"need 2/N^2 < delta: N={big_n} gives {slack:.3g} >= {delta}"
         )
     n = experimental.n
-    beta_hat = surrogate_error_bound(experimental, model)
+    beta_hat = _surrogate_error_bound(experimental, model)
     eg = minimize_eps_gamma(n, big_n, delta, slack)
     corr = (eg.eps + eg.gamma + 2.0 * math.sqrt(math.log(big_n)) / math.sqrt(big_n)) / kappa
 

@@ -136,6 +136,15 @@ def test_quantile_outputs_route_and_exclusivity(tmp_path, workspace):
         "--alpha", "0.5",
     ])
     assert rc == 1
+    # --inputs goes with --model: beside --outputs it would never be opened
+    rc, _, err = run_cli([
+        "quantile", "--outputs", path, "--inputs", tmp_path / "missing.csv",
+        "--alpha", "0.5",
+    ])
+    assert rc == 1
+    assert json.loads(err) == {
+        "error": "DomainError", "message": "--inputs: not read with --outputs",
+    }
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
@@ -533,19 +542,34 @@ def test_gen_inputs_zero_columns_is_a_data_error(tmp_path, workspace):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("d_delta", ["abc", "0.01,0.02"], ids=["text", "two_values"])
-def test_ci_quantile_d_delta_is_one_number(workspace, d_delta):
-    ws = workspace["dir"]
-    rc, _, err = run_cli([
-        "ci-quantile", "--exp", ws / "exp.csv", "--model", ws / "model.json",
-        "--inputs", ws / "inputs.csv", "--alpha", "0.95", "--delta", "0.2",
-        "--d-delta", d_delta,
-    ])
+_INTERVAL = ["--exp", "exp.csv", "--model", "model.json", "--inputs", "inputs.csv"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([*_INTERVAL, "--d-delta", "abc"], "numbers"),
+    ([*_INTERVAL, "--d-delta", "0.01,0.02"], "--d-delta"),
+    # an option that the running mode never reads: the report's settings
+    # would echo a value that its results did not use
+    ([*_INTERVAL, "--sweep", "--d-delta", "0.01"], "--d-delta: not read with --sweep"),
+    ([*_INTERVAL, "--sweep", "--d-delta", "0.01", "--n", "7", "--big-n", "3"],
+     "--n, --big-n: not read without --check-only"),
+    ([*_INTERVAL, "--big-n", "0"], "--big-n: not read without --check-only"),
+    (["--check-only", "--n", "7", "--model", "model.json", "--inputs", "inputs.csv"],
+     "--model, --inputs: not read with --check-only"),
+    (["--check-only", "--n", "7", "--sweep"], "--sweep: not read with --check-only"),
+    (["--check-only", "--n", "7", "--exp", "exp.csv"],
+     "--check-only needs either --n or --exp"),
+], ids=["text", "two_values", "sweep_and_d_delta", "interval_n_and_big_n",
+        "interval_zero_big_n", "check_only_model_and_inputs", "check_only_sweep",
+        "check_only_n_and_exp"])
+def test_ci_quantile_d_delta_is_one_number(workspace, monkeypatch, flags, message):
+    monkeypatch.chdir(workspace["dir"])
+    rc, _, err = run_cli(["ci-quantile", *flags, "--alpha", "0.95", "--delta", "0.2"])
     assert rc == 1
     assert err.count("\n") == 1
     payload = json.loads(err)
     assert payload["error"] == "DomainError"
-    assert "--d-delta" in payload["message"] or "numbers" in payload["message"]
+    assert message in payload["message"]
 
 
 def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
@@ -557,6 +581,18 @@ def test_synth_mc_count_zero_is_a_domain_error(tmp_path):
     assert json.loads(err) == {
         "error": "DomainError", "message": "count must be an integer >= 1, got 0",
     }
+
+
+def test_synth_field_writes_the_field_table(tmp_path):
+    rc, rep, _ = run_cli(["synth", "--system", "field", "--out-dir", tmp_path])
+    assert rc == 0
+    assert rep["results"] == {
+        "n": 10, "dim": 5, "columns": ["k_rot_y", "k_rot_z", "k_lat_y", "k_lat_z", "h_x"],
+    }
+    assert os.listdir(tmp_path) == ["exp.csv"]
+    table = uqim.parse_dataset(tmp_path / "exp.csv")
+    assert table.inputs.shape == (10, 5)
+    np.testing.assert_array_equal(table.inputs, uqim.field_measurements().inputs)
 
 
 @pytest.mark.parametrize("flags", [
@@ -789,7 +825,7 @@ def test_density_auto_bandwidth_and_grid(tmp_path, workspace):
     assert np.all(np.diff(table[:, 2]) >= 0.0)
 
 
-def test_ci_quantile_check_only(tmp_path):
+def test_ci_quantile_check_only(tmp_path, workspace):
     rc, rep, _ = run_cli([
         "ci-quantile", "--check-only", "--n", "10",
         "--alpha", "0.95", "--delta", "0.05", "--out-dir", tmp_path,
@@ -803,6 +839,13 @@ def test_ci_quantile_check_only(tmp_path):
     ])
     assert rc == 0
     assert rep["results"]["feasible"] is True
+    # n from the experimental table's rows
+    rc, rep, _ = run_cli([
+        "ci-quantile", "--check-only", "--exp", workspace["dir"] / "exp.csv",
+        "--alpha", "0.95", "--delta", "0.05", "--out-dir", tmp_path,
+    ])
+    assert rc == 0
+    assert rep["results"]["n"] == 50
 
 
 def test_ci_quantile_check_only_big_n_report(tmp_path):
@@ -818,6 +861,19 @@ def test_ci_quantile_check_only_big_n_report(tmp_path):
         assert type(e["objective"]) is float
         assert type(e["hoeffding"]) is float
     assert rep["results"]["feasible"] is True
+
+
+def test_fit_surrogate_fixed_penalty(tmp_path, workspace):
+    # --penalty skips GCV: the fit takes the penalty as given and has no score
+    rc, rep, _ = run_cli([
+        "fit-surrogate", "--sim", workspace["dir"] / "sim.csv", "--family", "spline1d",
+        "--size", "8", "--penalty", "1e-6", "--out-dir", tmp_path,
+    ])
+    assert rc == 0
+    assert rep["results"]["penalty"] == 1e-6
+    assert rep["results"]["gcv"] is None
+    assert rep["results"]["train_size"] == 200
+    assert uqim.load_model(tmp_path / "model.json").family.penalty == 1e-6
 
 
 def test_fit_surrogate_weighted_improvement(tmp_path, workspace):

@@ -130,6 +130,32 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+_LAYERS = {f"uqim.{m}" for m in ("data", "randgen", "surrogate", "density", "avm", "gp",
+                                  "bootstrap", "confidence", "synthetic")}
+
+
+def test_cli_reaches_every_layer_through_the_package():
+    # one loader: the CLI calls uqim.<name>, and the package imports the layer
+    # module on first use; no import of a layer sits in cli.py, and numpy is
+    # imported only where the density handler builds its evaluation grid
+    found = []
+    for top in ast.parse(Path(uqim.cli.__file__).read_text()).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "uqim." if node.level else ""
+                names = ([package + node.module] if node.module else
+                         [package + alias.name for alias in node.names])
+            else:
+                continue
+            found += [(where, n) for n in names
+                      if ".".join(n.split(".")[:2]) in _LAYERS
+                      or n.split(".")[0] == "numpy" and where != "_cmd_density"]
+    assert found == []
+
+
 def test_import_loads_no_numpy_ma():
     # numpy.ma costs ~16 ms of start-up; np.unique, for one, loads it on first use
     code = "import sys, uqim.cli; print('numpy.ma' in sys.modules)"
@@ -197,15 +223,15 @@ def test_avm_first_in_a_fresh_interpreter(code):
 # ---------------------------------------------------------------------------
 # the package surface: the names of ``uqim.__all__`` as they were when the
 # package imported every layer module up front, by defining module, less the
-# nine functions that only unit tests called (now oracles in those tests, or
-# gone) and RunConfig (the CLI reads its config file itself)
+# eleven functions that only unit tests called (now oracles in those tests,
+# private, or gone) and RunConfig (the CLI reads its config file itself)
 
 _SURFACE = {
     "avm": "AvmResult EmpiricalCdf avm",
     "bootstrap": "BootstrapErrorReport bootstrap_error_quantile",
     "confidence": "DensityBand EpsGamma FeasibilityReport QuantileCi ci_feasibility "
-                  "density_band gamma_term minimal_feasible_delta minimal_feasible_n "
-                  "minimize_eps_gamma quantile_ci surrogate_error_bound",
+                  "density_band minimal_feasible_delta minimal_feasible_n "
+                  "minimize_eps_gamma quantile_ci",
     "data": "InputSample PairedDataset parse_dataset parse_inputs "
             "write_dataset write_inputs",
     "density": "KdeModel QuantileEstimate kde_cdf kde_evaluate mc_quantile "
@@ -251,7 +277,7 @@ print(json.dumps([bad, uqim.__all__, dir(uqim)]))
 @pytest.mark.parametrize("from_first", [True, False], ids=["from_import", "getattr"])
 def test_every_public_name_resolves_to_its_module_object(from_first):
     frozen = [n for names in _SURFACE.values() for n in names.split()]
-    assert len(frozen) == 70
+    assert len(frozen) == 68
     bad, all_, dir_ = json.loads(_run_python(
         _SURFACE_PROBE, json.dumps([_SURFACE, _SURFACE_MODULES, from_first])
     ))

@@ -15,12 +15,12 @@ from uqim.confidence import (
     ci_feasibility,
     default_d_delta_grid,
     density_band,
-    gamma_term,
+    _gamma_term as gamma_term,
     minimal_feasible_delta,
     minimal_feasible_n,
     minimize_eps_gamma,
     quantile_ci,
-    surrogate_error_bound,
+    _surrogate_error_bound as surrogate_error_bound,
 )
 from uqim.data import PairedDataset
 from uqim.density import KdeModel, kde_cdf, mc_quantile

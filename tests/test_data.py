@@ -3,7 +3,9 @@ import pytest
 
 from uqim.avm import avm
 from uqim.bootstrap import bootstrap_error_quantile
-from uqim.confidence import ci_feasibility, density_band, gamma_term, quantile_ci
+from uqim.confidence import (
+    _gamma_term as gamma_term, ci_feasibility, density_band, quantile_ci,
+)
 from uqim.data import (
     InputSample,
     PairedDataset,
