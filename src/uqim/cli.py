@@ -168,6 +168,11 @@ def _cmd_gen_inputs(args):
 
 
 def _cmd_fit_surrogate(args):
+    if not args.exp:
+        _unread(args, "without --exp", "res_family", "res_size", "res_penalty_grid",
+                "weighted", "weight_grid", "folds", "extra_inputs")
+    if args.penalty is not None:
+        _unread(args, "with --penalty", "penalty_grid")
     sim = _load_dataset(args, "sim")
     if args.penalty is None:
         grid = _floats(args.penalty_grid) if args.penalty_grid else None
@@ -201,6 +206,7 @@ def _cmd_fit_surrogate(args):
         else:
             # no --weighted: fix w=1 so only the penalty is cross-validated
             w_grid = [1.0]
+        folds = 5 if args.folds is None else args.folds
         sel = uqim.select_weight_and_penalty(
             res_family,
             expd,
@@ -208,7 +214,7 @@ def _cmd_fit_surrogate(args):
             extra,
             w_grid=w_grid,
             penalty_grid=_floats(args.res_penalty_grid) if args.res_penalty_grid else None,
-            folds=args.folds,
+            folds=folds,
             seed=args.seed,
         )
         model = uqim.improved_surrogate(base, sel.model, weight=sel.weight)
@@ -219,6 +225,7 @@ def _cmd_fit_surrogate(args):
                 "cv_risk": sel.cv_risk,
                 "residual_family": res_family.kind,
                 "residual_size": res_family.size,
+                "folds": folds,
             }
         )
     out = _artifact(args, args.model_out)
@@ -356,6 +363,8 @@ def _cmd_ci_quantile(args):
         _unread(args, "with --check-only", "model", "inputs", "sweep")
         if (args.n is None) == (not args.exp):
             raise DomainError("--check-only needs either --n or --exp")
+        if args.n is not None:
+            _unread(args, "with --check-only --n", "input_columns", "output_column")
         n = _load_dataset(args, "exp").n if args.n is None else args.n
         grid = _floats(args.d_delta) if args.d_delta else None
         rep = uqim.ci_feasibility(n, args.alpha, args.delta, d_delta_grid=grid,
@@ -404,18 +413,21 @@ def _cmd_ci_quantile(args):
 
 
 def _cmd_density_band(args):
+    # the band's layers compile before the N-row inputs and outputs exist,
+    # not on top of them at the child's peak RSS
+    density_band, select_bandwidth = uqim.density_band, uqim.select_bandwidth
     expd = _load_dataset(args, "exp")
     model = uqim.load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
     if args.bandwidths:
         bandwidths = _floats(args.bandwidths)
     else:
-        bandwidths = [uqim.select_bandwidth(outputs)]
+        bandwidths = [select_bandwidth(outputs)]
     if args.interval:
         interval = _parse_span(args.interval)
     else:  # the band covers the range of the outputs
         interval = (float(outputs.min()), float(outputs.max()))
-    band = uqim.density_band(
+    band = density_band(
         outputs,
         expd,
         model,
@@ -545,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true",
                    help="cross-validate the anchor weight too")
     p.add_argument("--weight-grid")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, help="CV folds (default: 5)")
     p.add_argument("--extra", "--extra-inputs", dest="extra_inputs",
                    help="inputs CSV for the zero anchor term")
     p.add_argument("--out", "--model-out", dest="model_out", default="model.json")

@@ -327,14 +327,18 @@ def quantile_ci(
 # density band
 
 
-def _window_max(s, lo, hi):
+def _window_max(s, lo, hi, start=0):
     """max(s[lo[q]:hi[q]]) for every window q; -inf where it is empty.
 
-    The distinct window ends cut ``s`` into at most 2G blocks, reduced once
-    by ``np.maximum.reduceat``; a second reduceat over the block maxima,
-    at the interleaved (first, stop) block of each window, takes the window
-    maxima.  G windows cost O(N + G^2) time and O(G) extra memory.
+    ``s`` may hold entries start, start + 1, ... of a longer array; each
+    window is clipped to that share, so the maxima of ``s``'s blocks, folded
+    in any order, give the longer array's window maxima.  The distinct
+    window ends cut ``s`` into at most 2G blocks, reduced once by
+    ``np.maximum.reduceat``; a second reduceat over the block maxima, at the
+    interleaved (first, stop) block of each window, takes the window maxima.
+    G windows cost O(N + G^2) time and O(G) extra memory.
     """
+    lo, hi = np.clip(lo - start, 0, s.size), np.clip(hi - start, 0, s.size)
     ends = np.unique(np.concatenate([lo, hi]))
     ends = ends[ends < s.size]
     # a trailing -inf block keeps the stop index of a window at s's end in range
@@ -343,17 +347,6 @@ def _window_max(s, lo, hi):
     # odd slots reduce the gaps between windows and are dropped
     got = np.maximum.reduceat(blocks, np.column_stack([first, stop]).ravel())[::2]
     return np.where(first < stop, got, -np.inf)
-
-
-def _fold_window_max(acc, part, start, lo, hi):
-    """acc[q] = max(acc[q], max of ``part`` over its share of [lo[q], hi[q])).
-
-    ``part`` holds entries start, start + 1, ... of a longer array, so the
-    folds of its blocks, in any order, give that array's window maxima.
-    """
-    m = part.size
-    np.maximum(acc, _window_max(part, np.clip(lo - start, 0, m), np.clip(hi - start, 0, m)),
-               out=acc)
 
 
 def _prefix_max_at(w, idx, start, carry):
@@ -375,18 +368,25 @@ def _prefix_max_at(w, idx, start, carry):
     return got
 
 
-def _sup_separable(u, w, before, k_y, r_y, k_split):
+def _first_long(before, r_y):
+    """For each y, the first k with before[k] >= r_y: every j <= y pairs with
+    it and with each k after it.  ``before`` is nondecreasing; needles of
+    int64 would copy it to int64."""
+    return np.searchsorted(before, r_y.astype(before.dtype), side="left")
+
+
+def _sup_separable(u, w, before, k_y, r_y):
     """For each y: sup{u[k] + w[j] : cand[j] <= y <= cand[k], j < before[k]}.
 
     ``before`` is nondecreasing with before[k] <= k.  ``k_y`` and ``r_y``
-    count the candidates < y and <= y; ``k_split`` splits the k into those
-    with before[k] <= r_y and those from which on before[k] >= r_y.  With
-    pref[i] = max(w[:i]), a k from k_split on pairs with every j <= y and
-    scores pref[r_y] + u[k]; a nearer k scores pref[before[k]] + u[k].  These
-    near scores are made block by block, pref[before[k]] from a running
-    maximum, and folded into their window maxima at once, so no array of u's
-    length is made.
+    count the candidates < y and <= y.  With pref[i] = max(w[:i]), a k from
+    k_split = _first_long(before, r_y) on pairs with every j <= y and scores
+    pref[r_y] + u[k]; a nearer k scores pref[before[k]] + u[k].  These near
+    scores are made block by block, pref[before[k]] from a running maximum,
+    and folded into their window maxima at once, so no array of u's length
+    is made.
     """
+    k_split = _first_long(before, r_y)
     far = _window_max(w, np.zeros_like(r_y), r_y)
     far += _window_max(u, k_split, np.full(k_split.shape, u.size))
     near_max = np.full(k_y.shape, -np.inf)
@@ -396,7 +396,7 @@ def _sup_separable(u, w, before, k_y, r_y, k_split):
         near = _prefix_max_at(w, idx, start, carry)
         start, carry = idx[-1], near[-1]
         near += u[a : a + BLOCK]
-        _fold_window_max(near_max, near, a, k_y, k_split)
+        np.maximum(near_max, _window_max(near, k_y, k_split, a), out=near_max)
     return np.maximum(far, near_max)
 
 
@@ -415,37 +415,35 @@ def _band_sups(kde, cand, y_grid, kappa, beta):
     number of samples.  The needles of every full-candidate search are
     sorted, so ``_searchsorted_blocks`` merges them block by block.
 
-    Arrays alive at once, in candidate arrays of 8 bytes per candidate:
-    ``cand`` (1); ``past_kappa`` and ``before`` (1/2 each, 32-bit below
-    2**31 candidates); the ``cand + beta`` haystack of the ``before`` search
-    (1), freed before the rank pairs (1) are searched.  The cdf overwrites
-    ``cand`` block by block, e_lo then the cdf and e_hi the rank pairs, so
-    scoring adds no candidate array.  The short-interval term and the near
-    scores of ``_sup_separable`` are never whole: each block of them is
-    folded into the G window maxima.  So at most three candidate arrays are
-    alive, plus arrays of the N values: the sorted values and kde_cdf's
-    prefix sums.
+    The band's memory plan, per bandwidth, in candidate arrays of 8 bytes
+    per candidate, beside two arrays of the N values: the KDE's sorted
+    copy and kde_cdf's prefix sums.  ``_candidates`` sorts the 3N + G values
+    in one buffer and gathers the distinct ones into ``cand`` through a
+    mask of 1/8, then frees the buffer.  Here ``cand`` (1) lives with
+    ``past_kappa`` and ``before`` (1/2 each, 32-bit below 2**31 candidates)
+    and the ``cand + beta`` haystack of the ``before`` search (1), freed
+    before the rank pairs (1) are searched.  The cdf overwrites ``cand``
+    block by block, e_lo then the cdf and e_hi the rank pairs, so scoring
+    adds no candidate array.  The short-interval term and the near scores
+    of ``_sup_separable`` are never whole: each block of them is folded into
+    the G window maxima.  So at most three candidate arrays are alive.
     """
     n, size = kde.n, cand.size
     index = np.int32 if size < 2**31 else np.intp
     k_y = np.searchsorted(cand, y_grid, side="left")
     r_y = np.searchsorted(cand, y_grid, side="right")
-    k_kappa = np.searchsorted(cand, y_grid + kappa, side="right")
     past_kappa = _searchsorted_blocks(cand, cand, "left", np.empty(size, index), -kappa)
     # once kappa exceeds 2 beta by more than the rounding of the interval
     # ends, every interval longer than kappa has a nonempty shrunk interval
     ends = max(abs(cand[0]), abs(cand[-1])) + max(kappa, beta)
     has_short = not kappa - 2.0 * beta > 2.0 * np.spacing(ends)
-    before, k_long = past_kappa, k_kappa
+    before = past_kappa
     if has_short:
         # the a < before[b] are exactly the partners of b with b - a > kappa
         # and a nonempty shrunk interval, its ends rounded as in e_hi and
         # e_lo; before is nondecreasing
         before = _searchsorted_blocks(cand + beta, cand, "left", np.empty(size, index), -beta)
         np.minimum(before, past_kappa, out=before)
-        # the b below k_long[q] have only partners a <= y[q], the b from it
-        # on every a <= y[q]; needles of int64 would copy before to int64
-        k_long = np.searchsorted(before, r_y.astype(index), side="left")
     # the ECDF ranks at cand + beta and cand - beta, a pair per candidate in
     # the 8 bytes (16 for 64-bit indices) that its e_hi takes
     ranks = np.empty((size, 2), index)
@@ -457,11 +455,12 @@ def _band_sups(kde, cand, y_grid, kappa, beta):
         # an empty shrunk interval with b - a > kappa scores F(b) - F(a),
         # best at the smallest such a = cand[before[b]], which must be
         # <= y: b < k_long
+        k_long = _first_long(before, r_y)
         for a in range(0, size, BLOCK):
             j = before[a : a + BLOCK]
             short = cdf[a : a + BLOCK] - cdf[j]
             short[j == past_kappa[a : a + BLOCK]] = -np.inf
-            _fold_window_max(short_max, short, a, k_y, k_long)
+            np.maximum(short_max, _window_max(short, k_y, k_long, a), out=short_max)
     e_hi, e_lo = ranks.view(np.float64)[:, 0], cdf
     for a in range(0, size, BLOCK):
         hi = ranks[a : a + BLOCK, 0] / n
@@ -470,8 +469,8 @@ def _band_sups(kde, cand, y_grid, kappa, beta):
         np.subtract(cdf[a : a + BLOCK], lo, out=lo)
         e_hi[a : a + BLOCK] = hi  # overwrites this block's ranks
         e_lo[a : a + BLOCK] = lo
-    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y, k_kappa)
-    sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y, k_long)
+    sup_up = _sup_separable(e_hi, e_lo, past_kappa, k_y, r_y)
+    sup_lo = _sup_separable(e_lo, e_hi, before, k_y, r_y)
     return sup_up, np.maximum(sup_lo, short_max)
 
 
@@ -480,8 +479,8 @@ def _candidates(sorted_outputs, beta, extra):
 
     The buffer is filled in that order and sorted in place by the sort
     np.unique uses, so equal values (0.0 and -0.0) end in the same order;
-    then each run of equal values keeps its first, and the kept values move
-    down block by block.
+    then each run of equal values keeps its first, gathered as np.unique
+    gathers it.  ``_band_sups`` holds the memory plan.
     """
     v = sorted_outputs
     n = v.size
@@ -491,17 +490,10 @@ def _candidates(sorted_outputs, beta, extra):
     np.add(v, beta, out=cand[2 * n : 3 * n])
     cand[3 * n :] = extra
     cand.sort()
-    size, prev = 0, np.nan  # nan equals nothing: the first value is kept
-    for a in range(0, cand.size, BLOCK):
-        part = cand[a : a + BLOCK]
-        keep = np.empty(part.size, bool)
-        keep[0] = part[0] != prev
-        np.not_equal(part[1:], part[:-1], out=keep[1:])
-        prev = part[-1]
-        kept = part[keep]
-        cand[size : size + kept.size] = kept  # ends at or before a + BLOCK
-        size += kept.size
-    return cand[:size]
+    keep = np.empty(cand.size, bool)
+    keep[0] = True
+    np.not_equal(cand[1:], cand[:-1], out=keep[1:])
+    return cand[keep]
 
 
 @dataclass(frozen=True)
@@ -541,14 +533,7 @@ def density_band(
     Guarantees hold for integrals over intervals of length > kappa inside
     ``interval``.  Multiple bandwidths combine by pointwise min of uppers
     and max of lowers; each bandwidth's band is computed on its own.
-    Requires 2/N^2 < delta.
-
-    Memory, per bandwidth: the KDE holds one sorted copy of the outputs.
-    The 3N + G candidates fill one buffer, sorted and deduplicated in place,
-    which ``_band_sups`` then overwrites.  About four candidate arrays are
-    alive at once: ``cand``, the two index arrays, the rank pairs (or,
-    before them, the ``before`` haystack), and the sorted outputs with
-    kde_cdf's prefix sums.
+    Requires 2/N^2 < delta.  ``_band_sups`` holds the memory plan.
     """
     outputs = _values(outputs, "surrogate outputs")
     big_n = outputs.size

@@ -559,9 +559,11 @@ _INTERVAL = ["--exp", "exp.csv", "--model", "model.json", "--inputs", "inputs.cs
     (["--check-only", "--n", "7", "--sweep"], "--sweep: not read with --check-only"),
     (["--check-only", "--n", "7", "--exp", "exp.csv"],
      "--check-only needs either --n or --exp"),
+    (["--check-only", "--n", "7", "--input-columns", "x1", "--output-column", "y"],
+     "--input-columns, --output-column: not read with --check-only --n"),
 ], ids=["text", "two_values", "sweep_and_d_delta", "interval_n_and_big_n",
         "interval_zero_big_n", "check_only_model_and_inputs", "check_only_sweep",
-        "check_only_n_and_exp"])
+        "check_only_n_and_exp", "check_only_n_and_columns"])
 def test_ci_quantile_d_delta_is_one_number(workspace, monkeypatch, flags, message):
     monkeypatch.chdir(workspace["dir"])
     rc, _, err = run_cli(["ci-quantile", *flags, "--alpha", "0.95", "--delta", "0.2"])
@@ -876,6 +878,33 @@ def test_fit_surrogate_fixed_penalty(tmp_path, workspace):
     assert uqim.load_model(tmp_path / "model.json").family.penalty == 1e-6
 
 
+@pytest.mark.parametrize("flags, block, message", [
+    (["--penalty", "1e-6", "--penalty-grid", "1,2", "--weighted", "--res-size", "3",
+      "--folds", "9"], {}, "--res-size, --weighted, --folds: not read without --exp"),
+    (["--res-family", "poly", "--res-penalty-grid", "1", "--weight-grid", "0.5",
+      "--extra", "inputs.csv"], {},
+     "--res-family, --res-penalty-grid, --weight-grid, --extra-inputs: not read "
+     "without --exp"),
+    ([], {"folds": 3}, "--folds: not read without --exp"),
+    (["--penalty", "1e-6", "--penalty-grid", "1,2"], {},
+     "--penalty-grid: not read with --penalty"),
+    (["--exp", "exp.csv", "--penalty", "1e-6"], {"penalty_grid": "1,2"},
+     "--penalty-grid: not read with --penalty"),
+], ids=["no_exp_flags", "no_exp_rest", "no_exp_config", "penalty_and_grid",
+        "exp_penalty_and_grid_config"])
+def test_fit_surrogate_rejects_options_it_never_reads(tmp_path, flags, block, message):
+    # from a flag or a config block, checked before any file is read: the
+    # missing --sim is not reached
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fit-surrogate": block}))
+    rc, _, err = run_cli(["fit-surrogate", "--sim", "missing.csv", *flags, "--config", cfg,
+                          "--out-dir", tmp_path])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert (payload["error"], payload["message"]) == ("DomainError", message)
+
+
 def test_fit_surrogate_weighted_improvement(tmp_path, workspace):
     ws = workspace["dir"]
     rc, rep, _ = run_cli([
@@ -886,6 +915,8 @@ def test_fit_surrogate_weighted_improvement(tmp_path, workspace):
     ])
     assert rc == 0
     assert rep["settings"]["weighted"] is True
+    # --folds defaults to null; results carry the 5 folds used
+    assert (rep["settings"]["folds"], rep["results"]["folds"]) == (None, 5)
     assert 0.0 <= rep["results"]["weight"] <= 1.0
     assert rep["results"]["residual_family"] == "poly"
     from uqim.surrogate import load_model

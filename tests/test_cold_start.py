@@ -208,6 +208,37 @@ def test_dry_runs_load_no_scipy(tmp_path):
     assert [(cmd, mods) for cmd, _, _, mods, _ in seen[1:] if mods != _CLI_MODULES] == []
 
 
+# Runs ``uqim.cli.main`` on sys.argv[1:] in a fresh interpreter and prints its
+# exit code and, for each uqim.parse_inputs call, whether uqim.confidence was
+# loaded by then.
+_PARSE_PROBE = """
+import contextlib, io, json, sys
+import uqim
+from uqim.cli import main
+parse, loaded = uqim.parse_inputs, []
+def parse_inputs(*args, **kwargs):
+    loaded.append("uqim.confidence" in sys.modules)
+    return parse(*args, **kwargs)
+uqim.parse_inputs = parse_inputs
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(json.dumps([rc, loaded]))
+"""
+
+
+def test_density_band_loads_its_layers_before_its_inputs(tmp_path):
+    # the band's modules compile before the N-row inputs and outputs exist,
+    # not on top of them at the child's peak RSS
+    _probe([
+        ["synth", "--n-exp", "20", "--n-sim", "50", *_RUN],
+        ["fit-surrogate", "--sim", "sim.csv", "--exp", "exp.csv", "--size", "6", *_RUN],
+        ["gen-inputs", "--count", "2000", "--from", "sim.csv", "--columns", "x1", *_RUN],
+    ], cwd=tmp_path)
+    band = ["density-band", "--exp", "exp.csv", "--model", "model.json", "--inputs",
+            "inputs.csv", "--kappa", "0.005", "--delta", "0.05", *_RUN]
+    assert json.loads(_run_python(_PARSE_PROBE, *band, cwd=tmp_path)) == [0, [True]]
+
+
 @pytest.mark.parametrize("code", [
     "r = uqim.avm([0.0, 1.0], [0.5, 1.5])\n"
     "assert r.exact == 0.5 and abs(r.riemann - 0.5) < 1e-3, r",

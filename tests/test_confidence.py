@@ -711,7 +711,7 @@ def _band_data(shape, err, big_n, seed):
 ], ids=["long_only", "short", "short_lattice", "tie_lattice", "clusters"])
 def test_band_small_blocks_match_whole_searches(kappa, err, shape, monkeypatch):
     # 25,000 outputs make about 75,000 candidates: 2 blocks of 2**16 and 74
-    # of 2**10, so the blocked dedupe, prefix maxima and window maxima cross
+    # of 2**10, so the blocked searches, prefix maxima and window maxima cross
     # many block edges
     outputs, data, model = _band_data(shape, err, 25_000, seed=65)
     kw = dict(kappa=kappa, delta=0.05, bandwidths=[0.05, 0.2], interval=(-3.0, 3.0),
@@ -784,6 +784,9 @@ def test_band_memory_peak(kappa, err, big_n, bound):
 
 
 def test_window_max_matches_loop():
+    # s cut at random offsets into 1, 2, 4 and 10 blocks, each block's window
+    # maxima taken through start= and folded in shuffled order, gives s's
+    # window maxima
     rng = np.random.default_rng(27)
     s = rng.normal(size=40)
     for count in [1, 2, 3, 4, 8, 60]:
@@ -793,6 +796,14 @@ def test_window_max_matches_loop():
         lo[:3], hi[:3] = [0, 39, 40][:count], [40, 40, 40][:count]
         want = [max(s[a:b], default=-np.inf) for a, b in zip(lo, hi)]
         assert np.array_equal(_window_max(s, lo, hi), want)
+        for cuts in [1, 3, 9]:
+            edges = np.concatenate([[0], np.sort(rng.choice(np.arange(1, 40), cuts,
+                                                            replace=False)), [40]])
+            got = np.full(count, -np.inf)
+            for i in rng.permutation(cuts + 1):
+                a, b = edges[i], edges[i + 1]
+                np.maximum(got, _window_max(s[a:b], lo, hi, start=a), out=got)
+            assert np.array_equal(got, want), (count, edges)
 
 
 def test_sup_mismatch_nonnegative_for_matching_density():
