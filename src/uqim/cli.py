@@ -141,6 +141,10 @@ def _cmd_gen_inputs(args):
     dist = args.dist
     if dist is None:  # a Latin hypercube when only --ranges gives the law
         dist = "lhs" if args.ranges and not args.from_data else "mvn"
+    if dist == "mvn":
+        _unread(args, "with --dist mvn", "ranges")
+    if not args.from_data:
+        _unread(args, "without --from", "columns")
     sample = None
     if args.from_data:
         columns = _names(args.columns) if args.columns else None
@@ -458,6 +462,7 @@ def _cmd_density_band(args):
 
 def _cmd_synth(args):
     if args.system == "field":
+        _unread(args, "with --system field", "bias_kind", "bias_scale", "sigma_obs")
         ds = uqim.field_measurements()
         out = _artifact(args, args.exp_out)
         uqim.write_dataset(ds, out)

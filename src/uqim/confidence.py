@@ -57,27 +57,9 @@ def _check_core(n: int, delta: float, d_delta: float) -> float:
     return delta - d_delta
 
 
-def _check_big_n(big_n: float) -> None:
-    if not (np.isfinite(big_n) and big_n >= 1):
+def _check_big_n(big_n: float | None) -> None:
+    if big_n is not None and not (np.isfinite(big_n) and big_n >= 1):
         raise DomainError(f"N must be finite and >= 1, got {big_n}")
-
-
-def _gamma_term(n: int, big_n: float, delta: float, d_delta: float, eps: float) -> float:
-    """gamma = sqrt(-log(delta - ddelta - (1-eps)^n) / (2N)).
-
-    Raises :class:`DomainError` when eps violates the strict feasibility
-    constraint (1-eps)^n < delta - ddelta.
-    """
-    rem = _check_core(n, delta, d_delta)
-    _check_big_n(big_n)
-    _level(eps, "eps")
-    arg = rem - (1.0 - eps) ** n
-    if arg <= 0.0:
-        raise DomainError(
-            f"eps={eps} infeasible: (1-eps)^n = {(1.0 - eps) ** n:.6g} "
-            f">= delta - ddelta = {rem:.6g}"
-        )
-    return math.sqrt(-math.log(arg) / (2.0 * big_n))
 
 
 @dataclass(frozen=True)
@@ -113,7 +95,8 @@ def minimize_eps_gamma(n: int, big_n: float, delta: float, d_delta: float) -> Ep
             if bracket == (lo, hi):
                 break
             lo, hi = bracket
-    gam = _gamma_term(n, big_n, delta, d_delta, best_eps)
+    # the picked eps has a finite objective, so its log argument is positive
+    gam = math.sqrt(-math.log(rem - (1.0 - best_eps) ** n) / (2.0 * big_n))
     return EpsGamma(eps=best_eps, gamma=gam, objective=best_eps + gam)
 
 
@@ -155,8 +138,7 @@ def _screen(n, big_n, alpha, delta, d_deltas):
     limit: no shift, objective 1 - (delta-ddelta)^(1/n), and no split or levels.
     """
     _level(alpha, "alpha")
-    if big_n is not None:
-        _check_big_n(big_n)
+    _check_big_n(big_n)
     d_deltas = sorted(float(v) for v in np.atleast_1d(d_deltas))
     for dd in d_deltas:
         _check_core(n, delta, dd)
@@ -216,8 +198,12 @@ def minimal_feasible_delta(n: int, alpha: float, ratio_grid=None, big_n=None) ->
     ``ratio_grid`` holds ddelta/delta ratios (default 0.1 .. 0.9) so the
     sweep scales with the trial delta during the bisection.  A trial delta
     is screened as :func:`ci_feasibility` screens it, up to its first
-    feasible ddelta.
+    feasible ddelta.  A bad n, alpha or N raises :class:`DomainError`; a
+    ddelta/delta ratio outside (0, 1) makes every trial delta infeasible.
     """
+    _count(n, "n")
+    _level(alpha, "alpha")
+    _check_big_n(big_n)
     ratios = _D_DELTA_RATIOS if ratio_grid is None else np.atleast_1d(ratio_grid)
 
     def ok(d: float) -> bool:

@@ -597,6 +597,29 @@ def test_synth_field_writes_the_field_table(tmp_path):
     np.testing.assert_array_equal(table.inputs, uqim.field_measurements().inputs)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-inputs", "--count", "10", "--dist", "mvn", "--from", "missing.csv",
+      "--ranges", "0:1"], "--ranges: not read with --dist mvn"),
+    (["gen-inputs", "--count", "5", "--from", "missing.csv", "--ranges", "0:1"],
+     "--ranges: not read with --dist mvn"),
+    (["gen-inputs", "--count", "10", "--dist", "lhs", "--ranges", "0:1", "--columns", "x1"],
+     "--columns: not read without --from"),
+    (["synth", "--system", "field", "--bias-kind", "linear"],
+     "--bias-kind: not read with --system field"),
+    (["synth", "--system", "field", "--bias-scale", "1", "--sigma-obs", "0.1"],
+     "--bias-scale, --sigma-obs: not read with --system field"),
+], ids=["mvn_ranges", "from_ranges", "columns_no_from", "field_bias_kind",
+        "field_bias_and_noise"])
+def test_gen_inputs_and_field_synth_reject_options_they_never_read(tmp_path, argv, message):
+    # checked before any file is read or written: the missing --from is not reached
+    rc, _, err = run_cli([*argv, "--out-dir", tmp_path])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert (payload["error"], payload["message"]) == ("DomainError", message)
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["synth", "--alpha", "1.5"],
     ["synth", "--system", "hidim", "--mc-count", "0"],

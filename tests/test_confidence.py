@@ -15,7 +15,6 @@ from uqim.confidence import (
     ci_feasibility,
     default_d_delta_grid,
     density_band,
-    _gamma_term as gamma_term,
     minimal_feasible_delta,
     minimal_feasible_n,
     minimize_eps_gamma,
@@ -43,30 +42,27 @@ def _exp_with_error(n, err, seed=0):
 # epsilon/gamma
 
 
+def _gamma(n, big_n, delta, d_delta, eps):
+    """gamma = sqrt(-log(delta - ddelta - (1-eps)^n) / (2N)), written out."""
+    return math.sqrt(-math.log(delta - d_delta - (1.0 - eps) ** n) / (2.0 * big_n))
+
+
 def test_gamma_term_formula():
-    n, big_n, delta, dd, eps = 20, 1e4, 0.1, 0.05, 0.2
-    want = math.sqrt(-math.log(delta - dd - 0.8**n) / (2.0 * big_n))
-    assert gamma_term(n, big_n, delta, dd, eps) == pytest.approx(want, rel=1e-12)
-
-
-def test_gamma_term_constraint_violation():
-    n, delta, dd = 10, 0.05, 0.025
-    lb = 1.0 - (delta - dd) ** (1.0 / n)
-    with pytest.raises(DomainError, match="infeasible"):
-        gamma_term(n, 1e6, delta, dd, lb - 1e-12)
-    # just above the boundary is fine
-    assert gamma_term(n, 1e6, delta, dd, lb + 1e-6) > 0.0
+    n, big_n, delta, dd = 20, 1e4, 0.1, 0.05
+    eg = minimize_eps_gamma(n, big_n, delta, dd)
+    assert eg.gamma == _gamma(n, big_n, delta, dd, eg.eps)
+    assert eg.objective == eg.eps + eg.gamma
 
 
 def test_gamma_term_validation():
-    with pytest.raises(DomainError):
-        gamma_term(0, 1e4, 0.1, 0.05, 0.2)
-    with pytest.raises(DomainError):
-        gamma_term(10, 1e4, 1.2, 0.05, 0.2)
-    with pytest.raises(DomainError):
-        gamma_term(10, 1e4, 0.1, 0.1, 0.2)
-    with pytest.raises(DomainError):
-        gamma_term(10, 0.0, 0.1, 0.05, 0.2)
+    with pytest.raises(DomainError, match="^n must be"):
+        minimize_eps_gamma(0, 1e4, 0.1, 0.05)
+    with pytest.raises(DomainError, match="^delta must"):
+        minimize_eps_gamma(10, 1e4, 1.2, 0.05)
+    with pytest.raises(DomainError, match="^ddelta must"):
+        minimize_eps_gamma(10, 1e4, 0.1, 0.1)
+    with pytest.raises(DomainError, match="^N must"):
+        minimize_eps_gamma(10, 0.0, 0.1, 0.05)
 
 
 def test_minimize_eps_gamma_infinite_n_limit():
@@ -94,9 +90,7 @@ def test_minimize_eps_gamma_grid_oracle():
     assert abs(eg.objective - brute) <= 1e-6
     # returned pair satisfies the strict constraint and the formula
     assert (1.0 - eg.eps) ** n < rem
-    assert eg.gamma == pytest.approx(
-        gamma_term(n, big_n, delta, dd, eg.eps), rel=1e-12
-    )
+    assert eg.gamma == _gamma(n, big_n, delta, dd, eg.eps)
 
 
 def test_minimize_eps_gamma_random_settings_oracle():
@@ -151,7 +145,7 @@ def _scipy_bounded_eps_gamma(n, big_n, delta, d_delta):
         )
         if np.isfinite(res.fun) and res.fun < best_val:
             best_eps = float(res.x)
-    gam = gamma_term(n, big_n, delta, d_delta, best_eps)
+    gam = _gamma(n, big_n, delta, d_delta, best_eps)
     return best_eps, gam, best_eps + gam
 
 
@@ -173,7 +167,7 @@ def test_minimize_eps_gamma_matches_scipy_bounded():
         _, _, ref = _scipy_bounded_eps_gamma(n, big_n, delta, dd)
         assert eg.objective <= ref * (1.0 + 1e-13), (n, big_n, delta, dd)
         assert (1.0 - eg.eps) ** n < delta - dd
-        assert eg.gamma == gamma_term(n, big_n, delta, dd, eg.eps)
+        assert eg.gamma == _gamma(n, big_n, delta, dd, eg.eps)
         assert [type(v) for v in (eg.eps, eg.gamma, eg.objective)] == [float] * 3
 
 

@@ -4,7 +4,7 @@ import pytest
 from uqim.avm import avm
 from uqim.bootstrap import bootstrap_error_quantile
 from uqim.confidence import (
-    _gamma_term as gamma_term, ci_feasibility, density_band, quantile_ci,
+    ci_feasibility, density_band, minimal_feasible_delta, quantile_ci,
 )
 from uqim.data import (
     InputSample,
@@ -324,6 +324,7 @@ _COUNT_ENTRIES = {
     "select_weight_and_penalty folds": lambda v: select_weight_and_penalty(
         _POLY1, _EXP, np.cos(_X), _X, folds=v),
     "ci_feasibility n": lambda v: ci_feasibility(v, 0.9, 0.1),
+    "minimal_feasible_delta n": lambda v: minimal_feasible_delta(v, 0.5),
     "FunctionFamily poly size": lambda v: FunctionFamily("poly", v),
 }
 
@@ -363,7 +364,7 @@ _LEVEL_ENTRIES = {
     "ci_feasibility delta": lambda v: ci_feasibility(10, 0.9, v),
     "density_band delta": lambda v: density_band(
         _OUTPUTS, _EXP, _sin, kappa=0.5, delta=v, bandwidths=[0.3], interval=(-1.0, 1.0)),
-    "gamma_term eps": lambda v: gamma_term(10, 1000, 0.5, 0.25, v),
+    "minimal_feasible_delta alpha": lambda v: minimal_feasible_delta(10, v),
     "true_quantile alpha": lambda v: make_mafds_like().true_quantile(v),
 }
 
@@ -374,3 +375,10 @@ def test_a_level_lies_strictly_inside_0_1(entry, bad):
     what = entry.split(" ", 1)[1]
     with pytest.raises(DomainError, match=rf"^{what} must lie in \(0, 1\), got {bad}$"):
         _LEVEL_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("big_n", [0.5, np.inf])
+def test_minimal_feasible_delta_checks_big_n(big_n):
+    # a bad N is bad input, not an infeasible delta
+    with pytest.raises(DomainError, match=rf"^N must be finite and >= 1, got {big_n}$"):
+        minimal_feasible_delta(50, 0.95, big_n=big_n)
