@@ -11,15 +11,19 @@ that closes stdout early gets exit 1 and nothing on stderr; a ``--report``
 file is written in full first.  Relative artifact paths are resolved under
 ``--out-dir``.
 
-The parser declares every option's type and default once.  A ``--config``
+The parser declares every option's type and default once, and its ``type``
+converts the option's text: a list, a ``lo:hi`` span or ``auto`` becomes a
+value before any handler runs, so a dry run checks it too.  Every usage
+error, a bad option text among them, is a ValidationError.  A ``--config``
 JSON file supplies seed/out-dir, ``l_n`` for the bootstrap learn size, and
 per-subcommand values through its method blocks; :func:`_config_defaults`
-alone reads and checks it, and reports every problem in the file in one
-error.  The running subcommand's block becomes its parser defaults and
-``argv`` is parsed again, so a flag beats the config, which beats the
-parser's default.  ``settings`` echoes the resolved options, the same with
-and without ``--dry-run``; each handler returns only its results and
-artifacts.
+alone reads and checks it, passes each block value through its option's
+own converter, and reports every problem in the file in one error.  The
+running subcommand's block becomes its parser defaults and ``argv`` is
+parsed again, so a flag beats the config, which beats the parser's
+default.  ``settings`` echoes the resolved, converted options, the same
+with and without ``--dry-run``; each handler returns only its results and
+artifacts.  The ranges of values are the layers' to check, at run time.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ from .errors import DataError, DomainError, InfeasibleError, UqError, Validation
 
 # Every layer is reached as uqim.<name>: the package loads the layer module on
 # first use (uqim/__init__.py), so a process starts on the running
-# subcommand's layers only.  --dry-run, --version, --help, argument errors, a
-# bad --config and a seed out of range load none of them, and no numpy.
+# subcommand's layers only.  --dry-run, --version, --help, usage errors (a
+# bad option text or seed among them) and a bad --config load none of them,
+# and no numpy.
 
 
 def __getattr__(name: str):
@@ -62,46 +67,69 @@ def _plain(obj):
 
 
 # ---------------------------------------------------------------------------
-# small argument parsers
+# option converters: each option's ``type``, for a flag and a config block
+# value alike; ArgumentTypeError keeps its message in the usage error
 
 
-def _floats(text: str) -> list[float]:
+def _invalid(form: str, text) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+
+def _floats(text: str, sep: str = ",") -> list[float]:
     try:
-        values = [float(v) for v in str(text).split(",") if v.strip() != ""]
+        values = [float(v) for v in str(text).split(sep) if v.strip() != ""]
     except ValueError:
         values = None
     if not values or not all(map(math.isfinite, values)):
-        raise DomainError(f"expected comma-separated finite numbers, got {text!r}")
+        raise _invalid(f"finite numbers separated by {sep!r}", text)
     return values
 
 
-def _float(text: str, flag: str) -> float:
-    values = _floats(text)
-    if len(values) != 1:
-        raise DomainError(f"{flag} expects one number, got {text!r}")
-    return values[0]
-
-
 def _names(text: str) -> list[str]:
-    return [v.strip() for v in str(text).split(",") if v.strip() != ""]
+    names = [v.strip() for v in str(text).split(",") if v.strip() != ""]
+    if not names:
+        raise _invalid("names separated by ','", text)
+    return names
 
 
-def _parse_span(text: str) -> tuple[float, float]:
-    parts = _floats(str(text).replace(":", ","))
-    if len(parts) != 2 or not parts[0] < parts[1]:
-        raise DomainError(f"expected lo:hi with lo < hi, got {text!r}")
-    return parts[0], parts[1]
+def _span(text: str, parts=(2,)) -> list[float]:
+    """lo:hi with finite lo < hi; --grid takes lo:hi:steps too."""
+    values = _floats(text, ":")
+    if len(values) not in parts or not values[0] < values[1]:
+        raise _invalid("lo:hi with lo < hi" if parts == (2,) else
+                       "lo:hi or lo:hi:steps with lo < hi", text)
+    return values
 
 
-def _parse_ranges(text: str) -> list[tuple[float, float]]:
-    return [_parse_span(part) for part in _names(text)]
+def _ranges(text: str) -> list[list[float]]:
+    return [_span(part) for part in _names(text)]
+
+
+def _bandwidth(text: str) -> float | None:
+    """``auto`` (None: the rule of thumb) or one finite number."""
+    if str(text).strip().lower() == "auto":
+        return None
+    try:
+        (value,) = _floats(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        raise _invalid("auto or one finite number", text) from None
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed <= _UINT64_MAX:
+        raise _invalid("an integer in [0, 2^64 - 1]", text)
+    return seed
 
 
 def _load_dataset(args, role):
     """The --exp or --sim (``role``) dataset, as --input-columns and --output-column pick."""
-    cols = _names(args.input_columns) if args.input_columns else None
     kind = "experimental" if role == "exp" else "simulated"
-    return uqim.parse_dataset(getattr(args, role), cols, args.output_column, kind)
+    return uqim.parse_dataset(getattr(args, role), args.input_columns, args.output_column, kind)
 
 
 def _single_column(path) -> np.ndarray:
@@ -145,10 +173,7 @@ def _cmd_gen_inputs(args):
         _unread(args, "with --dist mvn", "ranges")
     if not args.from_data:
         _unread(args, "without --from", "columns")
-    sample = None
-    if args.from_data:
-        columns = _names(args.columns) if args.columns else None
-        sample = uqim.parse_inputs(args.from_data, columns)
+    sample = uqim.parse_inputs(args.from_data, args.columns) if args.from_data else None
     if dist == "mvn":
         if sample is None:
             raise DomainError("--dist mvn needs --from <csv>")
@@ -157,12 +182,9 @@ def _cmd_gen_inputs(args):
         names = sample.names
         extra = {"mean": params.mean, "cov": params.cov}
     else:
-        if args.ranges:
-            ranges = _parse_ranges(args.ranges)
-        elif sample is not None:
-            ranges = list(zip(sample.points.min(axis=0), sample.points.max(axis=0)))
-        else:
+        if not args.ranges and sample is None:
             raise DomainError("--dist lhs needs --ranges or --from <csv>")
+        ranges = args.ranges or list(zip(sample.points.min(axis=0), sample.points.max(axis=0)))
         pts = uqim.latin_hypercube(ranges, args.count, args.seed)
         names = sample.names if sample is not None else ()
         extra = {"ranges": [list(map(float, r)) for r in ranges]}
@@ -179,8 +201,8 @@ def _cmd_fit_surrogate(args):
         _unread(args, "with --penalty", "penalty_grid")
     sim = _load_dataset(args, "sim")
     if args.penalty is None:
-        grid = _floats(args.penalty_grid) if args.penalty_grid else None
-        base = uqim.fit_with_gcv(uqim.FunctionFamily(args.family, args.size), sim, grid=grid)
+        family = uqim.FunctionFamily(args.family, args.size)
+        base = uqim.fit_with_gcv(family, sim, grid=args.penalty_grid)
     else:
         family = uqim.FunctionFamily(args.family, args.size, args.penalty)
         base = uqim.fit_penalized_ls(family, sim)
@@ -203,23 +225,12 @@ def _cmd_fit_surrogate(args):
         extra = (
             uqim.parse_inputs(args.extra_inputs).points if args.extra_inputs else sim.inputs
         )
-        if args.weight_grid:
-            w_grid = _floats(args.weight_grid)
-        elif args.weighted:
-            w_grid = None
-        else:
-            # no --weighted: fix w=1 so only the penalty is cross-validated
-            w_grid = [1.0]
+        # no --weighted: fix w=1 so only the penalty is cross-validated
+        w_grid = args.weight_grid or (None if args.weighted else [1.0])
         folds = 5 if args.folds is None else args.folds
         sel = uqim.select_weight_and_penalty(
-            res_family,
-            expd,
-            residuals,
-            extra,
-            w_grid=w_grid,
-            penalty_grid=_floats(args.res_penalty_grid) if args.res_penalty_grid else None,
-            folds=folds,
-            seed=args.seed,
+            res_family, expd, residuals, extra, w_grid=w_grid,
+            penalty_grid=args.res_penalty_grid, folds=folds, seed=args.seed,
         )
         model = uqim.improved_surrogate(base, sel.model, weight=sel.weight)
         results.update(
@@ -240,18 +251,13 @@ def _cmd_fit_surrogate(args):
 def _cmd_density(args):
     import numpy as np
 
-    steps, span = args.grid_steps, None
-    if args.grid:
-        parts = _floats(str(args.grid).replace(":", ","))
-        if len(parts) not in (2, 3) or not parts[0] < parts[1]:
-            raise DomainError(f"--grid expects lo:hi or lo:hi:steps with lo < hi, "
-                              f"got {args.grid!r}")
-        span, steps = parts[:2], parts[2] if len(parts) == 3 else steps
-    steps = uqim.data._count(steps, "grid steps", least=2)
-    auto = args.bandwidth.strip().lower() == "auto"
-    bandwidth = None if auto else _float(args.bandwidth, "--bandwidth")
+    span, steps = args.grid, args.grid_steps
+    if span is not None and len(span) == 3:
+        _unread(args, "with --grid lo:hi:steps", "grid_steps")
+        span, steps = span[:2], span[2]
+    steps = uqim.data._count(201 if steps is None else steps, "grid steps", least=2)
     model, points = uqim.load_model(args.model), uqim.parse_inputs(args.inputs).points
-    kde = uqim.surrogate_density(model, points, bandwidth=bandwidth)
+    kde = uqim.surrogate_density(model, points, bandwidth=args.bandwidth)
     if span is None:
         pad = 3.0 * kde.bandwidth
         span = kde.values[0] - pad, kde.values[-1] + pad
@@ -282,7 +288,7 @@ def _cmd_quantile(args):
             raise DomainError("--model needs --inputs")
         values = _model_outputs(uqim.load_model(args.model), args.inputs)
     entries = []
-    for a in _floats(args.alpha):
+    for a in args.alpha:
         est = uqim.mc_quantile(values, a)
         entries.append({"alpha": est.level, "value": est.value})
     return {"count": int(values.size), "quantiles": entries}, []
@@ -370,8 +376,7 @@ def _cmd_ci_quantile(args):
         if args.n is not None:
             _unread(args, "with --check-only --n", "input_columns", "output_column")
         n = _load_dataset(args, "exp").n if args.n is None else args.n
-        grid = _floats(args.d_delta) if args.d_delta else None
-        rep = uqim.ci_feasibility(n, args.alpha, args.delta, d_delta_grid=grid,
+        rep = uqim.ci_feasibility(n, args.alpha, args.delta, d_delta_grid=args.d_delta,
                                   big_n=args.big_n)
         results = {
             "n": n,
@@ -387,7 +392,9 @@ def _cmd_ci_quantile(args):
     _unread(args, "without --check-only", "n", "big_n")
     if args.sweep:
         _unread(args, "with --sweep", "d_delta")
-    d_delta = _float(args.d_delta, "--d-delta") if args.d_delta else None
+    if args.d_delta is not None and len(args.d_delta) != 1:
+        raise DomainError(f"--d-delta takes one number without --check-only, got {args.d_delta}")
+    d_delta = args.d_delta[0] if args.d_delta else None
     expd = _load_dataset(args, "exp")
     model = uqim.load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
@@ -423,31 +430,18 @@ def _cmd_density_band(args):
     expd = _load_dataset(args, "exp")
     model = uqim.load_model(args.model)
     outputs = _model_outputs(model, args.inputs)
-    if args.bandwidths:
-        bandwidths = _floats(args.bandwidths)
-    else:
-        bandwidths = [select_bandwidth(outputs)]
-    if args.interval:
-        interval = _parse_span(args.interval)
-    else:  # the band covers the range of the outputs
-        interval = (float(outputs.min()), float(outputs.max()))
-    band = density_band(
-        outputs,
-        expd,
-        model,
-        kappa=args.kappa,
-        delta=args.delta,
-        bandwidths=bandwidths,
-        interval=interval,
-        grid_steps=args.grid_steps,
-    )
+    bandwidths = args.bandwidths or [select_bandwidth(outputs)]
+    # the band covers the range of the outputs unless --interval is given
+    interval = args.interval or [float(outputs.min()), float(outputs.max())]
+    band = density_band(outputs, expd, model, kappa=args.kappa, delta=args.delta,
+                        bandwidths=bandwidths, interval=interval, grid_steps=args.grid_steps)
     out = _artifact(args, args.output)
     uqim.data._write_table(out, ["y", "lower", "upper"], [band.grid, band.lower, band.upper])
     results = {
         "kappa": band.kappa,
         "delta": band.delta,
         "bandwidths": list(band.bandwidths),
-        "interval": list(interval),
+        "interval": interval,
         "beta_hat": band.beta_hat,
         "eps": band.eps,
         "gamma": band.gamma,
@@ -462,36 +456,40 @@ def _cmd_density_band(args):
 
 def _cmd_synth(args):
     if args.system == "field":
-        _unread(args, "with --system field", "bias_kind", "bias_scale", "sigma_obs")
+        _unread(args, "with --system field", "bias_kind", "bias_scale", "sigma_obs",
+                "n_exp", "n_sim", "alpha", "mc_count", "sim_out")
         ds = uqim.field_measurements()
         out = _artifact(args, args.exp_out)
         uqim.write_dataset(ds, out)
         return {"n": ds.n, "dim": ds.dim, "columns": list(ds.input_names)}, [out]
+    if args.system != "hidim":
+        _unread(args, "without --system hidim", "mc_count")
+    n_exp = 10 if args.n_exp is None else args.n_exp
+    n_sim = 100 if args.n_sim is None else args.n_sim
+    alpha = 0.95 if args.alpha is None else args.alpha
     # an option left unset keeps the system's own default
     names = ("bias_kind", "bias_scale", "sigma_obs")
     kwargs = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     make = uqim.make_mafds_like if args.system == "mafds" else uqim.make_hidim_like
     sys_ = make(**kwargs)
+    results = {"system": sys_.name, "dim": sys_.dim, "alpha": alpha,
+               "n_exp": n_exp, "n_sim": n_sim}
     # the truth quantile draws from its own stream; computed first, a bad
     # alpha or mc_count fails before any file is written
     if sys_.quantile_fn is not None:
-        truth_q = sys_.true_quantile(args.alpha)
+        results["true_quantile"] = sys_.true_quantile(alpha)
     else:
-        truth_q = uqim.mc_truth_quantile(sys_, args.alpha, count=args.mc_count,
-                                         seed=args.seed)
+        results["mc_count"] = 100_000 if args.mc_count is None else args.mc_count
+        results["true_quantile"] = uqim.mc_truth_quantile(
+            sys_, alpha, count=results["mc_count"], seed=args.seed)
     seed_exp, seed_sim = uqim.spawn_seeds(args.seed, 2)
-    expd = sys_.draw_experiment(args.n_exp, seed_exp)
-    simd = sys_.draw_simulation(args.n_sim, seed_sim)
-    exp_out, sim_out = _artifact(args, args.exp_out), _artifact(args, args.sim_out)
+    expd = sys_.draw_experiment(n_exp, seed_exp)
+    simd = sys_.draw_simulation(n_sim, seed_sim)
+    exp_out = _artifact(args, args.exp_out)
+    sim_out = _artifact(args, "sim.csv" if args.sim_out is None else args.sim_out)
     uqim.write_dataset(expd, exp_out)
     uqim.write_dataset(simd, sim_out)
-    results = {
-        "system": sys_.name,
-        "dim": sys_.dim,
-        "true_quantile": truth_q,
-        "alpha": args.alpha,
-        **{k: getattr(sys_, k) for k in names},
-    }
+    results.update({k: getattr(sys_, k) for k in names})
     return results, [exp_out, sim_out]
 
 
@@ -516,20 +514,25 @@ _FAMILIES = ["spline1d", "rbf", "poly"]  # surrogate.FAMILY_KINDS, without loadi
 
 
 def _add_data_flags(p):
-    p.add_argument("--input-columns", help="comma-separated input column names")
+    p.add_argument("--input-columns", type=_names, help="comma-separated input column names")
     p.add_argument("--output-column", help="output column name (default: last)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValidationError: one JSON line on stderr, exit 1."""
+
+    def error(self, message):
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser holds every option's type and default; an option whose
     default is None is worked out from the data or from other options."""
-    top = argparse.ArgumentParser(
-        prog="uqim",
-        description="Uncertainty quantification with imperfect simulation models.",
-    )
+    top = _Parser(prog="uqim",
+                  description="Uncertainty quantification with imperfect simulation models.")
     top.add_argument("--version", action="version", version=f"%(prog)s {uqim.__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
+    common.add_argument("--seed", type=_seed, default=0, help="master seed")
     common.add_argument("--out-dir", default=".", help="directory for artifacts")
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("--report", default=None, help="also write the report here")
@@ -544,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: lhs with --ranges and no --from, else mvn")
     p.add_argument("--from", "--from-data", dest="from_data",
                    help="CSV whose columns define the input law")
-    p.add_argument("--columns", help="columns of --from to use")
-    p.add_argument("--ranges", help="lo:hi[,lo:hi...] for Latin hypercube")
+    p.add_argument("--columns", type=_names, help="columns of --from to use")
+    p.add_argument("--ranges", type=_ranges, help="lo:hi[,lo:hi...] for Latin hypercube")
     p.add_argument("--out", "--output", dest="output", default="inputs.csv")
 
     p = add("fit-surrogate", help="penalized LS surrogate, optionally improved")
@@ -555,13 +558,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=_FAMILIES, default="spline1d")
     p.add_argument("--size", type=int, default=10)
     p.add_argument("--penalty", type=float, help="fixed penalty (default: GCV)")
-    p.add_argument("--penalty-grid", help="GCV penalty grid, comma-separated")
+    p.add_argument("--penalty-grid", type=_floats, help="GCV penalty grid, comma-separated")
     p.add_argument("--res-family", choices=_FAMILIES, help="default: --family")
     p.add_argument("--res-size", type=int, help="default: --size")
-    p.add_argument("--res-penalty-grid")
+    p.add_argument("--res-penalty-grid", type=_floats)
     p.add_argument("--weighted", action="store_true",
                    help="cross-validate the anchor weight too")
-    p.add_argument("--weight-grid")
+    p.add_argument("--weight-grid", type=_floats)
     p.add_argument("--folds", type=int, help="CV folds (default: 5)")
     p.add_argument("--extra", "--extra-inputs", dest="extra_inputs",
                    help="inputs CSV for the zero anchor term")
@@ -570,16 +573,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("density", help="box-kernel KDE of surrogate outputs on an input sample")
     p.add_argument("--model", required=True)
     p.add_argument("--inputs", required=True)
-    p.add_argument("--bandwidth", default="auto", help="numeric value or 'auto'")
-    p.add_argument("--grid", help="lo:hi or lo:hi:steps evaluation span")
-    p.add_argument("--grid-steps", type=int, default=201)
+    p.add_argument("--bandwidth", type=_bandwidth, help="a number or auto (default: auto)")
+    p.add_argument("--grid", type=functools.partial(_span, parts=(2, 3)),
+                   help="lo:hi or lo:hi:steps evaluation span")
+    p.add_argument("--grid-steps", type=int, help="default: 201")
     p.add_argument("--out", "--output", dest="output", default="density.csv")
 
     p = add("quantile", help="plug-in quantile of surrogate outputs")
     p.add_argument("--model")
     p.add_argument("--inputs")
     p.add_argument("--outputs", help="single-column CSV of precomputed outputs")
-    p.add_argument("--alpha", required=True, help="level(s), comma-separated")
+    p.add_argument("--alpha", type=_floats, required=True, help="level(s), comma-separated")
 
     p = add("avm", help="area between experimental and simulated ECDFs")
     p.add_argument("--exp", required=True)
@@ -617,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--d-delta", help="delta split (or grid when --check-only)")
+    p.add_argument("--d-delta", type=_floats, help="delta split (or grid when --check-only)")
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--check-only", action="store_true",
                    help="feasibility screening only")
@@ -631,8 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--bandwidths", help="comma-separated (default: rule of thumb)")
-    p.add_argument("--interval", help="lo:hi band support (default: output range)")
+    p.add_argument("--bandwidths", type=_floats, help="comma-separated (default: rule of thumb)")
+    p.add_argument("--interval", type=_span, help="lo:hi band support (default: output range)")
     p.add_argument("--grid-steps", type=int, default=200)
     p.add_argument("--output", default="band.csv")
 
@@ -642,13 +646,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias-kind", choices=["constant", "linear", "smooth"])
     p.add_argument("--bias-scale", type=float)
     p.add_argument("--sigma-obs", type=float)
-    p.add_argument("--n-exp", type=int, default=10)
-    p.add_argument("--n-sim", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--mc-count", type=int, default=100_000,
-                   help="Monte Carlo draws of the hidim truth quantile")
+    p.add_argument("--n-exp", type=int, help="default: 10")
+    p.add_argument("--n-sim", type=int, help="default: 100")
+    p.add_argument("--alpha", type=float, help="default: 0.95")
+    p.add_argument("--mc-count", type=int,
+                   help="Monte Carlo draws of the hidim truth quantile (default: 100000)")
     p.add_argument("--exp-out", default="exp.csv")
-    p.add_argument("--sim-out", default="sim.csv")
+    p.add_argument("--sim-out", help="default: sim.csv")
 
     return top
 
@@ -667,9 +671,11 @@ def _config_defaults(parser, command: str, path) -> dict:
     named after a subcommand.  Each block value goes through its option's own
     ``type`` and ``choices``, as a command-line string would; a
     ``store_true`` flag takes a JSON bool.  A key that names no option of its
-    subcommand is an error.  The blocks of the other subcommands are checked
-    alike but set nothing, a block beats ``l_n``, and every problem in the
-    file is reported in one ValidationError.  The global flags are no block
+    subcommand is an error, and so is a required option: the first parse of
+    ``argv`` demands it as a flag, so a block value would never be read.  The
+    blocks of the other subcommands are checked alike but set nothing, a
+    block beats ``l_n``, and every problem in the file is reported in one
+    ValidationError.  The global flags are no block
     keys: seed and out_dir are top-level keys.
     """
     try:
@@ -723,16 +729,17 @@ def _config_defaults(parser, command: str, path) -> dict:
             elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 problem = f"must be a string or a number, got {value!r}"
             else:
-                try:
-                    value = (opt.type or str)(str(value))
-                except ValueError:
-                    problem = f"invalid {opt.type.__name__} value {value!r}"
+                try:  # the flag's own type and choices, as argparse runs them
+                    value = parser._get_value(opt, str(value))
+                    parser._check_value(opt, value)
+                except argparse.ArgumentError as exc:
+                    problem = exc.message
                 else:
-                    if opt.choices is None or value in opt.choices:
+                    if not opt.required:
                         if name == command:
                             defaults[opt.dest] = value
                         continue
-                    problem = f"must be one of {', '.join(opt.choices)}, got {value!r}"
+                    problem = f"{opt.option_strings[0]} is required on the command line"
             problems.append((f"methods.{name}.{key}", problem))
     if problems:
         raise ValidationError(
@@ -748,15 +755,13 @@ _PRIVATE_ARGS = ("command", "config", "report", "dry_run", "seed", "out_dir")
 
 def main(argv=None) -> int:
     parser = build_parser()  # once: a config reparses with the same parser
-    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
         if args.config:
             defaults = _config_defaults(parser, args.command, args.config)
             _subparsers(parser)[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
-        if not 0 <= args.seed <= _UINT64_MAX:  # the range a config's seed must lie in
-            raise DomainError(f"seed must be an integer in [0, 2^64 - 1], got {args.seed}")
         settings = {k: v for k, v in vars(args).items() if k not in _PRIVATE_ARGS}
         settings["dry_run"] = args.dry_run
         results, artifacts = {}, []

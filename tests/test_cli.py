@@ -258,10 +258,13 @@ def test_model_file_of_wrong_type_is_a_data_error(tmp_path):
 
 
 def test_unknown_subcommand_exits_nonzero():
-    with redirect_stderr(io.StringIO()):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-    assert exc.value.code != 0
+    # a usage error is one JSON line, exit 1, as every other failure
+    rc, _, err = run_cli(["frobnicate"])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationError"
+    assert payload["message"].startswith("argument command: invalid choice: 'frobnicate'")
 
 
 def test_config_errors_list_every_field(tmp_path):
@@ -404,7 +407,7 @@ def test_config_blocks_of_every_subcommand_are_checked(tmp_path):
         "--config", cfg, "--out-dir", tmp_path,
     ])
     assert rc == 0
-    assert rep["settings"]["grid_steps"] == 201
+    assert rep["settings"]["grid_steps"] is None
 
 
 def test_config_method_values_convert_like_flags(tmp_path):
@@ -420,7 +423,7 @@ def test_config_method_values_convert_like_flags(tmp_path):
     ])
     assert rc == 0
     got = {k: rep["settings"][k] for k in ("grid_steps", "bandwidth")}
-    assert got == {"grid_steps": 21, "bandwidth": "0.05"}
+    assert got == {"grid_steps": 21, "bandwidth": 0.05}
     rc, rep, _ = run_cli([
         "gen-inputs", "--count", "5", "--dry-run", "--config", cfg,
         "--out-dir", tmp_path,
@@ -465,10 +468,7 @@ def test_flag_beats_config_beats_parser_default(tmp_path):
     ["--grid-steps", "0"],
     ["--grid", "0:1:2.5"],
     ["--grid", "0:1:1"],
-    ["--bandwidth", "abc"],
-    ["--bandwidth", "0.1,0.2"],
-], ids=["negative_steps", "zero_steps", "fractional_grid_steps", "one_grid_step",
-        "text_bandwidth", "two_bandwidths"])
+], ids=["negative_steps", "zero_steps", "fractional_grid_steps", "one_grid_step"])
 def test_density_bad_input_is_a_domain_error(tmp_path, workspace, flags):
     ws = workspace["dir"]
     rc, _, err = run_cli([
@@ -481,73 +481,81 @@ def test_density_bad_input_is_a_domain_error(tmp_path, workspace, flags):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("density", ["--grid", "0:inf:3"]),
-    ("density-band", ["--interval", "0:inf"]),
-    ("quantile", ["--alpha", "nan"]),
-    ("density-band", ["--bandwidths", "inf"]),
-], ids=["density_inf_grid", "band_inf_interval", "quantile_nan_alpha",
-        "band_inf_bandwidth"])
-def test_non_finite_number_is_a_domain_error(tmp_path, workspace, command, flags):
-    ws = workspace["dir"]
-    args = {
-        "density": [],
-        "quantile": [],
-        "density-band": ["--exp", ws / "exp.csv", "--kappa", "0.005", "--delta", "0.05"],
-    }[command]
-    rc, _, err = run_cli([
-        command, "--model", ws / "model.json", "--inputs", ws / "inputs.csv", *args,
-        *flags, "--out-dir", tmp_path,
-    ])
+_FIT = ["fit-surrogate", "--sim", "sim.csv", "--exp", "exp.csv"]
+_DENSITY = ["density", "--model", "model.json", "--inputs", "inputs.csv"]
+_QUANTILE = ["quantile", "--model", "model.json", "--inputs", "inputs.csv"]
+_CHECK_ONLY = ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
+               "--delta", "0.05"]
+_BAND = ["density-band", "--exp", "exp.csv", "--model", "model.json",
+         "--inputs", "inputs.csv", "--kappa", "0.005", "--delta", "0.05"]
+
+
+@pytest.mark.parametrize("mode", ["flag", "dry_run", "config"])
+@pytest.mark.parametrize("argv, flag, text, expected", [
+    (["gen-inputs", "--count", "5", "--from", "sim.csv"], "--columns", ",", "names"),
+    (["gen-inputs", "--count", "5"], "--ranges", "0:1,2", "lo:hi with lo < hi"),
+    (["gen-inputs", "--count", "5"], "--ranges", "1:0", "lo:hi with lo < hi"),
+    (_FIT, "--input-columns", ",", "names"),
+    (_FIT, "--penalty-grid", "1,nan", "finite numbers"),
+    (_FIT, "--res-penalty-grid", ",", "finite numbers"),
+    (_FIT, "--weight-grid", ",", "finite numbers"),
+    (_DENSITY, "--grid", "abc", "finite numbers"),
+    (_DENSITY, "--grid", "0:inf:3", "finite numbers"),
+    (_DENSITY, "--grid", "0:1:2:3", "lo:hi or lo:hi:steps"),
+    (_DENSITY, "--bandwidth", "abc", "auto or one finite number"),
+    (_DENSITY, "--bandwidth", "0.1,0.2", "auto or one finite number"),
+    (_QUANTILE, "--alpha", "x,y", "finite numbers"),
+    (_QUANTILE, "--alpha", "nan", "finite numbers"),
+    (_QUANTILE, "--alpha", ",", "finite numbers"),
+    (_CHECK_ONLY, "--d-delta", ",", "finite numbers"),
+    (_BAND, "--bandwidths", "inf", "finite numbers"),
+    (_BAND, "--interval", "0:inf", "finite numbers"),
+    (_BAND, "--interval", "0:1:2", "lo:hi with lo < hi"),
+    (["synth"], "--seed", "-1", "integer in [0, 2^64"),
+    (["synth"], "--seed", str(2**64), "integer in [0, 2^64"),
+    (["synth", "--system", "field"], "--seed", str(2**64), "integer in [0, 2^64"),
+], ids=["columns_empty", "ranges_one_end", "ranges_reversed", "input_columns_empty",
+        "penalty_grid_nan", "res_penalty_grid_empty", "weight_grid_empty", "grid_text",
+        "grid_inf", "grid_four_parts", "bandwidth_text", "bandwidth_two",
+        "quantile_alpha_text", "quantile_alpha_nan", "quantile_alpha_empty",
+        "check_only_d_delta_empty", "bandwidths_inf", "interval_inf", "interval_steps",
+        "seed_negative", "seed_too_large", "field_seed_too_large"])
+def test_bad_option_text_is_one_validation_error_line(
+        tmp_path, workspace, monkeypatch, argv, flag, text, expected, mode):
+    """The parser converts each option's text, from a flag or a config block,
+    before any handler runs: a dry run checks it too, every block is checked
+    on every run, and nothing is written."""
+    monkeypatch.chdir(workspace["dir"])  # every input file the command names exists
+    out = tmp_path / "out"
+    if mode == "config":
+        # the block of a subcommand that is not running; a seed is a top-level key
+        key = flag[2:].replace("-", "_")
+        block = {"seed": int(text)} if flag == "--seed" else {argv[0]: {key: text}}
+        (tmp_path / "cfg.json").write_text(json.dumps(block))
+        rc, _, err = run_cli(["synth", "--dry-run", "--config", tmp_path / "cfg.json",
+                              "--out-dir", out])
+        fields = ["seed"] if flag == "--seed" else [f"methods.{argv[0]}.{key}"]
+    else:
+        dry = ["--dry-run"] if mode == "dry_run" else []
+        rc, _, err = run_cli([*argv, flag, text, *dry, "--out-dir", out])
+        fields = []
     assert rc == 1
     assert err.count("\n") == 1
     payload = json.loads(err)
-    assert payload["error"] == "DomainError"
-    assert "finite" in payload["message"]
-    assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("argv", [
-    ["fit-surrogate", "--weight-grid", ","],
-    ["fit-surrogate", "--res-penalty-grid", ","],
-    ["quantile", "--alpha", ","],
-    ["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95", "--delta", "0.05",
-     "--d-delta", ","],
-], ids=["weight_grid", "res_penalty_grid", "quantile_alpha", "check_only_d_delta"])
-def test_empty_number_list_is_a_domain_error(tmp_path, workspace, argv):
-    ws = workspace["dir"]
-    args = {
-        "fit-surrogate": ["--sim", ws / "sim.csv", "--exp", ws / "exp.csv"],
-        "quantile": ["--model", ws / "model.json", "--inputs", ws / "inputs.csv"],
-        "ci-quantile": [],
-    }[argv[0]]
-    rc, _, err = run_cli([*argv, *args, "--out-dir", tmp_path])
-    assert rc == 1
-    assert err.count("\n") == 1
-    assert json.loads(err) == {
-        "error": "DomainError",
-        "message": "expected comma-separated finite numbers, got ','",
-    }
-    assert os.listdir(tmp_path) == []
-
-
-def test_gen_inputs_zero_columns_is_a_data_error(tmp_path, workspace):
-    rc, _, err = run_cli([
-        "gen-inputs", "--count", "5", "--from", workspace["dir"] / "sim.csv",
-        "--columns", ",", "--out-dir", tmp_path,
-    ])
-    assert rc == 1
-    assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "DataError"
-    assert os.listdir(tmp_path) == []
+    assert (payload["error"], payload["fields"]) == ("ValidationError", fields)
+    assert expected in payload["message"]
+    if mode != "config":
+        assert payload["message"].startswith(f"argument {flag}: ")
+    assert not out.exists()
 
 
 _INTERVAL = ["--exp", "exp.csv", "--model", "model.json", "--inputs", "inputs.csv"]
 
 
 @pytest.mark.parametrize("flags, message", [
-    ([*_INTERVAL, "--d-delta", "abc"], "numbers"),
-    ([*_INTERVAL, "--d-delta", "0.01,0.02"], "--d-delta"),
+    # a text is no number list: the parser's usage error, with --dry-run too
+    ([*_INTERVAL, "--d-delta", "abc"], "argument --d-delta: expected finite numbers"),
+    ([*_INTERVAL, "--d-delta", "0.01,0.02"], "--d-delta takes one number"),
     # an option that the running mode never reads: the report's settings
     # would echo a value that its results did not use
     ([*_INTERVAL, "--sweep", "--d-delta", "0.01"], "--d-delta: not read with --sweep"),
@@ -570,7 +578,8 @@ def test_ci_quantile_d_delta_is_one_number(workspace, monkeypatch, flags, messag
     assert rc == 1
     assert err.count("\n") == 1
     payload = json.loads(err)
-    assert payload["error"] == "DomainError"
+    usage = message.startswith("argument ")
+    assert payload["error"] == ("ValidationError" if usage else "DomainError")
     assert message in payload["message"]
 
 
@@ -608,8 +617,11 @@ def test_synth_field_writes_the_field_table(tmp_path):
      "--bias-kind: not read with --system field"),
     (["synth", "--system", "field", "--bias-scale", "1", "--sigma-obs", "0.1"],
      "--bias-scale, --sigma-obs: not read with --system field"),
+    (["synth", "--system", "field", "--n-exp", "3", "--n-sim", "4", "--alpha", "0.5",
+      "--sim-out", "x.csv", "--mc-count", "7"],
+     "--n-exp, --n-sim, --alpha, --mc-count, --sim-out: not read with --system field"),
 ], ids=["mvn_ranges", "from_ranges", "columns_no_from", "field_bias_kind",
-        "field_bias_and_noise"])
+        "field_bias_and_noise", "field_counts_and_sim_out"])
 def test_gen_inputs_and_field_synth_reject_options_they_never_read(tmp_path, argv, message):
     # checked before any file is read or written: the missing --from is not reached
     rc, _, err = run_cli([*argv, "--out-dir", tmp_path])
@@ -618,6 +630,71 @@ def test_gen_inputs_and_field_synth_reject_options_they_never_read(tmp_path, arg
     payload = json.loads(err)
     assert (payload["error"], payload["message"]) == ("DomainError", message)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv, block, message", [
+    (["synth", "--system", "mafds", "--mc-count", "7"], {},
+     "--mc-count: not read without --system hidim"),
+    (["synth"], {"synth": {"mc_count": 7}}, "--mc-count: not read without --system hidim"),
+    (["density", "--model", "missing.json", "--inputs", "missing.csv",
+      "--grid", "0.05:0.12:50", "--grid-steps", "7"], {},
+     "--grid-steps: not read with --grid lo:hi:steps"),
+    (["density", "--model", "missing.json", "--inputs", "missing.csv",
+      "--grid", "0.05:0.12:50"], {"density": {"grid_steps": 7}},
+     "--grid-steps: not read with --grid lo:hi:steps"),
+], ids=["mafds_mc_count", "mafds_mc_count_config",
+        "density_grid_steps_twice", "density_grid_steps_config"])
+def test_synth_and_density_reject_options_they_never_read(tmp_path, argv, block, message):
+    # from a flag or a config block, checked before any file is read or written
+    (tmp_path / "cfg.json").write_text(json.dumps(block))
+    out = tmp_path / "out"
+    rc, _, err = run_cli([*argv, "--config", tmp_path / "cfg.json", "--out-dir", out])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert (payload["error"], payload["message"]) == ("DomainError", message)
+    assert not out.exists()
+
+
+def test_synth_results_carry_the_defaults_used(tmp_path):
+    # the counts, level and Monte Carlo draws default to null; results carry
+    # the values used
+    rc, rep, err = run_cli(["synth", "--out-dir", tmp_path / "mafds"])
+    assert rc == 0, err
+    assert [rep["settings"][k] for k in ("n_exp", "n_sim", "alpha", "mc_count", "sim_out")] \
+        == [None] * 5
+    assert (rep["results"]["n_exp"], rep["results"]["n_sim"], rep["results"]["alpha"]) \
+        == (10, 100, 0.95)
+    assert "mc_count" not in rep["results"]
+    assert sorted(os.listdir(tmp_path / "mafds")) == ["exp.csv", "sim.csv"]
+    rc, rep, err = run_cli(["synth", "--system", "hidim", "--mc-count", "2000",
+                            "--n-exp", "4", "--n-sim", "6", "--out-dir", tmp_path / "hidim"])
+    assert rc == 0, err
+    got = {k: rep["results"][k] for k in ("n_exp", "n_sim", "alpha", "mc_count")}
+    assert got == {"n_exp": 4, "n_sim": 6, "alpha": 0.95, "mc_count": 2000}
+    assert len(uqim.parse_dataset(tmp_path / "hidim" / "sim.csv").outputs) == 6
+
+
+@pytest.mark.parametrize("argv, block, fields", [
+    (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95", "--delta", "0.05"],
+     {"ci-quantile": {"alpha": 0.5}}, ["methods.ci-quantile.alpha"]),
+    (["synth"], {"gen-inputs": {"count": 5}, "quantile": {"alpha": "0.5"}},
+     ["methods.gen-inputs.count", "methods.quantile.alpha"]),
+    (["synth"], {"density-band": {"kappa": 0.1, "delta": 0.05, "exp": "exp.csv"}},
+     ["methods.density-band.kappa", "methods.density-band.delta",
+      "methods.density-band.exp"]),
+], ids=["running_subcommand", "other_subcommands", "band"])
+def test_config_block_cannot_set_a_required_option(tmp_path, argv, block, fields):
+    # the first parse of argv demands each required flag, so a block key for
+    # one would never take effect: with the flag given, the flag wins
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(block))
+    rc, _, err = run_cli([*argv, "--dry-run", "--config", cfg, "--out-dir", tmp_path])
+    assert rc == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert (payload["error"], payload["fields"]) == ("ValidationError", fields)
+    assert "is required on the command line" in payload["message"]
 
 
 @pytest.mark.parametrize("flags", [
@@ -632,17 +709,6 @@ def test_synth_bad_value_writes_nothing(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["synth", "--seed", "-1"], "seed must be an integer in [0, 2^64 - 1], got -1"),
-    # a dry run draws nothing, and both ends of the range are checked all the same
-    (["synth", "--dry-run", "--seed", "-1"],
-     "seed must be an integer in [0, 2^64 - 1], got -1"),
-    (["synth", "--dry-run", "--seed", str(2**64)],
-     f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
-    (["synth", "--seed", str(2**64)],
-     f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
-    # the field table draws nothing, and the seed is checked all the same
-    (["synth", "--system", "field", "--seed", str(2**64)],
-     f"seed must be an integer in [0, 2^64 - 1], got {2**64}"),
     (["synth", "--sigma-obs", "-1"], "sigma_obs must be finite and >= 0, got -1.0"),
     (["synth", "--system", "hidim", "--bias-scale", "nan"],
      "bias_scale must be finite, got nan"),
@@ -650,10 +716,7 @@ def test_synth_bad_value_writes_nothing(tmp_path, flags):
       "--delta", "0.05", "--big-n", "0"], "N must be finite and >= 1, got 0.0"),
     (["ci-quantile", "--check-only", "--n", "100", "--alpha", "0.95",
       "--delta", "0.05", "--big-n", "-5"], "N must be finite and >= 1, got -5.0"),
-], ids=["negative_seed", "negative_dry_run_seed", "too_large_dry_run_seed",
-        "too_large_seed", "too_large_field_seed",
-        "negative_sigma_obs", "nan_bias_scale", "zero_big_n",
-        "negative_big_n"])
+], ids=["negative_sigma_obs", "nan_bias_scale", "zero_big_n", "negative_big_n"])
 def test_bad_number_is_one_domain_error_line(tmp_path, flags, message):
     rc, _, err = run_cli([*flags, "--out-dir", tmp_path])
     assert rc == 1
@@ -733,21 +796,19 @@ def test_dry_run_still_validates_config(tmp_path):
 
 
 def test_threads_flag_is_a_usage_error(tmp_path):
-    err = io.StringIO()
-    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["synth", "--dry-run", "--threads", "2", "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --threads 2" in err.getvalue()
+    rc, _, err = run_cli(["synth", "--dry-run", "--threads", "2", "--out-dir", tmp_path])
+    assert rc == 1
+    assert json.loads(err) == {"error": "ValidationError", "fields": [],
+                               "message": "unrecognized arguments: --threads 2"}
 
 
 def test_beta_mode_flag_is_a_usage_error(tmp_path):
     # closed_form is the one beta mode, so there is no flag to choose it
-    err = io.StringIO()
-    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["gp-error", "--exp", "e.csv", "--model", "m.json", "--dry-run",
-              "--beta-mode", "free", "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --beta-mode free" in err.getvalue()
+    rc, _, err = run_cli(["gp-error", "--exp", "e.csv", "--model", "m.json", "--dry-run",
+                          "--beta-mode", "free", "--out-dir", tmp_path])
+    assert rc == 1
+    assert json.loads(err) == {"error": "ValidationError", "fields": [],
+                               "message": "unrecognized arguments: --beta-mode free"}
 
 
 def test_bootstrap_error_report(tmp_path, workspace):

@@ -39,7 +39,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             rc = main(argv)
-        except SystemExit as exc:  # --version, --help and argument errors
+        except SystemExit as exc:  # --version and --help
             rc = exc.code
     seen.append(seen_after(" ".join(argv), rc))
 print(json.dumps(seen))
@@ -194,14 +194,18 @@ def test_dry_runs_load_no_scipy(tmp_path):
     }
     assert sorted(dry) == sorted(_HANDLERS)
     argvs = [[name, "--dry-run", *args] for name, args in dry.items()]
+    # the option converters load neither
+    argvs += [["density", "--dry-run", *dry["density"], "--grid", "0.05:0.12:200",
+               "--bandwidth", "auto"],
+              ["gen-inputs", "--dry-run", *dry["gen-inputs"], "--ranges", "0:1"]]
     (tmp_path / "bad.json").write_text('{"synth": {"n_exp": "x"}}')
-    # --version and --help exit 0; a missing required option exits 2; a bad
-    # config and a seed out of range are one JSON error, exit 1
+    # --version and --help exit 0; a missing required option, a bad config and
+    # a seed out of range are one JSON error, exit 1
     no_work = [["--version"], ["--help"], ["avm", "--exp", "e.csv"],
                ["synth", "--dry-run", "--config", "bad.json"],
                ["synth", "--dry-run", "--seed", str(2**64)]]
     seen = _probe(argvs + no_work, cwd=tmp_path)
-    assert [rc for _, rc, _, _, _ in seen] == [0] * (len(seen) - 3) + [2, 1, 1]
+    assert [rc for _, rc, _, _, _ in seen] == [0] * (len(seen) - 3) + [1, 1, 1]
     assert [(cmd, scipy) for cmd, _, scipy, _, _ in seen if scipy] == []
     assert [cmd for cmd, _, _, _, numpy in seen if numpy] == []
     assert seen[0][:4] == ["import uqim", 0, [], ["uqim", "uqim.avm", "uqim.errors"]]
